@@ -7,7 +7,7 @@ a given inter-vehicle distance.
 
 import argparse
 
-from nrv2xsim import phy, scenario
+from nrv2xsim import phy
 from nrv2xsim.config import SimConfig
 
 
@@ -17,7 +17,7 @@ def main() -> int:
     parser.add_argument("--retx", default="none")
     args = parser.parse_args()
 
-    ue_gnb = scenario.ue_per_gnb_count(1732.0, args.ivd, 6)
+    ue_gnb = phy.build_resource_plan(SimConfig(ivd_m=args.ivd)).ue_per_gnb
     print(f"ivd={args.ivd:g} m -> {ue_gnb} vehicles per cell, retx={args.retx}")
     print("bandwidth_mhz,mu,tf_hz,ue_supported,prr_max")
     for bw in (10.0, 20.0):
@@ -28,8 +28,7 @@ def main() -> int:
                     retx_scheme=args.retx,
                 )
                 plan = phy.build_resource_plan(cfg)
-                ceiling = phy.prr_max(plan.ue_supported, ue_gnb)
-                print(f"{bw:g},{mu},{tf:g},{plan.ue_supported},{ceiling:.4f}")
+                print(f"{bw:g},{mu},{tf:g},{plan.ue_supported},{plan.prr_max:.4f}")
     return 0
 
 

@@ -10,7 +10,7 @@ from .config import (
     parse_campaign,
     parse_config,
 )
-from .engine import execute_run, run_drop
+from .engine import execute_run
 
 __all__ = [
     "CampaignSpec",
@@ -20,5 +20,4 @@ __all__ = [
     "expand_campaign",
     "parse_campaign",
     "parse_config",
-    "run_drop",
 ]

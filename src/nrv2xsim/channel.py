@@ -7,8 +7,6 @@ double count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299792458.0
@@ -50,22 +48,6 @@ def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
     if np.ndim(distance_m) == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Geometry of one transmitter-receiver link."""
-
-    distance_m: float
-    tx_height_m: float = 1.5
-    rx_height_m: float = 1.5
-    fc_ghz: float = 5.9
-
-    def pathloss_db(self, min_distance_m: float = 10.0) -> float:
-        return pathloss_db(
-            self.distance_m, self.tx_height_m, self.rx_height_m,
-            self.fc_ghz, min_distance_m,
-        )
 
 
 def shadowing_db(rng: np.random.Generator, sigma_db: float, size=None):

@@ -42,14 +42,15 @@ def _resolve_config(args) -> SimConfig:
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    result = engine.execute_run(cfg, cfg.seed)
+    counts = engine.simulate_drops(cfg, cfg.seed)
+    result = engine._finalize(cfg, cfg.seed, counts)
     metrics.write_run_csv(result, args.out)
     log.info("wrote %s (fingerprint %s, seed %d)", args.out, result.fingerprint, result.seed)
     if args.dump_samples:
         samples_path = args.out + ".samples.csv"
         with open(samples_path, "w", newline="") as f:
             f.write("drop,tx_id,phase,receivers_in_range,received_count\n")
-            for row in engine.run_sample_table(cfg, cfg.seed):
+            for row in engine.run_sample_table(counts):
                 f.write(",".join(map(str, row)) + "\n")
         log.info("wrote %s", samples_path)
     if args.dump_deployment:
@@ -89,8 +90,6 @@ def _cmd_capacity(args) -> int:
     cfg = _resolve_config(args)
     plan = phy.build_resource_plan(cfg)
     num = phy.Numerology.from_mu(cfg.mu)
-    ue_gnb = scenario.ue_per_gnb_count(cfg.isd_m, cfg.ivd_m, 2 * cfg.lanes_per_direction)
-    ceiling = phy.prr_max(plan.ue_supported, ue_gnb) if ue_gnb > 0 else 1.0
     entries = [
         ("bandwidth_mhz", format(cfg.bandwidth_mhz, "g")),
         ("mu", str(cfg.mu)),
@@ -103,8 +102,8 @@ def _cmd_capacity(args) -> int:
         ("nprb_total", str(plan.nprb_total)),
         ("ue_per_slot", str(plan.ue_per_slot)),
         ("ue_supported", str(plan.ue_supported)),
-        ("ue_per_gnb", str(ue_gnb)),
-        ("prr_max", f"{ceiling:.6f}"),
+        ("ue_per_gnb", str(plan.ue_per_gnb)),
+        ("prr_max", f"{plan.prr_max:.6f}"),
     ]
     if args.csv:
         print(",".join(name for name, _ in entries))

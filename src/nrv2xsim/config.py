@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from . import phy
@@ -123,6 +124,9 @@ def _coerce(name: str, value):
 
 def validate_config(cfg: SimConfig) -> None:
     """Raise ConfigError on the first violated field constraint."""
+    for name in sorted(_FLOAT_FIELDS):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     for name in ("highway_length_m", "lane_width_m", "isd_m", "ivd_m",
                  "carrier_freq_ghz", "bandwidth_mhz", "tf_hz",
                  "min_pathloss_distance_m", "max_mcs_efficiency"):

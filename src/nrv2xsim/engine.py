@@ -44,10 +44,6 @@ class RetxScheme:
             return (0.5, 0.5)
         return ((50 + 10 * self.n) / 100.0, (50 - 10 * self.n) / 100.0)
 
-    @property
-    def retx_factor(self) -> int:
-        return 1 if self.kind == "none" else 2
-
 
 @dataclass(frozen=True, eq=False)
 class SlotSchedule:
@@ -66,12 +62,6 @@ class SlotSchedule:
     dropped: np.ndarray       # vehicle ids beyond capacity, ascending
     resource: np.ndarray      # (phases, vehicles) int
     occupant: np.ndarray      # (phases, cells, num_slots * ue_per_slot) int
-
-    def slot_chunk(self, phase: int, vehicle_id: int):
-        r = int(self.resource[phase, vehicle_id])
-        if r < 0:
-            return None
-        return r // self.ue_per_slot, r % self.ue_per_slot
 
 
 def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
@@ -127,37 +117,9 @@ def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
     )
 
 
-def sinr_db(rx_signal_dbm: float, interferers_dbm, noise_dbm: float) -> float:
-    """Wideband SINR in dB from per-source powers in dBm."""
-    signal_mw = 10.0 ** (rx_signal_dbm / 10.0)
-    interferers = np.asarray(interferers_dbm, dtype=float)
-    interference_mw = float(np.sum(10.0 ** (interferers / 10.0))) if interferers.size else 0.0
-    noise_mw = 10.0 ** (noise_dbm / 10.0)
-    return float(10.0 * np.log10(signal_mw / (interference_mw + noise_mw)))
-
-
-@dataclass(frozen=True, eq=False)
-class TxOutcome:
-    """Reception outcome of one transmitter at every in-range receiver.
-
-    ``sinr_db`` has one row per transmission phase.  ``bler``/``received``
-    have one row per reception decision: a single row for no-retx and for
-    the equal scheme (combined SINR, one draw), two rows for nonequal.
-    """
-
-    tx_id: int
-    dropped: bool
-    rx_ids: np.ndarray
-    sinr_db: np.ndarray       # (phases, m)
-    bler: np.ndarray          # (decisions, m)
-    received: np.ndarray      # (decisions, m) bool
-
-    @property
-    def m(self) -> int:
-        return self.rx_ids.size
-
-    def n(self, decision: int = 0) -> int:
-        return int(np.count_nonzero(self.received[decision]))
+def sinr_db(signal_mw, interference_mw, noise_mw):
+    """Wideband SINR in dB from received powers in mW (scalars or arrays)."""
+    return 10.0 * np.log10(signal_mw / (interference_mw + noise_mw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +186,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
                     rng: np.random.Generator) -> _Evaluation:
     retx = RetxScheme.from_config(cfg)
     num_phases = len(retx.phase_shares)
-    mcs = phase_mcs_indices(cfg, dep.ue_per_gnb)
+    mcs = phase_mcs_indices(cfg, plan.ue_per_gnb)
 
     num = phy.Numerology.from_mu(cfg.mu)
     noise_dbm = channel.noise_power_dbm(
@@ -240,7 +202,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
 
     sinr = np.empty((num_phases, n_links))
     for p in range(num_phases):
-        shadow = rng.normal(0.0, cfg.shadowing_sigma_db, n_links)
+        shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, n_links)
         signal_dbm = channel.rx_power_dbm(
             cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
             links.pathloss_db, shadow,
@@ -261,12 +223,12 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
                     dist, cfg.ue_height_m, cfg.ue_height_m,
                     cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
                 )
-                shadow_i = rng.normal(0.0, cfg.shadowing_sigma_db, hit.size)
+                shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, hit.size)
                 power_dbm = channel.rx_power_dbm(
                     cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
                 )
                 interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
-        sinr[p] = 10.0 * np.log10(signal_mw / (interference_mw + noise_mw))
+        sinr[p] = sinr_db(signal_mw, interference_mw, noise_mw)
 
     if retx.kind == "none":
         bler = l2sm.bler_lookup(table, mcs[0], sinr[0], 0.0)[None, :]
@@ -288,54 +250,6 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
     return _Evaluation(
         links=links, sinr_db=sinr, bler=bler, received=received, phase_mcs=mcs
     )
-
-
-def _simulate_single(cfg: SimConfig, dep: scenario.Deployment,
-                     sched: SlotSchedule, table: l2sm.BlerTable, tx_id: int,
-                     rng: np.random.Generator, expect_kind: str) -> TxOutcome:
-    retx = RetxScheme.from_config(cfg)
-    if retx.kind != expect_kind:
-        raise ValueError(
-            f"config selects retransmission scheme {retx.kind!r}, not {expect_kind!r}"
-        )
-    if not sched.assigned[tx_id]:
-        phases = len(retx.phase_shares)
-        decisions = 2 if retx.kind == "nonequal" else 1
-        return TxOutcome(
-            tx_id=int(tx_id),
-            dropped=True,
-            rx_ids=np.empty(0, dtype=np.int64),
-            sinr_db=np.empty((phases, 0)),
-            bler=np.empty((decisions, 0)),
-            received=np.empty((decisions, 0), dtype=bool),
-        )
-    plan = phy.build_resource_plan(cfg)
-    ev = _evaluate_links(
-        cfg, dep, plan, sched, table, np.array([tx_id], dtype=np.int64), rng
-    )
-    return TxOutcome(
-        tx_id=int(tx_id),
-        dropped=False,
-        rx_ids=ev.links.rx,
-        sinr_db=ev.sinr_db,
-        bler=ev.bler,
-        received=ev.received,
-    )
-
-
-def simulate_tx(dep, sched, tx_id, table, cfg, rng) -> TxOutcome:
-    """Single transmission, no retransmission; lookups use the base curves."""
-    return _simulate_single(cfg, dep, sched, table, tx_id, rng, "none")
-
-
-def simulate_tx_equal_retx(dep, sched, tx_id, table, cfg, rng) -> TxOutcome:
-    """Two transmissions whose SINRs combine into one reception decision."""
-    return _simulate_single(cfg, dep, sched, table, tx_id, rng, "equal")
-
-
-def simulate_tx_nonequal_retx(dep, sched, tx_id, table, cfg, rng) -> TxOutcome:
-    """Two independently decided phases with per-phase MCS from the window split."""
-    return _simulate_single(cfg, dep, sched, table, tx_id, rng, "nonequal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,9 +309,7 @@ def _finalize(cfg: SimConfig, seed_label: int,
         phase1 = phase2 = None
         runtime = metrics.prr_runtime(samples(0))
 
-    plan = phy.build_resource_plan(cfg)
-    ue_gnb = scenario.ue_per_gnb_count(cfg.isd_m, cfg.ivd_m, 2 * cfg.lanes_per_direction)
-    ceiling = phy.prr_max(plan.ue_supported, ue_gnb) if ue_gnb > 0 else 1.0
+    ceiling = phy.build_resource_plan(cfg).prr_max
     effective = metrics.effective_prr(ceiling, runtime)
     sample_count = sum(int(dc.tx_ids.size) for dc in counts)
 
@@ -414,26 +326,24 @@ def _finalize(cfg: SimConfig, seed_label: int,
     )
 
 
-def run_drop(cfg: SimConfig, seed: int) -> metrics.RunResult:
-    """Simulate one deployment drop; fully deterministic in (cfg, seed)."""
-    return _finalize(cfg, seed, [_drop_counts(cfg, seed)])
-
-
 def _drop_seed(seed: int, drop_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(drop_index,))
 
 
+def simulate_drops(cfg: SimConfig, seed: int) -> list[_DropCounts]:
+    """Per-drop counts of cfg.drops independent drops under one seed."""
+    return [_drop_counts(cfg, _drop_seed(seed, i)) for i in range(cfg.drops)]
+
+
 def execute_run(cfg: SimConfig, seed: int) -> metrics.RunResult:
     """Run cfg.drops independent drops under one seed and pool their samples."""
-    counts = [_drop_counts(cfg, _drop_seed(seed, i)) for i in range(cfg.drops)]
-    return _finalize(cfg, seed, counts)
+    return _finalize(cfg, seed, simulate_drops(cfg, seed))
 
 
-def run_sample_table(cfg: SimConfig, seed: int) -> list[tuple[int, int, int, int, int]]:
+def run_sample_table(counts: list[_DropCounts]) -> list[tuple[int, int, int, int, int]]:
     """Per-transmission rows (drop, tx_id, phase, receivers, received)."""
     rows = []
-    for i in range(cfg.drops):
-        dc = _drop_counts(cfg, _drop_seed(seed, i))
+    for i, dc in enumerate(counts):
         for d in range(dc.n.shape[0]):
             for t, m, n in zip(dc.tx_ids, dc.m, dc.n[d]):
                 rows.append((i, int(t), d + 1, int(m), int(n)))

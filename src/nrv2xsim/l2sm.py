@@ -10,7 +10,6 @@ applied at lookup time.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,10 +30,9 @@ CSV_HEADER = ("mcs", "snr_db", "bler")
 
 @dataclass(frozen=True, eq=False)
 class BlerTable:
-    """Per-MCS (snr_db, bler) curves; delta_db labels pre-shifted variants."""
+    """Per-MCS (snr_db, bler) curves."""
 
     curves: dict[int, tuple[np.ndarray, np.ndarray]]
-    delta_db: float = 0.0
 
     def mcs_indices(self) -> list[int]:
         return sorted(self.curves)
@@ -67,15 +65,15 @@ def _validate_curve(mcs: int, snr: np.ndarray, bler: np.ndarray) -> None:
         raise ValueError(f"MCS {mcs}: bler must be non-increasing in snr_db")
 
 
-def load_table(source, delta_db: float = 0.0) -> BlerTable:
+def load_table(source) -> BlerTable:
     """Load and validate a curve table from a path or open text file."""
     if hasattr(source, "read"):
-        return _parse_table(source, delta_db)
+        return _parse_table(source)
     with open(source, "r", newline="") as handle:
-        return _parse_table(handle, delta_db)
+        return _parse_table(handle)
 
 
-def _parse_table(handle, delta_db: float) -> BlerTable:
+def _parse_table(handle) -> BlerTable:
     reader = csv.reader(handle)
     try:
         header = next(reader)
@@ -109,7 +107,7 @@ def _parse_table(handle, delta_db: float) -> BlerTable:
         bler = np.array([r[1] for r in rows])
         _validate_curve(mcs, snr, bler)
         curves[mcs] = (snr, bler)
-    return BlerTable(curves=curves, delta_db=delta_db)
+    return BlerTable(curves=curves)
 
 
 def dump_table(table: BlerTable, handle) -> None:
@@ -119,12 +117,6 @@ def dump_table(table: BlerTable, handle) -> None:
         snr, bler = table.curves[mcs]
         for s, b in zip(snr, bler):
             handle.write(f"{mcs},{float(s)!r},{float(b)!r}\n")
-
-
-def dumps_table(table: BlerTable) -> str:
-    buf = io.StringIO()
-    dump_table(table, buf)
-    return buf.getvalue()
 
 
 @lru_cache(maxsize=8)

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import scenario
+
 if TYPE_CHECKING:
     from .config import SimConfig
 
@@ -143,6 +145,8 @@ class ResourcePlan:
     nprb_total: int
     ue_per_slot: int
     ue_supported: int       # per second, after the retransmission factor
+    ue_per_gnb: int         # per-cell population by the spacing formula
+    prr_max: float          # overload ceiling; 1 for an empty cell
     subcarriers_per_prb: int = SUBCARRIERS_PER_PRB
 
 
@@ -157,6 +161,7 @@ def build_resource_plan(cfg: "SimConfig") -> ResourcePlan:
     per_slot = ue_per_slot(n_prb, total)
     retx_factor = 1 if cfg.retx_scheme == "none" else 2
     supported = ue_supported(per_slot, num.slots_per_second, cfg.tf_hz, retx_factor)
+    ue_gnb = scenario.ue_per_gnb_count(cfg.isd_m, cfg.ivd_m, 2 * cfg.lanes_per_direction)
     return ResourcePlan(
         n_prb=n_prb,
         nprb_pscch=NPRB_PSCCH,
@@ -164,4 +169,6 @@ def build_resource_plan(cfg: "SimConfig") -> ResourcePlan:
         nprb_total=total,
         ue_per_slot=per_slot,
         ue_supported=supported,
+        ue_per_gnb=ue_gnb,
+        prr_max=prr_max(supported, ue_gnb) if ue_gnb > 0 else 1.0,
     )

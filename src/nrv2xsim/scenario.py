@@ -19,15 +19,6 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class Vehicle:
-    id: int
-    lane: int
-    direction: str          # "east" | "west"
-    x_m: float
-    y_m: float
-
-
-@dataclass(frozen=True)
 class GnbSite:
     id: int
     x_m: float
@@ -46,7 +37,6 @@ class Deployment:
     sites: tuple[GnbSite, ...]
     lanes_per_direction: int
     ue_h: int               # total vehicles on the highway
-    ue_per_gnb: int         # per-cell population by the spacing formula
 
     @property
     def num_vehicles(self) -> int:
@@ -54,22 +44,6 @@ class Deployment:
 
     def direction(self, vehicle_id: int) -> str:
         return "east" if self.lane[vehicle_id] < self.lanes_per_direction else "west"
-
-    def vehicle(self, vehicle_id: int) -> Vehicle:
-        return Vehicle(
-            id=int(vehicle_id),
-            lane=int(self.lane[vehicle_id]),
-            direction=self.direction(vehicle_id),
-            x_m=float(self.x_m[vehicle_id]),
-            y_m=float(self.y_m[vehicle_id]),
-        )
-
-    @property
-    def vehicles(self) -> list[Vehicle]:
-        return [self.vehicle(i) for i in range(self.num_vehicles)]
-
-    def served_count(self, site_id: int) -> int:
-        return int(np.count_nonzero(self.serving == site_id))
 
 
 def vehicles_per_lane(length_m: float, ivd_m: float) -> int:
@@ -117,23 +91,7 @@ def generate_deployment(cfg: "SimConfig", rng: np.random.Generator) -> Deploymen
         sites=sites,
         lanes_per_direction=cfg.lanes_per_direction,
         ue_h=per_lane * num_lanes,
-        ue_per_gnb=ue_per_gnb_count(cfg.isd_m, cfg.ivd_m, num_lanes),
     )
-
-
-def neighbor_ids(dep: Deployment, tx_id: int, range_m: float) -> np.ndarray:
-    """Ids of all other vehicles within Euclidean range, ascending."""
-    dx = dep.x_m - dep.x_m[tx_id]
-    dy = dep.y_m - dep.y_m[tx_id]
-    mask = dx * dx + dy * dy <= float(range_m) ** 2
-    mask[tx_id] = False
-    return np.flatnonzero(mask)
-
-
-def neighbors_in_range(dep: Deployment, tx, range_m: float) -> list[Vehicle]:
-    """Vehicle objects within range of tx (a Vehicle or a vehicle id)."""
-    tx_id = tx.id if isinstance(tx, Vehicle) else int(tx)
-    return [dep.vehicle(i) for i in neighbor_ids(dep, tx_id, range_m)]
 
 
 def write_deployment_csv(dep: Deployment, handle) -> None:

@@ -45,11 +45,6 @@ def test_pathloss_rejects_low_antennas():
         channel.pathloss_db(100.0, tx_height_m=1.0)
 
 
-def test_link_geometry_wrapper():
-    geom = channel.LinkGeometry(distance_m=100.0)
-    assert geom.pathloss_db() == channel.pathloss_db(100.0)
-
-
 def test_shadowing_zero_sigma_is_exact():
     rng = np.random.default_rng(0)
     assert channel.shadowing_db(rng, 0.0) == 0.0

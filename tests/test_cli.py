@@ -1,10 +1,20 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from nrv2xsim import cli
+from nrv2xsim import cli, engine
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _subprocess_env():
+    """Environment whose interpreter imports nrv2xsim from this checkout."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def run_cli(argv, capsys):
@@ -73,6 +83,27 @@ def test_run_writes_csv_and_dumps(tmp_path, capsys):
     assert samples[0] == "drop,tx_id,phase,receivers_in_range,received_count"
     assert len(samples) > 1
     assert dep.read_text().startswith("id,lane,direction,x_m,y_m,serving_gnb")
+
+
+def test_run_dump_samples_simulates_each_drop_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    drop_counts = engine._drop_counts
+
+    def counting(cfg, seed):
+        calls.append(seed)
+        return drop_counts(cfg, seed)
+
+    monkeypatch.setattr(engine, "_drop_counts", counting)
+    out = tmp_path / "run.csv"
+    code, _ = run_cli(
+        ["run", "--set", "ivd_m=400", "--set", "drops=3", "--out", str(out),
+         "--dump-samples"],
+        capsys,
+    )
+    assert code == 0
+    assert len(calls) == 3
+    samples = (tmp_path / "run.csv.samples.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in samples[1:]} == {"0", "1", "2"}
 
 
 def test_set_changes_fingerprint(tmp_path, capsys):
@@ -146,7 +177,22 @@ def test_module_invocation_smoke():
         [sys.executable, "-m", "nrv2xsim", "capacity", "--set", "mu=2"],
         capture_output=True,
         text=True,
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0
     assert "ue_supported" in proc.stdout
     assert proc.stderr == ""  # tables go to stdout, logs only on run/sweep
+
+
+def test_capacity_grid_script_empty_cell():
+    # vehicles wider apart than the sites: no one per cell, ceiling 1
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "capacity_grid.py"), "--ivd", "2000"],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("ivd=2000 m -> 0 vehicles per cell")
+    assert all(line.endswith(",1.0000") for line in lines[2:])

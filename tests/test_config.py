@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from nrv2xsim.config import (
     parse_retx_scheme,
     serialize_config,
 )
+
+FLOAT_FIELDS = sorted(f.name for f in fields(SimConfig) if f.type == "float")
 
 
 def test_empty_document_gives_defaults():
@@ -201,3 +205,25 @@ def test_campaign_parse_axes():
     assert len(runs) == 2 * 2 * 3 * 3
     # delta varies innermost among the axes, seeds innermost overall
     assert [c.l2sm_delta_db for c, _ in runs[:9]] == [3, 3, 3, 5, 5, 5, 7, 7, 7]
+
+
+@given(
+    name=st.sampled_from(FLOAT_FIELDS),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_float_field_rejected(name, value):
+    text = json.dumps(value)  # NaN, Infinity, -Infinity
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        parse_config(json.dumps({name: value}))
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        apply_overrides(SimConfig(), [f"{name}={text}"])
+
+
+@given(
+    axis=st.sampled_from(["sweep_ivd_m", "sweep_tf_hz", "sweep_l2sm_delta_db"]),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_sweep_axis_rejected(axis, value):
+    doc = json.dumps({"base": {}, axis: [value]})
+    with pytest.raises(ConfigError, match="must be finite"):
+        expand_campaign(parse_campaign(doc))

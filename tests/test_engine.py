@@ -29,7 +29,6 @@ def test_retx_scheme_parse_and_shares():
     )
     assert eq.phase_shares == (0.5, 0.5)
     assert eq.delta_db == 3.0
-    assert eq.retx_factor == 2
     ne = engine.RetxScheme.from_config(SimConfig(retx_scheme="nonequal:2"))
     assert ne.phase_shares == (0.7, 0.3)
     ne4 = engine.RetxScheme.from_config(SimConfig(retx_scheme="nonequal:4"))
@@ -77,8 +76,8 @@ def test_schedule_equal_retx_grants_two_resources():
     assigned = np.flatnonzero(sched.assigned)
     assert np.all(sched.resource[0, assigned] >= 0)
     assert np.all(sched.resource[1, assigned] >= 0)
-    slot_chunk = sched.slot_chunk(0, int(assigned[0]))
-    assert slot_chunk is not None and len(slot_chunk) == 2
+    # every grant is a (slot, chunk) pair inside the grid
+    assert np.all(sched.resource[:, assigned] < sched.num_slots * sched.ue_per_slot)
 
 
 def test_schedule_undersized_grid_supports_nobody():
@@ -106,54 +105,59 @@ def test_interferer_count_bounded_by_other_cells():
         assert len(others) <= num_cells - 1
 
 
+def _evaluate(cfg, seed=0):
+    """Every granted transmitter of one drop through the engine's link stage."""
+    dep, plan, sched, rng = _setup(cfg, seed)
+    tx_ids = np.flatnonzero(sched.assigned)
+    ev = engine._evaluate_links(
+        cfg, dep, plan, sched, l2sm.default_bler_table(), tx_ids, rng
+    )
+    return dep, plan, ev
+
+
 def test_sinr_db():
-    assert engine.sinr_db(-60.0, [], -100.0) == pytest.approx(40.0)
-    assert engine.sinr_db(-60.0, [-60.0], -200.0) == pytest.approx(0.0, abs=1e-6)
+    # -60 dBm signal = 1e-6 mW, -100 dBm noise = 1e-10 mW
+    assert engine.sinr_db(1e-6, 0.0, 1e-10) == pytest.approx(40.0)
+    assert engine.sinr_db(1e-6, 1e-6, 1e-20) == pytest.approx(0.0, abs=1e-6)
     expected = 10 * math.log10(1e-6 / (2e-7 + 1e-10))
-    assert engine.sinr_db(-60.0, [-70.0, -70.0], -100.0) == pytest.approx(expected)
-    assert engine.sinr_db(-60.0, [-70.0, -70.0], -100.0) == pytest.approx(6.99, abs=0.01)
+    assert engine.sinr_db(1e-6, 2e-7, 1e-10) == pytest.approx(expected)
+    assert engine.sinr_db(1e-6, 2e-7, 1e-10) == pytest.approx(6.99, abs=0.01)
+    got = engine.sinr_db(np.array([1e-6, 1e-6]), np.array([0.0, 2e-7]), 1e-10)
+    np.testing.assert_allclose(got, [40.0, expected])
 
 
 def test_sinr_strictly_drops_with_extra_interferer():
-    base = engine.sinr_db(-60.0, [-80.0], -100.0)
-    assert engine.sinr_db(-60.0, [-80.0, -95.0], -100.0) < base
+    base = engine.sinr_db(1e-6, 1e-8, 1e-10)
+    assert engine.sinr_db(1e-6, 1e-8 + 10 ** -9.5, 1e-10) < base
 
 
-def test_simulate_tx_isolated_cell_noise_limited():
+def test_evaluate_links_isolated_cell_noise_limited():
     cfg = replace(NOISE_LIMITED, shadowing_sigma_db=0.0)
-    dep, plan, sched, rng = _setup(cfg)
-    table = l2sm.default_bler_table()
-    tx = int(np.flatnonzero(sched.assigned)[0])
-    out = engine.simulate_tx(dep, sched, tx, table, cfg, rng)
-    assert not out.dropped
-    assert np.array_equal(out.rx_ids, scenario.neighbor_ids(dep, tx, cfg.comm_range_m))
+    dep, plan, ev = _evaluate(cfg)
+    links = ev.links
+    assert links.tx.size > 0
     # zero interference: SINR must equal signal minus noise exactly
     num = phy.Numerology.from_mu(cfg.mu)
     noise = -174 + 10 * math.log10(plan.nprb_pssch * 12 * num.scs_khz * 1e3) + 9
-    d = np.hypot(dep.x_m[out.rx_ids] - dep.x_m[tx], dep.y_m[out.rx_ids] - dep.y_m[tx])
+    d = np.hypot(dep.x_m[links.rx] - dep.x_m[links.tx],
+                 dep.y_m[links.rx] - dep.y_m[links.tx])
     pl = channel.pathloss_db(
         d, cfg.ue_height_m, cfg.ue_height_m, cfg.carrier_freq_ghz,
         cfg.min_pathloss_distance_m,
     )
     expected = (cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db - pl) - noise
-    np.testing.assert_allclose(out.sinr_db[0], expected, atol=1e-9)
+    np.testing.assert_allclose(ev.sinr_db[0], expected, atol=1e-9)
 
 
-def test_simulate_tx_dropped_returns_marker():
+def test_no_link_has_a_dropped_transmitter():
+    # one cell of 1038 vehicles against a 700-transmitter budget
     cfg = SimConfig(highway_length_m=1732.0, num_gnb=1, ivd_m=10.0)
-    dep, plan, sched, rng = _setup(cfg)
-    dropped = int(sched.dropped[0])
-    out = engine.simulate_tx(dep, sched, dropped, l2sm.default_bler_table(), cfg, rng)
-    assert out.dropped
-    assert out.m == 0
-
-
-def test_simulate_tx_scheme_mismatch():
-    cfg = replace(NOISE_LIMITED, retx_scheme="equal")
-    dep, plan, sched, rng = _setup(cfg)
-    tx = int(np.flatnonzero(sched.assigned)[0])
-    with pytest.raises(ValueError, match="scheme"):
-        engine.simulate_tx(dep, sched, tx, l2sm.default_bler_table(), cfg, rng)
+    counts = engine._drop_counts(cfg, 0)
+    # _drop_counts draws its deployment and schedule from the same stream
+    _, plan, sched, _ = _setup(cfg, seed=0)
+    assert sched.dropped.size == 338
+    assert counts.tx_ids.size == plan.ue_supported
+    assert not np.isin(counts.tx_ids, sched.dropped).any()
 
 
 def test_equal_retx_combining_math():
@@ -167,16 +171,15 @@ def test_equal_retx_combining_math():
 
 def test_equal_retx_outcome_shapes_and_delta():
     cfg = replace(NOISE_LIMITED, retx_scheme="equal", l2sm_delta_db=3.0)
-    dep, plan, sched, rng = _setup(cfg)
-    table = l2sm.default_bler_table()
-    tx = int(np.flatnonzero(sched.assigned)[0])
-    out = engine.simulate_tx_equal_retx(dep, sched, tx, table, cfg, rng)
-    assert out.sinr_db.shape[0] == 2
-    assert out.bler.shape[0] == 1
-    assert out.received.shape[0] == 1
+    _, plan, ev = _evaluate(cfg)
+    n_links = ev.links.tx.size
+    assert ev.sinr_db.shape == (2, n_links)
+    assert ev.bler.shape == (1, n_links)
+    assert ev.received.shape == (1, n_links)
     # shift dominance carried through the lookup
-    mcs = engine.phase_mcs_indices(cfg, dep.ue_per_gnb)[0]
-    x = out.sinr_db.mean(axis=0)
+    table = l2sm.default_bler_table()
+    mcs = engine.phase_mcs_indices(cfg, plan.ue_per_gnb)[0]
+    x = ev.sinr_db.mean(axis=0)
     with_shift = l2sm.bler_lookup(table, mcs, x, 3.0)
     without = l2sm.bler_lookup(table, mcs, x, 0.0)
     assert np.all(with_shift <= without)
@@ -215,53 +218,50 @@ def test_raising_delta_never_hurts_on_fixed_seed():
 
 def test_nonequal_outcome_keeps_phase_decisions():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:2", l2sm_delta_db=5.0)
-    dep, plan, sched, rng = _setup(cfg)
-    tx = int(np.flatnonzero(sched.assigned)[0])
-    out = engine.simulate_tx_nonequal_retx(
-        dep, sched, tx, l2sm.default_bler_table(), cfg, rng
-    )
-    assert out.sinr_db.shape[0] == 2
-    assert out.bler.shape[0] == 2
-    assert out.received.shape[0] == 2
-    assert out.n(0) >= 0 and out.n(1) >= 0
+    _, _, ev = _evaluate(cfg)
+    n_links = ev.links.tx.size
+    assert ev.sinr_db.shape == (2, n_links)
+    assert ev.bler.shape == (2, n_links)
+    assert ev.received.shape == (2, n_links)
+    assert ev.received[0].any() and ev.received[1].any()
 
 
-def test_run_drop_deterministic():
+def test_execute_run_deterministic():
     cfg = replace(NOISE_LIMITED, ivd_m=80.0)
-    a = engine.run_drop(cfg, 123)
-    b = engine.run_drop(cfg, 123)
+    a = engine.execute_run(cfg, 123)
+    b = engine.execute_run(cfg, 123)
     assert a == b
-    c = engine.run_drop(cfg, 124)
+    c = engine.execute_run(cfg, 124)
     assert a.prr_effective != c.prr_effective
 
 
-def test_run_drop_not_overloaded_effective_equals_runtime():
+def test_execute_run_not_overloaded_effective_equals_runtime():
     cfg = SimConfig(ivd_m=100.0)  # 102 per cell, far below 700
-    result = engine.run_drop(cfg, 5)
+    result = engine.execute_run(cfg, 5)
     assert result.prr_max == 1.0
     assert result.prr_effective == result.prr_runtime
 
 
-def test_run_drop_overloaded_applies_ceiling():
+def test_execute_run_overloaded_applies_ceiling():
     cfg = SimConfig(ivd_m=10.0)
-    result = engine.run_drop(cfg, 5)
+    result = engine.execute_run(cfg, 5)
     assert result.prr_max == pytest.approx(700 / 1038)
     assert result.prr_effective == pytest.approx(result.prr_max * result.prr_runtime)
 
 
-def test_run_drop_no_receiver_sentinel():
+def test_execute_run_no_receiver_sentinel():
     cfg = SimConfig(
         highway_length_m=100.0, ivd_m=60.0, lanes_per_direction=1, num_gnb=1,
         comm_range_m=0.0,
     )
-    result = engine.run_drop(cfg, 1)
+    result = engine.execute_run(cfg, 1)
     assert math.isnan(result.prr_runtime)
     assert result.samples == 0
 
 
 def test_nonequal_run_reports_phase_prrs():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:3", l2sm_delta_db=3.0)
-    result = engine.run_drop(cfg, 9)
+    result = engine.execute_run(cfg, 9)
     assert result.prr_phase1 is not None and result.prr_phase2 is not None
     assert result.prr_runtime == pytest.approx(
         (result.prr_phase1 + result.prr_phase2) / 2
@@ -299,8 +299,9 @@ def test_equal_retx_beats_single_tx_when_noise_limited():
 
 
 def test_run_sample_table_matches_result():
-    cfg = replace(NOISE_LIMITED, ivd_m=100.0)
-    rows = engine.run_sample_table(cfg, 3)
+    cfg = replace(NOISE_LIMITED, ivd_m=100.0, drops=2)
+    rows = engine.run_sample_table(engine.simulate_drops(cfg, 3))
     result = engine.execute_run(cfg, 3)
     assert len(rows) == result.samples
+    assert {row[0] for row in rows} == {0, 1}
     assert all(0 <= n <= m for _, _, _, m, n in rows)

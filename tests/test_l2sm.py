@@ -22,8 +22,9 @@ def test_default_table_covers_all_mcs():
 
 def test_dump_load_round_trip():
     table = l2sm.default_bler_table()
-    text = l2sm.dumps_table(table)
-    loaded = l2sm.load_table(io.StringIO(text))
+    buf = io.StringIO()
+    l2sm.dump_table(table, buf)
+    loaded = l2sm.load_table(io.StringIO(buf.getvalue()))
     for mcs in range(1, 16):
         np.testing.assert_array_equal(loaded.curves[mcs][0], table.curves[mcs][0])
         np.testing.assert_array_equal(loaded.curves[mcs][1], table.curves[mcs][1])

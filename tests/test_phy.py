@@ -143,3 +143,19 @@ def test_build_resource_plan_retx_halves():
         SimConfig(mu=2, bandwidth_mhz=20.0, retx_scheme="nonequal:2")
     )
     assert plan.ue_supported == 600
+
+
+def test_build_resource_plan_ceiling():
+    plan = phy.build_resource_plan(SimConfig())
+    assert plan.ue_per_gnb == 516
+    assert plan.prr_max == 1.0
+    plan = phy.build_resource_plan(SimConfig(ivd_m=10.0))
+    assert plan.ue_per_gnb == 1038
+    assert plan.prr_max == 700 / 1038
+
+
+def test_build_resource_plan_empty_cell_ceiling():
+    # vehicles wider apart than the sites leave the spacing formula at zero
+    plan = phy.build_resource_plan(SimConfig(ivd_m=2000.0))
+    assert plan.ue_per_gnb == 0
+    assert plan.prr_max == 1.0

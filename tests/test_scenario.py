@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nrv2xsim import scenario
+from nrv2xsim import engine, phy, scenario
 from nrv2xsim.config import SimConfig
 
 
@@ -26,9 +28,9 @@ def _deployment(seed=0, **kwargs):
 def test_deployment_counts():
     cfg, dep = _deployment(ivd_m=20.0)
     assert dep.ue_h == 259 * 6 == dep.num_vehicles
-    assert dep.ue_per_gnb == 516
+    assert phy.build_resource_plan(cfg).ue_per_gnb == 516
     cfg, dep = _deployment(ivd_m=10.0)
-    assert dep.ue_per_gnb == 1038
+    assert phy.build_resource_plan(cfg).ue_per_gnb == 1038
 
 
 def test_deployment_degenerate_density():
@@ -77,39 +79,45 @@ def test_deployment_reproducible():
     assert not np.array_equal(dep_a.x_m, dep_c.x_m)
 
 
+def _links(cfg, dep, block_size=512):
+    """(tx, rx) pairs of the engine's neighbour search over every vehicle."""
+    tx_ids = np.arange(dep.num_vehicles)
+    links = engine._build_links(dep, tx_ids, cfg, block_size=block_size)
+    return list(zip(links.tx.tolist(), links.rx.tolist()))
+
+
 def test_neighbors_brute_force_oracle():
     cfg, dep = _deployment(seed=2, ivd_m=100.0)
-    mid = int(np.argmin(np.abs(dep.x_m - cfg.highway_length_m / 2)))
-    got = [v.id for v in scenario.neighbors_in_range(dep, mid, 500.0)]
+    # tx-major, rx ascending, self excluded; a small block size crosses blocks
     expected = [
-        i
-        for i in range(dep.num_vehicles)
-        if i != mid
-        and (dep.x_m[i] - dep.x_m[mid]) ** 2 + (dep.y_m[i] - dep.y_m[mid]) ** 2
-        <= 500.0**2
+        (t, r)
+        for t in range(dep.num_vehicles)
+        for r in range(dep.num_vehicles)
+        if r != t
+        and (dep.x_m[r] - dep.x_m[t]) ** 2 + (dep.y_m[r] - dep.y_m[t]) ** 2
+        <= cfg.comm_range_m**2
     ]
-    assert got == expected
-    assert len(got) > 0
+    assert _links(cfg, dep) == expected
+    assert _links(cfg, dep, block_size=7) == expected
+    assert len(expected) > 0
 
 
 def test_neighbors_symmetry():
-    _, dep = _deployment(seed=4, ivd_m=80.0)
-    for tx in (0, 57, dep.num_vehicles - 1):
-        for v in scenario.neighbors_in_range(dep, tx, 500.0):
-            back = scenario.neighbor_ids(dep, v.id, 500.0)
-            assert tx in back
+    cfg, dep = _deployment(seed=4, ivd_m=80.0)
+    pairs = _links(cfg, dep)
+    assert len(pairs) > 0
+    assert set(pairs) == {(r, t) for t, r in pairs}
 
 
 def test_neighbors_edge_cases():
-    _, dep = _deployment(ivd_m=5196.0, lanes_per_direction=3)
+    cfg, dep = _deployment(ivd_m=5196.0, lanes_per_direction=3)
     # zero range sees nobody
-    assert scenario.neighbors_in_range(dep, 0, 0.0) == []
+    assert _links(replace(cfg, comm_range_m=0.0), dep) == []
     # single vehicle on a short single-lane road
     cfg = SimConfig(highway_length_m=100.0, ivd_m=60.0, lanes_per_direction=1)
     dep = scenario.generate_deployment(cfg, np.random.default_rng(0))
     assert dep.num_vehicles == 2
-    one = scenario.neighbors_in_range(dep, 0, 500.0)
-    assert [v.id for v in one] == [1]
+    assert _links(cfg, dep) == [(0, 1), (1, 0)]
 
 
 def test_deployment_csv_dump(tmp_path):
