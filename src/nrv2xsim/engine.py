@@ -2,10 +2,11 @@
 
 In-cell transmissions are orthogonal (the gNB grants each transmitter its
 own slot/chunk pair); interference comes only from vehicles in other cells
-holding the same pair, one potential interferer per foreign cell.  Blind
-retransmission schemes evaluate two phases per transmitter: the equal
-scheme averages the two SINRs into a single reception decision, the
-nonequal scheme keeps per-phase decisions and averages the phase PRRs.
+holding the same pair, one potential interferer per foreign cell.  Every
+scheme yields one SINR per phase and link; the equal scheme first combines
+its two phase SINRs into a single decision SINR, the others decide each
+phase on its own.  Each decision gets its own BLER lookup and Bernoulli
+draw, and the run PRR is the mean of the per-decision PRRs.
 
 Capacity dropping is per cell: the first ``ue_supported`` vehicles of a
 random order transmit, the rest keep listening but lose their transmit
@@ -55,13 +56,10 @@ class SlotSchedule:
     means the same time/frequency resource, hence mutual interference.
     """
 
-    ue_per_slot: int
-    num_slots: int
-    num_phases: int
     assigned: np.ndarray      # bool per vehicle
     dropped: np.ndarray       # vehicle ids beyond capacity, ascending
     resource: np.ndarray      # (phases, vehicles) int
-    occupant: np.ndarray      # (phases, cells, num_slots * ue_per_slot) int
+    occupant: np.ndarray      # (phases, cells, slots * ue_per_slot) int
 
 
 def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
@@ -107,9 +105,6 @@ def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
         np.empty(0, dtype=np.int64)
 
     return SlotSchedule(
-        ue_per_slot=plan.ue_per_slot,
-        num_slots=num_slots,
-        num_phases=num_phases,
         assigned=assigned,
         dropped=dropped,
         resource=resource,
@@ -163,9 +158,7 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray, cfg: SimConfig,
 class _Evaluation:
     links: _LinkBatch
     sinr_db: np.ndarray       # (phases, links)
-    bler: np.ndarray          # (decisions, links)
     received: np.ndarray      # (decisions, links)
-    phase_mcs: tuple[int, ...]
 
 
 def phase_mcs_indices(cfg: SimConfig, ue_gnb: int) -> tuple[int, ...]:
@@ -198,7 +191,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
     links = _build_links(dep, tx_ids, cfg)
     n_links = links.tx.size
     x, y = dep.x_m, dep.y_m
-    tx_cell = dep.serving[links.tx] if n_links else np.empty(0, dtype=np.int64)
+    tx_cell = dep.serving[links.tx]
 
     sinr = np.empty((num_phases, n_links))
     for p in range(num_phases):
@@ -209,47 +202,39 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
         )
         signal_mw = 10.0 ** (signal_dbm / 10.0)
         interference_mw = np.zeros(n_links)
-        if n_links and sched.occupant.shape[2] > 0:
-            grant = sched.resource[p, links.tx]
-            for c in range(len(dep.sites)):
-                occ = sched.occupant[p, c, grant]
-                hit = np.flatnonzero((occ >= 0) & (tx_cell != c))
-                if hit.size == 0:
-                    continue
-                src = occ[hit]
-                dst = links.rx[hit]
-                dist = np.hypot(x[src] - x[dst], y[src] - y[dst])
-                pl = channel.pathloss_db(
-                    dist, cfg.ue_height_m, cfg.ue_height_m,
-                    cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
-                )
-                shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, hit.size)
-                power_dbm = channel.rx_power_dbm(
-                    cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
-                )
-                interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
+        grant = sched.resource[p, links.tx]
+        for c in range(len(dep.sites)):
+            occ = sched.occupant[p, c, grant]
+            hit = np.flatnonzero((occ >= 0) & (tx_cell != c))
+            if hit.size == 0:
+                continue
+            src = occ[hit]
+            dst = links.rx[hit]
+            dist = np.hypot(x[src] - x[dst], y[src] - y[dst])
+            pl = channel.pathloss_db(
+                dist, cfg.ue_height_m, cfg.ue_height_m,
+                cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
+            )
+            shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, hit.size)
+            power_dbm = channel.rx_power_dbm(
+                cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
+            )
+            interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
         sinr[p] = sinr_db(signal_mw, interference_mw, noise_mw)
 
-    if retx.kind == "none":
-        bler = l2sm.bler_lookup(table, mcs[0], sinr[0], 0.0)[None, :]
-        received = l2sm.reception_draw(bler[0], rng)[None, :]
-    elif retx.kind == "equal":
+    decision_sinr = sinr
+    if retx.kind == "equal":
         if cfg.retx_sinr_combining == "db":
-            combined = sinr.mean(axis=0)
+            decision_sinr = sinr.mean(axis=0, keepdims=True)
         else:
-            combined = 10.0 * np.log10(np.mean(10.0 ** (sinr / 10.0), axis=0))
-        bler = l2sm.bler_lookup(table, mcs[0], combined, retx.delta_db)[None, :]
-        received = l2sm.reception_draw(bler[0], rng)[None, :]
-    else:
-        bler = np.stack([
-            l2sm.bler_lookup(table, mcs[p], sinr[p], retx.delta_db)
-            for p in range(num_phases)
-        ])
-        received = np.stack([l2sm.reception_draw(bler[p], rng) for p in range(num_phases)])
-
-    return _Evaluation(
-        links=links, sinr_db=sinr, bler=bler, received=received, phase_mcs=mcs
-    )
+            decision_sinr = 10.0 * np.log10(
+                np.mean(10.0 ** (sinr / 10.0), axis=0, keepdims=True)
+            )
+    received = np.stack([
+        l2sm.reception_draw(l2sm.bler_lookup(table, mcs[d], s, retx.delta_db), rng)
+        for d, s in enumerate(decision_sinr)
+    ])
+    return _Evaluation(links=links, sinr_db=sinr, received=received)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,48 +255,23 @@ def _drop_counts(cfg: SimConfig, seed) -> _DropCounts:
     ev = _evaluate_links(cfg, dep, plan, sched, table, tx_ids, rng)
 
     link_tx = ev.links.tx
-    if link_tx.size == 0:
-        decisions = ev.received.shape[0]
-        return _DropCounts(
-            tx_ids=np.empty(0, dtype=np.int64),
-            m=np.empty(0, dtype=np.int64),
-            n=np.empty((decisions, 0), dtype=np.int64),
-        )
     uniq, start = np.unique(link_tx, return_index=True)
     bounds = np.append(start, link_tx.size)
     m = np.diff(bounds)
-    n = np.stack([
-        np.add.reduceat(ev.received[d].astype(np.int64), start)
-        for d in range(ev.received.shape[0])
-    ])
+    n = np.add.reduceat(ev.received.astype(np.int64), start, axis=1)
     return _DropCounts(tx_ids=uniq, m=m, n=n)
 
 
 def _finalize(cfg: SimConfig, seed_label: int,
               counts: list[_DropCounts]) -> metrics.RunResult:
-    retx = RetxScheme.from_config(cfg)
-    decisions = 2 if retx.kind == "nonequal" else 1
-
-    def samples(decision: int) -> list[metrics.PrrSample]:
-        out = []
-        for dc in counts:
-            out.extend(
-                metrics.PrrSample(int(t), int(m), int(n))
-                for t, m, n in zip(dc.tx_ids, dc.m, dc.n[decision])
-            )
-        return out
-
-    if decisions == 2:
-        phase1 = metrics.prr_runtime(samples(0))
-        phase2 = metrics.prr_runtime(samples(1))
-        runtime = metrics.combine_nonequal(phase1, phase2)
-    else:
-        phase1 = phase2 = None
-        runtime = metrics.prr_runtime(samples(0))
+    m = np.concatenate([dc.m for dc in counts])
+    n = np.concatenate([dc.n for dc in counts], axis=1)
+    prrs = [metrics.prr_runtime(m, n_d) for n_d in n]
+    runtime = sum(prrs) / len(prrs)
+    phase1, phase2 = prrs if len(prrs) == 2 else (None, None)
 
     ceiling = phy.build_resource_plan(cfg).prr_max
     effective = metrics.effective_prr(ceiling, runtime)
-    sample_count = sum(int(dc.tx_ids.size) for dc in counts)
 
     return metrics.RunResult(
         key=metrics.RunKey.from_config(cfg),
@@ -320,7 +280,7 @@ def _finalize(cfg: SimConfig, seed_label: int,
         prr_runtime=runtime,
         prr_max=ceiling,
         prr_effective=effective,
-        samples=sample_count,
+        samples=int(m.size),
         prr_phase1=phase1,
         prr_phase2=phase2,
     )

@@ -22,19 +22,6 @@ AXES = ("ivd_m", "mu", "tf_hz", "bandwidth_mhz", "retx", "delta_db")
 
 
 @dataclass(frozen=True)
-class PrrSample:
-    """One transmission: m receivers in range, n of them decoded it."""
-
-    tx_id: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.n <= self.m:
-            raise ValueError(f"need 0 <= n <= m, got n={self.n}, m={self.m}")
-
-
-@dataclass(frozen=True)
 class RunKey:
     """Sweep-axis values identifying one point of a campaign."""
 
@@ -68,7 +55,7 @@ class RunResult:
     prr_max: float
     prr_effective: float
     samples: int
-    prr_phase1: float | None = None   # set for the nonequal scheme only
+    prr_phase1: float | None = None   # set when a run has two decisions (nonequal)
     prr_phase2: float | None = None
 
 
@@ -86,12 +73,21 @@ class SweepRow:
     prr_max: float
 
 
-def prr_runtime(samples: Iterable[PrrSample]) -> float:
-    """Mean of n/m over samples with m > 0; NaN if there are none."""
-    ratios = [s.n / s.m for s in samples if s.m > 0]
-    if not ratios:
+def prr_runtime(m, n) -> float:
+    """Mean of n/m over transmissions with m > 0; NaN if there are none.
+
+    ``m[i]`` receivers were in range of transmission i and ``n[i]`` of them
+    decoded it.
+    """
+    m, n = np.asarray(m), np.asarray(n)
+    bad = np.flatnonzero((n < 0) | (n > m))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"need 0 <= n <= m, got n={n[i]}, m={m[i]} at {i}")
+    heard = m > 0
+    if not heard.any():
         return math.nan
-    return float(np.mean(ratios))
+    return float(np.mean(n[heard] / m[heard]))
 
 
 def effective_prr(prr_max_value: float, prr_runtime_value: float) -> float:
@@ -101,16 +97,11 @@ def effective_prr(prr_max_value: float, prr_runtime_value: float) -> float:
     return prr_max_value * prr_runtime_value
 
 
-def combine_nonequal(prr_1: float, prr_2: float) -> float:
-    """Arithmetic mean of the two phase PRRs of the nonequal scheme."""
-    return (prr_1 + prr_2) / 2.0
-
-
-def aggregate(results: Iterable[RunResult], axes: tuple[str, ...] = AXES) -> list[SweepRow]:
+def aggregate(results: Iterable[RunResult]) -> list[SweepRow]:
     """Per sweep point: mean effective PRR across seeds with a normal 95% CI."""
     groups: dict[tuple, list[RunResult]] = {}
     for result in results:
-        key = tuple(getattr(result.key, axis) for axis in axes)
+        key = tuple(getattr(result.key, axis) for axis in AXES)
         groups.setdefault(key, []).append(result)
     rows = []
     for key in sorted(groups):

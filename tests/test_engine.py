@@ -41,7 +41,7 @@ def test_retx_scheme_parse_and_shares():
 def test_schedule_orthogonal_within_cell():
     cfg = SimConfig(ivd_m=40.0)
     dep, plan, sched, _ = _setup(cfg, seed=1)
-    for p in range(sched.num_phases):
+    for p in range(sched.resource.shape[0]):
         for c in range(len(dep.sites)):
             members = np.flatnonzero((dep.serving == c) & sched.assigned)
             grants = sched.resource[p, members]
@@ -72,12 +72,12 @@ def test_schedule_under_capacity_drops_nobody():
 def test_schedule_equal_retx_grants_two_resources():
     cfg = replace(NOISE_LIMITED, retx_scheme="equal")
     dep, plan, sched, _ = _setup(cfg)
-    assert sched.num_phases == 2
+    assert sched.resource.shape[0] == 2
     assigned = np.flatnonzero(sched.assigned)
     assert np.all(sched.resource[0, assigned] >= 0)
     assert np.all(sched.resource[1, assigned] >= 0)
     # every grant is a (slot, chunk) pair inside the grid
-    assert np.all(sched.resource[:, assigned] < sched.num_slots * sched.ue_per_slot)
+    assert np.all(sched.resource[:, assigned] < sched.occupant.shape[2])
 
 
 def test_schedule_undersized_grid_supports_nobody():
@@ -174,7 +174,6 @@ def test_equal_retx_outcome_shapes_and_delta():
     _, plan, ev = _evaluate(cfg)
     n_links = ev.links.tx.size
     assert ev.sinr_db.shape == (2, n_links)
-    assert ev.bler.shape == (1, n_links)
     assert ev.received.shape == (1, n_links)
     # shift dominance carried through the lookup
     table = l2sm.default_bler_table()
@@ -221,7 +220,6 @@ def test_nonequal_outcome_keeps_phase_decisions():
     _, _, ev = _evaluate(cfg)
     n_links = ev.links.tx.size
     assert ev.sinr_db.shape == (2, n_links)
-    assert ev.bler.shape == (2, n_links)
     assert ev.received.shape == (2, n_links)
     assert ev.received[0].any() and ev.received[1].any()
 
@@ -249,14 +247,33 @@ def test_execute_run_overloaded_applies_ceiling():
     assert result.prr_effective == pytest.approx(result.prr_max * result.prr_runtime)
 
 
-def test_execute_run_no_receiver_sentinel():
-    cfg = SimConfig(
-        highway_length_m=100.0, ivd_m=60.0, lanes_per_direction=1, num_gnb=1,
-        comm_range_m=0.0,
-    )
-    result = engine.execute_run(cfg, 1)
+NO_RECEIVER = SimConfig(
+    highway_length_m=100.0, ivd_m=60.0, lanes_per_direction=1, num_gnb=1,
+    comm_range_m=0.0,
+)
+# 5 MHz at mu=1 gives 11 PRBs; a 12-PRB message fits nowhere, nobody transmits
+ZERO_CAPACITY = SimConfig(
+    highway_length_m=1732.0, num_gnb=1, bandwidth_mhz=5.0, mu=1,
+    max_mcs_efficiency=0.25,
+)
+
+
+@pytest.mark.parametrize("retx", ["none", "equal", "nonequal:2"])
+@pytest.mark.parametrize(
+    "base", [NO_RECEIVER, ZERO_CAPACITY], ids=["no_receiver", "zero_capacity"]
+)
+def test_execute_run_no_receiver_sentinel(base, retx):
+    result = engine.execute_run(replace(base, retx_scheme=retx), 1)
     assert math.isnan(result.prr_runtime)
     assert result.samples == 0
+    phases = (result.prr_phase1, result.prr_phase2)
+    if retx.startswith("nonequal"):
+        assert all(math.isnan(p) for p in phases)
+    else:
+        assert phases == (None, None)
+    if base is ZERO_CAPACITY:
+        assert result.prr_max == 0.0
+        assert result.prr_effective == 0.0
 
 
 def test_nonequal_run_reports_phase_prrs():

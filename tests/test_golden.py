@@ -9,6 +9,12 @@ repository root, and log the change in CHANGES.md:
         --out tests/data/golden_sweep.csv --jobs 1
     PYTHONPATH=src python -m nrv2xsim run --config tests/data/golden_run.json \
         --out tests/data/golden_run.csv --dump-samples
+    PYTHONPATH=src python -m nrv2xsim run --config tests/data/golden_run_db.json \
+        --out tests/data/golden_run_db.csv --dump-samples
+
+``golden_run`` is the nonequal:2 scheme (two decisions per transmission);
+``golden_run_db`` is the equal scheme with ``retx_sinr_combining="db"``,
+whose PRR differs from the linear combining on the same config.
 """
 
 from pathlib import Path
@@ -31,13 +37,14 @@ def test_golden_sweep(tmp_path, jobs):
     assert out.read_bytes() == (DATA / "golden_sweep.csv").read_bytes()
 
 
-def test_golden_run_and_samples(tmp_path):
+@pytest.mark.parametrize("name", ["golden_run", "golden_run_db"])
+def test_golden_run_and_samples(tmp_path, name):
     out = tmp_path / "run.csv"
     code = cli.main([
-        "run", "--config", str(DATA / "golden_run.json"),
+        "run", "--config", str(DATA / f"{name}.json"),
         "--out", str(out), "--dump-samples",
     ])
     assert code == 0
-    assert out.read_bytes() == (DATA / "golden_run.csv").read_bytes()
+    assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
     samples = tmp_path / "run.csv.samples.csv"
-    assert samples.read_bytes() == (DATA / "golden_run.csv.samples.csv").read_bytes()
+    assert samples.read_bytes() == (DATA / f"{name}.csv.samples.csv").read_bytes()

@@ -5,7 +5,7 @@ import pytest
 
 from nrv2xsim import metrics
 from nrv2xsim.config import SimConfig, config_fingerprint
-from nrv2xsim.metrics import PrrSample, RunKey, RunResult
+from nrv2xsim.metrics import RunKey, RunResult
 
 
 def _result(cfg, seed, prr, prr_max=1.0, fingerprint=None):
@@ -21,25 +21,29 @@ def _result(cfg, seed, prr, prr_max=1.0, fingerprint=None):
 
 
 def test_prr_runtime_macro_average():
-    samples = [PrrSample(0, 10, 5), PrrSample(1, 10, 10)]
-    assert metrics.prr_runtime(samples) == pytest.approx(0.75)
+    assert metrics.prr_runtime([10, 10], [5, 10]) == pytest.approx(0.75)
+    # macro, not micro: 1/1 and 0/9 average to 0.5, not 0.1
+    assert metrics.prr_runtime(np.array([1, 9]), np.array([1, 0])) == 0.5
 
 
 def test_prr_runtime_extremes():
-    assert metrics.prr_runtime([PrrSample(0, 4, 4)]) == 1.0
-    assert metrics.prr_runtime([PrrSample(0, 4, 0)]) == 0.0
+    assert metrics.prr_runtime([4], [4]) == 1.0
+    assert metrics.prr_runtime([4], [0]) == 0.0
 
 
 def test_prr_runtime_excludes_empty_and_sentinel():
-    samples = [PrrSample(0, 0, 0), PrrSample(1, 2, 1)]
-    assert metrics.prr_runtime(samples) == pytest.approx(0.5)
-    assert math.isnan(metrics.prr_runtime([PrrSample(0, 0, 0)]))
-    assert math.isnan(metrics.prr_runtime([]))
+    assert metrics.prr_runtime([0, 2], [0, 1]) == pytest.approx(0.5)
+    assert math.isnan(metrics.prr_runtime([0], [0]))
+    assert math.isnan(metrics.prr_runtime([], []))
+    empty = np.empty(0, dtype=np.int64)
+    assert math.isnan(metrics.prr_runtime(empty, empty))
 
 
 def test_prr_sample_validates():
+    with pytest.raises(ValueError, match="n=3, m=2"):
+        metrics.prr_runtime([2], [3])
     with pytest.raises(ValueError):
-        PrrSample(0, 2, 3)
+        metrics.prr_runtime([2, 2], [1, -1])
 
 
 def test_effective_prr():
@@ -47,12 +51,6 @@ def test_effective_prr():
     assert metrics.effective_prr(700 / 1038, 1.0) == pytest.approx(700 / 1038)
     assert metrics.effective_prr(0.0, 0.5) == 0.0
     assert metrics.effective_prr(0.0, math.nan) == 0.0
-
-
-def test_combine_nonequal():
-    assert metrics.combine_nonequal(0.9, 0.7) == pytest.approx(0.8)
-    assert metrics.combine_nonequal(0.4, 0.4) == 0.4
-    assert metrics.combine_nonequal(1.0, 0.0) == 0.5
 
 
 def test_aggregate_single_seed_zero_ci():
