@@ -13,8 +13,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-import numpy as np
-
 from . import engine, l2sm, metrics, phy, scenario
 from .config import (
     ConfigError,
@@ -42,8 +40,9 @@ def _resolve_config(args) -> SimConfig:
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    counts = engine.simulate_drops(cfg, cfg.seed)
-    result = engine._finalize(cfg, cfg.seed, counts)
+    plan = phy.build_resource_plan(cfg)
+    counts = engine.simulate_drops(cfg, plan, cfg.seed)
+    result = engine._finalize(cfg, plan, cfg.seed, counts)
     metrics.write_run_csv(result, args.out)
     log.info("wrote %s (fingerprint %s, seed %d)", args.out, result.fingerprint, result.seed)
     if args.dump_samples:
@@ -54,10 +53,8 @@ def _cmd_run(args) -> int:
                 f.write(",".join(map(str, row)) + "\n")
         log.info("wrote %s", samples_path)
     if args.dump_deployment:
-        rng = np.random.default_rng(engine._drop_seed(cfg.seed, 0))
-        dep = scenario.generate_deployment(cfg, rng)
         with open(args.dump_deployment, "w", newline="") as f:
-            scenario.write_deployment_csv(dep, f)
+            scenario.write_deployment_csv(counts[0].dep, f)
         log.info("wrote %s", args.dump_deployment)
     return 0
 

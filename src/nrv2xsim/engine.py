@@ -21,29 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel, l2sm, metrics, phy, scenario
-from .config import SimConfig, config_fingerprint, parse_retx_scheme
-
-
-@dataclass(frozen=True)
-class RetxScheme:
-    kind: str = "none"        # "none" | "equal" | "nonequal"
-    n: int = 0                # nonequal window index, 1..4
-    delta_db: float = 0.0     # sensitivity shift used by retransmission lookups
-
-    @classmethod
-    def from_config(cls, cfg: SimConfig) -> "RetxScheme":
-        kind, n = parse_retx_scheme(cfg.retx_scheme)
-        delta = cfg.l2sm_delta_db if kind != "none" else 0.0
-        return cls(kind=kind, n=n, delta_db=delta)
-
-    @property
-    def phase_shares(self) -> tuple[float, ...]:
-        """Fraction of the transmission period owned by each phase."""
-        if self.kind == "none":
-            return (1.0,)
-        if self.kind == "equal":
-            return (0.5, 0.5)
-        return ((50 + 10 * self.n) / 100.0, (50 - 10 * self.n) / 100.0)
+from .config import SimConfig, config_fingerprint
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,26 +41,23 @@ class SlotSchedule:
 
 
 def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
-                   retx: RetxScheme, rng: np.random.Generator) -> SlotSchedule:
+                   rng: np.random.Generator) -> SlotSchedule:
     """Random-order round-robin grants per cell, capped at ue_supported."""
     num_cells = len(dep.sites)
     num_vehicles = dep.num_vehicles
-    num_phases = len(retx.phase_shares)
-    cap = plan.ue_supported if plan.ue_per_slot > 0 else 0
+    num_phases = len(plan.phase_mcs)
 
     kept: list[np.ndarray] = []
     dropped_parts: list[np.ndarray] = []
     for c in range(num_cells):
         ids = np.flatnonzero(dep.serving == c)
         order = ids[rng.permutation(ids.size)]
-        kept.append(order[:cap])
-        dropped_parts.append(order[cap:])
+        kept.append(order[: plan.ue_supported])
+        dropped_parts.append(order[plan.ue_supported :])
 
-    max_assigned = max((k.size for k in kept), default=0)
-    if plan.ue_per_slot > 0 and max_assigned > 0:
-        num_slots = -(-max_assigned // plan.ue_per_slot)  # ceil
-    else:
-        num_slots = 0
+    # ue_per_slot is 0 only when ue_supported is 0, and then nobody is kept
+    max_assigned = max(k.size for k in kept)
+    num_slots = -(-max_assigned // plan.ue_per_slot) if max_assigned else 0  # ceil
     grid = num_slots * plan.ue_per_slot
 
     resource = np.full((num_phases, num_vehicles), -1, dtype=np.int64)
@@ -101,8 +76,7 @@ def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
     assigned = np.zeros(num_vehicles, dtype=bool)
     for k in kept:
         assigned[k] = True
-    dropped = np.sort(np.concatenate(dropped_parts)) if dropped_parts else \
-        np.empty(0, dtype=np.int64)
+    dropped = np.sort(np.concatenate(dropped_parts))
 
     return SlotSchedule(
         assigned=assigned,
@@ -161,25 +135,14 @@ class _Evaluation:
     received: np.ndarray      # (decisions, links)
 
 
-def phase_mcs_indices(cfg: SimConfig, ue_gnb: int) -> tuple[int, ...]:
-    """MCS per phase: the base spectral-efficiency demand scaled by the
-    phase's share of the period (a shorter window needs a denser MCS)."""
-    retx = RetxScheme.from_config(cfg)
-    se_base = phy.required_se(
-        cfg.packet_size_bytes, ue_gnb, cfg.tf_hz, cfg.bandwidth_mhz * 1e6
-    )
-    return tuple(
-        phy.select_cqi(se_base / share).cqi_index for share in retx.phase_shares
-    )
-
-
 def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
                     plan: phy.ResourcePlan, sched: SlotSchedule,
                     table: l2sm.BlerTable, tx_ids: np.ndarray,
                     rng: np.random.Generator) -> _Evaluation:
-    retx = RetxScheme.from_config(cfg)
-    num_phases = len(retx.phase_shares)
-    mcs = phase_mcs_indices(cfg, plan.ue_per_gnb)
+    mcs = plan.phase_mcs
+    num_phases = len(mcs)
+    # the sensitivity shift applies to retransmission lookups only
+    delta_db = cfg.l2sm_delta_db if num_phases == 2 else 0.0
 
     num = phy.Numerology.from_mu(cfg.mu)
     noise_dbm = channel.noise_power_dbm(
@@ -223,7 +186,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
         sinr[p] = sinr_db(signal_mw, interference_mw, noise_mw)
 
     decision_sinr = sinr
-    if retx.kind == "equal":
+    if cfg.retx_scheme == "equal":
         if cfg.retx_sinr_combining == "db":
             decision_sinr = sinr.mean(axis=0, keepdims=True)
         else:
@@ -231,7 +194,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
                 np.mean(10.0 ** (sinr / 10.0), axis=0, keepdims=True)
             )
     received = np.stack([
-        l2sm.reception_draw(l2sm.bler_lookup(table, mcs[d], s, retx.delta_db), rng)
+        l2sm.reception_draw(l2sm.bler_lookup(table, mcs[d], s, delta_db), rng)
         for d, s in enumerate(decision_sinr)
     ])
     return _Evaluation(links=links, sinr_db=sinr, received=received)
@@ -239,17 +202,16 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
 
 @dataclass(frozen=True, eq=False)
 class _DropCounts:
+    dep: scenario.Deployment  # the deployment this drop simulated
     tx_ids: np.ndarray        # transmitters with at least one in-range receiver
     m: np.ndarray             # receivers per transmitter
     n: np.ndarray             # (decisions, transmitters) successes
 
 
-def _drop_counts(cfg: SimConfig, seed) -> _DropCounts:
+def _drop_counts(cfg: SimConfig, plan: phy.ResourcePlan, seed) -> _DropCounts:
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
-    plan = phy.build_resource_plan(cfg)
-    retx = RetxScheme.from_config(cfg)
-    sched = schedule_slots(dep, plan, retx, rng)
+    sched = schedule_slots(dep, plan, rng)
     table = l2sm.active_table(cfg)
     tx_ids = np.flatnonzero(sched.assigned)
     ev = _evaluate_links(cfg, dep, plan, sched, table, tx_ids, rng)
@@ -259,10 +221,10 @@ def _drop_counts(cfg: SimConfig, seed) -> _DropCounts:
     bounds = np.append(start, link_tx.size)
     m = np.diff(bounds)
     n = np.add.reduceat(ev.received.astype(np.int64), start, axis=1)
-    return _DropCounts(tx_ids=uniq, m=m, n=n)
+    return _DropCounts(dep=dep, tx_ids=uniq, m=m, n=n)
 
 
-def _finalize(cfg: SimConfig, seed_label: int,
+def _finalize(cfg: SimConfig, plan: phy.ResourcePlan, seed_label: int,
               counts: list[_DropCounts]) -> metrics.RunResult:
     m = np.concatenate([dc.m for dc in counts])
     n = np.concatenate([dc.n for dc in counts], axis=1)
@@ -270,15 +232,14 @@ def _finalize(cfg: SimConfig, seed_label: int,
     runtime = sum(prrs) / len(prrs)
     phase1, phase2 = prrs if len(prrs) == 2 else (None, None)
 
-    ceiling = phy.build_resource_plan(cfg).prr_max
-    effective = metrics.effective_prr(ceiling, runtime)
+    effective = metrics.effective_prr(plan.prr_max, runtime)
 
     return metrics.RunResult(
         key=metrics.RunKey.from_config(cfg),
         fingerprint=config_fingerprint(cfg),
         seed=int(seed_label),
         prr_runtime=runtime,
-        prr_max=ceiling,
+        prr_max=plan.prr_max,
         prr_effective=effective,
         samples=int(m.size),
         prr_phase1=phase1,
@@ -290,14 +251,16 @@ def _drop_seed(seed: int, drop_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(drop_index,))
 
 
-def simulate_drops(cfg: SimConfig, seed: int) -> list[_DropCounts]:
+def simulate_drops(cfg: SimConfig, plan: phy.ResourcePlan,
+                   seed: int) -> list[_DropCounts]:
     """Per-drop counts of cfg.drops independent drops under one seed."""
-    return [_drop_counts(cfg, _drop_seed(seed, i)) for i in range(cfg.drops)]
+    return [_drop_counts(cfg, plan, _drop_seed(seed, i)) for i in range(cfg.drops)]
 
 
 def execute_run(cfg: SimConfig, seed: int) -> metrics.RunResult:
     """Run cfg.drops independent drops under one seed and pool their samples."""
-    return _finalize(cfg, seed, simulate_drops(cfg, seed))
+    plan = phy.build_resource_plan(cfg)
+    return _finalize(cfg, plan, seed, simulate_drops(cfg, plan, seed))
 
 
 def run_sample_table(counts: list[_DropCounts]) -> list[tuple[int, int, int, int, int]]:

@@ -2,20 +2,17 @@
 
 Everything here is exact integer/closed-form math: subcarrier spacing,
 the PRB grid per (bandwidth, numerology), per-message PRB sizing, how
-many transmitters fit into a slot and into a second, and the overload
-ceiling on the packet reception ratio.
+many transmitters fit into a slot and into a second, the overload
+ceiling on the packet reception ratio, and the share of the period and
+the MCS of each transmission phase.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from . import scenario
-
-if TYPE_CHECKING:
-    from .config import SimConfig
+from . import config, scenario
 
 SUBCARRIERS_PER_PRB = 12
 USABLE_SYMBOLS_PER_SLOT = 9
@@ -135,9 +132,20 @@ def prr_max(supported: int, ue_gnb: int) -> float:
     return min(1.0, supported / ue_gnb)
 
 
+def phase_shares(retx_scheme: str) -> tuple[float, ...]:
+    """Fraction of the transmission period owned by each phase."""
+    kind, n = config.parse_retx_scheme(retx_scheme)
+    if kind == "none":
+        return (1.0,)
+    if kind == "equal":
+        return (0.5, 0.5)
+    return ((50 + 10 * n) / 100.0, (50 - 10 * n) / 100.0)
+
+
 @dataclass(frozen=True)
 class ResourcePlan:
-    """Numerology-derived capacity of one cell for the configured message."""
+    """Numerology-derived capacity of one cell and the transmission phases
+    of each message."""
 
     n_prb: int              # PRB grid size of the carrier
     nprb_pscch: int         # control PRBs per message
@@ -147,10 +155,11 @@ class ResourcePlan:
     ue_supported: int       # per second, after the retransmission factor
     ue_per_gnb: int         # per-cell population by the spacing formula
     prr_max: float          # overload ceiling; 1 for an empty cell
+    phase_mcs: tuple[int, ...]  # CQI index per transmission phase
     subcarriers_per_prb: int = SUBCARRIERS_PER_PRB
 
 
-def build_resource_plan(cfg: "SimConfig") -> ResourcePlan:
+def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
     num = Numerology.from_mu(cfg.mu)
     n_prb = prb_count(cfg.bandwidth_mhz, cfg.mu)
     pssch = nprb_pssch(
@@ -159,9 +168,11 @@ def build_resource_plan(cfg: "SimConfig") -> ResourcePlan:
     )
     total = pssch + NPRB_PSCCH
     per_slot = ue_per_slot(n_prb, total)
-    retx_factor = 1 if cfg.retx_scheme == "none" else 2
-    supported = ue_supported(per_slot, num.slots_per_second, cfg.tf_hz, retx_factor)
+    shares = phase_shares(cfg.retx_scheme)
+    supported = ue_supported(per_slot, num.slots_per_second, cfg.tf_hz, len(shares))
     ue_gnb = scenario.ue_per_gnb_count(cfg.isd_m, cfg.ivd_m, 2 * cfg.lanes_per_direction)
+    # a shorter window needs a denser MCS for the same demand
+    se_base = required_se(cfg.packet_size_bytes, ue_gnb, cfg.tf_hz, cfg.bandwidth_mhz * 1e6)
     return ResourcePlan(
         n_prb=n_prb,
         nprb_pscch=NPRB_PSCCH,
@@ -171,4 +182,5 @@ def build_resource_plan(cfg: "SimConfig") -> ResourcePlan:
         ue_supported=supported,
         ue_per_gnb=ue_gnb,
         prr_max=prr_max(supported, ue_gnb) if ue_gnb > 0 else 1.0,
+        phase_mcs=tuple(select_cqi(se_base / share).cqi_index for share in shares),
     )

@@ -36,7 +36,6 @@ class Deployment:
     serving: np.ndarray     # site index per vehicle
     sites: tuple[GnbSite, ...]
     lanes_per_direction: int
-    ue_h: int               # total vehicles on the highway
 
     @property
     def num_vehicles(self) -> int:
@@ -90,7 +89,6 @@ def generate_deployment(cfg: "SimConfig", rng: np.random.Generator) -> Deploymen
         serving=serving,
         sites=sites,
         lanes_per_direction=cfg.lanes_per_direction,
-        ue_h=per_lane * num_lanes,
     )
 
 

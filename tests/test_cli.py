@@ -89,9 +89,9 @@ def test_run_dump_samples_simulates_each_drop_once(tmp_path, capsys, monkeypatch
     calls = []
     drop_counts = engine._drop_counts
 
-    def counting(cfg, seed):
+    def counting(cfg, plan, seed):
         calls.append(seed)
-        return drop_counts(cfg, seed)
+        return drop_counts(cfg, plan, seed)
 
     monkeypatch.setattr(engine, "_drop_counts", counting)
     out = tmp_path / "run.csv"

@@ -18,24 +18,28 @@ def _setup(cfg, seed=0):
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
     plan = phy.build_resource_plan(cfg)
-    sched = engine.schedule_slots(dep, plan, engine.RetxScheme.from_config(cfg), rng)
+    sched = engine.schedule_slots(dep, plan, rng)
     return dep, plan, sched, rng
 
 
 def test_retx_scheme_parse_and_shares():
-    assert engine.RetxScheme.from_config(SimConfig()).phase_shares == (1.0,)
-    eq = engine.RetxScheme.from_config(
-        SimConfig(retx_scheme="equal", l2sm_delta_db=3.0)
-    )
-    assert eq.phase_shares == (0.5, 0.5)
-    assert eq.delta_db == 3.0
-    ne = engine.RetxScheme.from_config(SimConfig(retx_scheme="nonequal:2"))
-    assert ne.phase_shares == (0.7, 0.3)
-    ne4 = engine.RetxScheme.from_config(SimConfig(retx_scheme="nonequal:4"))
-    assert ne4.phase_shares[1] == pytest.approx(0.1)
-    # no-retx ignores the configured sensitivity shift
-    none = engine.RetxScheme.from_config(SimConfig(l2sm_delta_db=7.0))
-    assert none.delta_db == 0.0
+    assert phy.phase_shares("none") == (1.0,)
+    assert phy.phase_shares("equal") == (0.5, 0.5)
+    assert phy.phase_shares("nonequal:2") == (0.7, 0.3)
+    assert phy.phase_shares("nonequal:4")[1] == pytest.approx(0.1)
+    # one MCS per phase in the plan
+    assert len(phy.build_resource_plan(SimConfig()).phase_mcs) == 1
+    assert len(phy.build_resource_plan(SimConfig(retx_scheme="equal")).phase_mcs) == 2
+
+
+def test_no_retx_ignores_sensitivity_shift():
+    cfg = replace(NOISE_LIMITED, ivd_m=80.0)
+    runtimes = {
+        engine.execute_run(replace(cfg, l2sm_delta_db=d), 4).prr_runtime
+        for d in (0.0, 3.0, 7.0)
+    }
+    assert len(runtimes) == 1
+    assert not math.isnan(runtimes.pop())
 
 
 def test_schedule_orthogonal_within_cell():
@@ -55,7 +59,7 @@ def test_schedule_drops_beyond_capacity():
     # one cell of 1038 vehicles against a 700-transmitter budget
     cfg = SimConfig(highway_length_m=1732.0, num_gnb=1, ivd_m=10.0)
     dep, plan, sched, _ = _setup(cfg)
-    assert dep.ue_h == 1038
+    assert dep.num_vehicles == 1038
     assert plan.ue_supported == 700
     assert sched.dropped.size == 338
     assert int(sched.assigned.sum()) == 700
@@ -66,7 +70,7 @@ def test_schedule_under_capacity_drops_nobody():
     cfg = SimConfig(ivd_m=20.0)  # 516-ish per cell vs 700 supported
     dep, plan, sched, _ = _setup(cfg)
     assert sched.dropped.size == 0
-    assert int(sched.assigned.sum()) == dep.ue_h
+    assert int(sched.assigned.sum()) == dep.num_vehicles
 
 
 def test_schedule_equal_retx_grants_two_resources():
@@ -88,7 +92,7 @@ def test_schedule_undersized_grid_supports_nobody():
     assert plan.ue_per_slot == 0
     dep, plan, sched, _ = _setup(cfg)
     assert int(sched.assigned.sum()) == 0
-    assert sched.dropped.size == dep.ue_h
+    assert sched.dropped.size == dep.num_vehicles
 
 
 def test_interferer_count_bounded_by_other_cells():
@@ -152,9 +156,10 @@ def test_evaluate_links_isolated_cell_noise_limited():
 def test_no_link_has_a_dropped_transmitter():
     # one cell of 1038 vehicles against a 700-transmitter budget
     cfg = SimConfig(highway_length_m=1732.0, num_gnb=1, ivd_m=10.0)
-    counts = engine._drop_counts(cfg, 0)
+    plan = phy.build_resource_plan(cfg)
+    counts = engine._drop_counts(cfg, plan, 0)
     # _drop_counts draws its deployment and schedule from the same stream
-    _, plan, sched, _ = _setup(cfg, seed=0)
+    _, _, sched, _ = _setup(cfg, seed=0)
     assert sched.dropped.size == 338
     assert counts.tx_ids.size == plan.ue_supported
     assert not np.isin(counts.tx_ids, sched.dropped).any()
@@ -177,7 +182,7 @@ def test_equal_retx_outcome_shapes_and_delta():
     assert ev.received.shape == (1, n_links)
     # shift dominance carried through the lookup
     table = l2sm.default_bler_table()
-    mcs = engine.phase_mcs_indices(cfg, plan.ue_per_gnb)[0]
+    mcs = plan.phase_mcs[0]
     x = ev.sinr_db.mean(axis=0)
     with_shift = l2sm.bler_lookup(table, mcs, x, 3.0)
     without = l2sm.bler_lookup(table, mcs, x, 0.0)
@@ -195,12 +200,12 @@ def test_equal_retx_same_sinr_reproduces_single_bler():
 
 def test_nonequal_phase_mcs_ordering():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:1")
-    mcs = engine.phase_mcs_indices(cfg, 258)
+    mcs = phy.build_resource_plan(cfg).phase_mcs
     assert len(mcs) == 2
     assert mcs[1] >= mcs[0]  # the shorter window needs the denser MCS
     assert phy.required_se(300, 258, 10, 20e6) == pytest.approx(0.3096)
     # share 0.6/0.4 scales a 1.0 bit/s/Hz demand to 1.667 and 2.5
-    shares = engine.RetxScheme.from_config(cfg).phase_shares
+    shares = phy.phase_shares(cfg.retx_scheme)
     assert (1.0 / shares[0], 1.0 / shares[1]) == pytest.approx((1.667, 2.5), abs=1e-3)
 
 
@@ -288,13 +293,27 @@ def test_nonequal_run_reports_phase_prrs():
 
 def test_execute_run_pools_drops():
     cfg = replace(NOISE_LIMITED, ivd_m=200.0, drops=3)
+    plan = phy.build_resource_plan(cfg)
     pooled = engine.execute_run(cfg, 7)
     singles = [
-        engine._drop_counts(cfg, engine._drop_seed(7, i)).tx_ids.size
+        engine._drop_counts(cfg, plan, engine._drop_seed(7, i)).tx_ids.size
         for i in range(3)
     ]
     assert pooled.samples == sum(singles)
     assert engine.execute_run(cfg, 7) == pooled
+
+
+def test_execute_run_builds_one_plan(monkeypatch):
+    calls = []
+    build = phy.build_resource_plan
+
+    def counting(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(phy, "build_resource_plan", counting)
+    engine.execute_run(replace(NOISE_LIMITED, ivd_m=200.0, drops=3), 7)
+    assert len(calls) == 1
 
 
 def test_equal_retx_beats_single_tx_when_noise_limited():
@@ -317,7 +336,8 @@ def test_equal_retx_beats_single_tx_when_noise_limited():
 
 def test_run_sample_table_matches_result():
     cfg = replace(NOISE_LIMITED, ivd_m=100.0, drops=2)
-    rows = engine.run_sample_table(engine.simulate_drops(cfg, 3))
+    plan = phy.build_resource_plan(cfg)
+    rows = engine.run_sample_table(engine.simulate_drops(cfg, plan, 3))
     result = engine.execute_run(cfg, 3)
     assert len(rows) == result.samples
     assert {row[0] for row in rows} == {0, 1}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -143,6 +145,18 @@ def test_build_resource_plan_retx_halves():
         SimConfig(mu=2, bandwidth_mhz=20.0, retx_scheme="nonequal:2")
     )
     assert plan.ue_supported == 600
+
+
+def test_build_resource_plan_phase_mcs():
+    # the base demand divided by each phase's share, equal included
+    cfg = SimConfig(ivd_m=10.0)
+    se = phy.required_se(300, 1038, 10.0, 10e6)
+    assert phy.build_resource_plan(cfg).phase_mcs == (phy.select_cqi(se).cqi_index,)
+    equal = phy.build_resource_plan(replace(cfg, retx_scheme="equal")).phase_mcs
+    assert equal == (phy.select_cqi(2 * se).cqi_index,) * 2
+    nonequal = phy.build_resource_plan(replace(cfg, retx_scheme="nonequal:3")).phase_mcs
+    assert nonequal == tuple(phy.select_cqi(se / s).cqi_index for s in (0.8, 0.2))
+    assert nonequal[0] < equal[0] < nonequal[1]
 
 
 def test_build_resource_plan_ceiling():

@@ -27,7 +27,7 @@ def _deployment(seed=0, **kwargs):
 
 def test_deployment_counts():
     cfg, dep = _deployment(ivd_m=20.0)
-    assert dep.ue_h == 259 * 6 == dep.num_vehicles
+    assert dep.num_vehicles == 259 * 6
     assert phy.build_resource_plan(cfg).ue_per_gnb == 516
     cfg, dep = _deployment(ivd_m=10.0)
     assert phy.build_resource_plan(cfg).ue_per_gnb == 1038
@@ -54,7 +54,7 @@ def test_deployment_grid_spacing_and_lanes():
 def test_every_vehicle_served_once():
     cfg, dep = _deployment(seed=5, ivd_m=20.0)
     counts = np.bincount(dep.serving, minlength=cfg.num_gnb)
-    assert counts.sum() == dep.ue_h
+    assert counts.sum() == dep.num_vehicles
     # serving site is the closest one
     site_x = np.array([s.x_m for s in dep.sites])
     site_y = np.array([s.y_m for s in dep.sites])
