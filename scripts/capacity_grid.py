@@ -6,9 +6,10 @@ a given inter-vehicle distance.
 """
 
 import argparse
+import sys
 
 from nrv2xsim import phy
-from nrv2xsim.config import SimConfig
+from nrv2xsim.config import ConfigError, config_from_dict
 
 
 def main() -> int:
@@ -17,18 +18,22 @@ def main() -> int:
     parser.add_argument("--retx", default="none")
     args = parser.parse_args()
 
-    ue_gnb = phy.build_resource_plan(SimConfig(ivd_m=args.ivd)).ue_per_gnb
+    try:
+        grid = [
+            config_from_dict({"bandwidth_mhz": bw, "mu": mu, "tf_hz": tf,
+                              "ivd_m": args.ivd, "retx_scheme": args.retx})
+            for bw in (10.0, 20.0) for mu in (0, 1, 2) for tf in (10.0, 20.0, 30.0)
+        ]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    ue_gnb = phy.build_resource_plan(grid[0]).ue_per_gnb
     print(f"ivd={args.ivd:g} m -> {ue_gnb} vehicles per cell, retx={args.retx}")
     print("bandwidth_mhz,mu,tf_hz,ue_supported,prr_max")
-    for bw in (10.0, 20.0):
-        for mu in (0, 1, 2):
-            for tf in (10.0, 20.0, 30.0):
-                cfg = SimConfig(
-                    bandwidth_mhz=bw, mu=mu, tf_hz=tf, ivd_m=args.ivd,
-                    retx_scheme=args.retx,
-                )
-                plan = phy.build_resource_plan(cfg)
-                print(f"{bw:g},{mu},{tf:g},{plan.ue_supported},{plan.prr_max:.4f}")
+    for cfg in grid:
+        plan = phy.build_resource_plan(cfg)
+        print(f"{cfg.bandwidth_mhz:g},{cfg.mu},{cfg.tf_hz:g},"
+              f"{plan.ue_supported},{plan.prr_max:.4f}")
     return 0
 
 

@@ -9,6 +9,7 @@ of fully validated per-run configs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -68,15 +69,8 @@ class SimConfig:
     drops: int = 1
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(SimConfig))
-_INT_FIELDS = frozenset(
-    {"lanes_per_direction", "num_gnb", "mu", "packet_size_bytes", "seed", "drops"}
-)
-_STR_FIELDS = frozenset({"retx_scheme", "retx_sinr_combining"})
-_OPT_STR_FIELDS = frozenset({"bler_table_path"})
-_FLOAT_FIELDS = (
-    frozenset(_FIELD_NAMES) - _INT_FIELDS - _STR_FIELDS - _OPT_STR_FIELDS
-)
+# field name -> annotation ("int", "float", "str" or "str | None")
+_FIELD_KINDS = {f.name: f.type for f in fields(SimConfig)}
 
 
 def parse_retx_scheme(value: str) -> tuple[str, int]:
@@ -100,31 +94,43 @@ def parse_retx_scheme(value: str) -> tuple[str, int]:
     )
 
 
-def _coerce(name: str, value):
-    if name in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            value = int(value)
-        return value
-    if name in _FLOAT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-        return float(value)
-    if name in _OPT_STR_FIELDS:
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{name} must be a string or null, got {value!r}")
-        return value
+def _as_int(name: str, value):
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _as_float(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_str(name: str, value):
     if not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {value!r}")
     return value
 
 
+def _as_optional_str(name: str, value):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string or null, got {value!r}")
+    return value
+
+
+_COERCERS = {"int": _as_int, "float": _as_float, "str": _as_str,
+             "str | None": _as_optional_str}
+
+
+def _coerce(name: str, value):
+    return _COERCERS[_FIELD_KINDS[name]](name, value)
+
+
 def validate_config(cfg: SimConfig) -> None:
     """Raise ConfigError on the first violated field constraint."""
-    for name in sorted(_FLOAT_FIELDS):
+    for name in sorted(n for n, kind in _FIELD_KINDS.items() if kind == "float"):
         if not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     for name in ("highway_length_m", "lane_width_m", "isd_m", "ivd_m",
@@ -163,7 +169,7 @@ def validate_config(cfg: SimConfig) -> None:
 def config_from_dict(doc: dict) -> SimConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(doc) - set(_FIELD_NAMES))
+    unknown = sorted(set(doc) - set(_FIELD_KINDS))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs = {name: _coerce(name, value) for name, value in doc.items()}
@@ -181,22 +187,16 @@ def parse_config(text: str) -> SimConfig:
     return config_from_dict(doc)
 
 
-def serialize_config(cfg: SimConfig) -> str:
-    """Emit a JSON document that parses back to an identical config."""
-    doc = {name: getattr(cfg, name) for name in _FIELD_NAMES}
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def config_fingerprint(cfg: SimConfig) -> str:
     """Short stable digest of every field except the seed."""
-    doc = {name: getattr(cfg, name) for name in _FIELD_NAMES if name != "seed"}
+    doc = {name: getattr(cfg, name) for name in _FIELD_KINDS if name != "seed"}
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 def apply_overrides(cfg: SimConfig, pairs: list[str]) -> SimConfig:
     """Apply repeatable ``key=value`` overrides on top of a parsed config."""
-    doc = {name: getattr(cfg, name) for name in _FIELD_NAMES}
+    doc = {name: getattr(cfg, name) for name in _FIELD_KINDS}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep:
@@ -222,16 +222,8 @@ class CampaignSpec:
     seeds: tuple[int, ...] | None = None
 
 
-_CAMPAIGN_KEYS = (
-    "base",
-    "sweep_ivd_m",
-    "sweep_mu",
-    "sweep_tf_hz",
-    "sweep_retx",
-    "sweep_l2sm_delta_db",
-    "seeds",
-)
-_AXIS_FIELD = {
+# campaign key -> the SimConfig field it sweeps, outermost axis first
+_SWEEP_AXES = {
     "sweep_ivd_m": "ivd_m",
     "sweep_mu": "mu",
     "sweep_tf_hz": "tf_hz",
@@ -239,6 +231,7 @@ _AXIS_FIELD = {
     "sweep_l2sm_delta_db": "l2sm_delta_db",
     "seeds": "seed",
 }
+_CAMPAIGN_KEYS = ("base", *_SWEEP_AXES)
 
 
 def _parse_axis(name: str, values) -> tuple:
@@ -246,8 +239,7 @@ def _parse_axis(name: str, values) -> tuple:
         raise ConfigError(f"{name} must be a list")
     if not values:
         raise ConfigError(f"empty sweep list: {name}")
-    field = _AXIS_FIELD[name]
-    return tuple(_coerce(field, v) for v in values)
+    return tuple(_coerce(_SWEEP_AXES[name], v) for v in values)
 
 
 def parse_campaign(text: str) -> CampaignSpec:
@@ -267,38 +259,17 @@ def parse_campaign(text: str) -> CampaignSpec:
             "(flat config keys belong under 'base')"
         )
     base = config_from_dict(doc.get("base", {}))
-    axes = {
-        name: _parse_axis(name, doc[name])
-        for name in _CAMPAIGN_KEYS
-        if name != "base" and name in doc
-    }
+    axes = {name: _parse_axis(name, doc[name]) for name in _SWEEP_AXES if name in doc}
     return CampaignSpec(base=base, **axes)
 
 
 def expand_campaign(spec: CampaignSpec) -> list[tuple[SimConfig, int]]:
     """Expand to the ordered (config, seed) list: ivd, mu, tf, retx, delta, seed."""
-    base = spec.base
-    ivds = spec.sweep_ivd_m or (base.ivd_m,)
-    mus = spec.sweep_mu or (base.mu,)
-    tfs = spec.sweep_tf_hz or (base.tf_hz,)
-    schemes = spec.sweep_retx or (base.retx_scheme,)
-    deltas = spec.sweep_l2sm_delta_db or (base.l2sm_delta_db,)
-    seeds = spec.seeds or (base.seed,)
+    axes = [getattr(spec, key) or (getattr(spec.base, name),)
+            for key, name in _SWEEP_AXES.items()]
     runs = []
-    for ivd in ivds:
-        for mu in mus:
-            for tf in tfs:
-                for scheme in schemes:
-                    for delta in deltas:
-                        cfg = replace(
-                            base,
-                            ivd_m=ivd,
-                            mu=mu,
-                            tf_hz=tf,
-                            retx_scheme=scheme,
-                            l2sm_delta_db=delta,
-                        )
-                        validate_config(cfg)
-                        for seed in seeds:
-                            runs.append((replace(cfg, seed=seed), seed))
+    for point in itertools.product(*axes):
+        cfg = replace(spec.base, **dict(zip(_SWEEP_AXES.values(), point)))
+        validate_config(cfg)
+        runs.append((cfg, cfg.seed))
     return runs

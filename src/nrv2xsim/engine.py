@@ -86,11 +86,6 @@ def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
     )
 
 
-def sinr_db(signal_mw, interference_mw, noise_mw):
-    """Wideband SINR in dB from received powers in mW (scalars or arrays)."""
-    return 10.0 * np.log10(signal_mw / (interference_mw + noise_mw))
-
-
 @dataclass(frozen=True, eq=False)
 class _LinkBatch:
     tx: np.ndarray            # vehicle id per link, tx-major
@@ -156,7 +151,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
     x, y = dep.x_m, dep.y_m
     tx_cell = dep.serving[links.tx]
 
-    sinr = np.empty((num_phases, n_links))
+    ratio = np.empty((num_phases, n_links))  # linear wideband SINR
     for p in range(num_phases):
         shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, n_links)
         signal_dbm = channel.rx_power_dbm(
@@ -183,16 +178,15 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
                 cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
             )
             interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
-        sinr[p] = sinr_db(signal_mw, interference_mw, noise_mw)
+        ratio[p] = signal_mw / (interference_mw + noise_mw)
 
+    sinr = 10.0 * np.log10(ratio)
     decision_sinr = sinr
     if cfg.retx_scheme == "equal":
         if cfg.retx_sinr_combining == "db":
             decision_sinr = sinr.mean(axis=0, keepdims=True)
         else:
-            decision_sinr = 10.0 * np.log10(
-                np.mean(10.0 ** (sinr / 10.0), axis=0, keepdims=True)
-            )
+            decision_sinr = 10.0 * np.log10(ratio.mean(axis=0, keepdims=True))
     received = np.stack([
         l2sm.reception_draw(l2sm.bler_lookup(table, mcs[d], s, delta_db), rng)
         for d, s in enumerate(decision_sinr)

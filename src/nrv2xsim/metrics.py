@@ -10,7 +10,7 @@ overload ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -18,12 +18,10 @@ import numpy as np
 if TYPE_CHECKING:
     from .config import SimConfig
 
-AXES = ("ivd_m", "mu", "tf_hz", "bandwidth_mhz", "retx", "delta_db")
-
 
 @dataclass(frozen=True)
 class RunKey:
-    """Sweep-axis values identifying one point of a campaign."""
+    """Sweep-axis values of one campaign point, in the CSVs' key column order."""
 
     ivd_m: float
     mu: int
@@ -61,12 +59,7 @@ class RunResult:
 
 @dataclass(frozen=True)
 class SweepRow:
-    ivd_m: float
-    mu: int
-    tf_hz: float
-    bandwidth_mhz: float
-    retx: str
-    delta_db: float
+    key: RunKey
     seed_count: int
     prr_mean: float
     prr_ci95: float
@@ -101,8 +94,7 @@ def aggregate(results: Iterable[RunResult]) -> list[SweepRow]:
     """Per sweep point: mean effective PRR across seeds with a normal 95% CI."""
     groups: dict[tuple, list[RunResult]] = {}
     for result in results:
-        key = tuple(getattr(result.key, axis) for axis in AXES)
-        groups.setdefault(key, []).append(result)
+        groups.setdefault(astuple(result.key), []).append(result)
     rows = []
     for key in sorted(groups):
         # fixed member order makes the float statistics permutation-invariant
@@ -117,33 +109,22 @@ def aggregate(results: Iterable[RunResult]) -> list[SweepRow]:
         n = values.size
         mean = float(np.mean(values))
         ci95 = 0.0 if n < 2 else float(1.96 * np.std(values, ddof=1) / math.sqrt(n))
-        rk = members[0].key
-        rows.append(
-            SweepRow(
-                ivd_m=rk.ivd_m,
-                mu=rk.mu,
-                tf_hz=rk.tf_hz,
-                bandwidth_mhz=rk.bandwidth_mhz,
-                retx=rk.retx,
-                delta_db=rk.delta_db,
-                seed_count=n,
-                prr_mean=mean,
-                prr_ci95=ci95,
-                prr_max=members[0].prr_max,
-            )
-        )
+        rows.append(SweepRow(key=members[0].key, seed_count=n, prr_mean=mean,
+                             prr_ci95=ci95, prr_max=members[0].prr_max))
     return rows
 
 
-SWEEP_CSV_HEADER = "ivd_m,mu,tf_hz,bandwidth_mhz,retx,delta_db,seed_count,prr_mean,prr_ci95,prr_max"
+_KEY_COLUMNS = ",".join(f.name for f in fields(RunKey))
+SWEEP_CSV_HEADER = f"{_KEY_COLUMNS},seed_count,prr_mean,prr_ci95,prr_max"
 RUN_CSV_HEADER = (
-    "fingerprint,seed,ivd_m,mu,tf_hz,bandwidth_mhz,retx,delta_db,"
+    f"fingerprint,seed,{_KEY_COLUMNS},"
     "samples,prr_runtime,prr_phase1,prr_phase2,prr_max,prr_effective"
 )
 
 
-def _num(value) -> str:
-    return format(value, "g")
+def _key_cells(key: RunKey) -> str:
+    return ",".join(format(v, "g") if isinstance(v, float) else str(v)
+                    for v in astuple(key))
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:
@@ -151,21 +132,18 @@ def write_sweep_csv(rows: Iterable[SweepRow], path) -> None:
         f.write(SWEEP_CSV_HEADER + "\n")
         for r in rows:
             f.write(
-                f"{_num(r.ivd_m)},{r.mu},{_num(r.tf_hz)},{_num(r.bandwidth_mhz)},"
-                f"{r.retx},{_num(r.delta_db)},{r.seed_count},"
+                f"{_key_cells(r.key)},{r.seed_count},"
                 f"{r.prr_mean:.6f},{r.prr_ci95:.6f},{r.prr_max:.6f}\n"
             )
 
 
 def write_run_csv(result: RunResult, path) -> None:
-    k = result.key
     p1 = "" if result.prr_phase1 is None else f"{result.prr_phase1:.6f}"
     p2 = "" if result.prr_phase2 is None else f"{result.prr_phase2:.6f}"
     with open(path, "w", newline="") as f:
         f.write(RUN_CSV_HEADER + "\n")
         f.write(
-            f"{result.fingerprint},{result.seed},{_num(k.ivd_m)},{k.mu},"
-            f"{_num(k.tf_hz)},{_num(k.bandwidth_mhz)},{k.retx},{_num(k.delta_db)},"
+            f"{result.fingerprint},{result.seed},{_key_cells(result.key)},"
             f"{result.samples},{result.prr_runtime:.6f},{p1},{p2},"
             f"{result.prr_max:.6f},{result.prr_effective:.6f}\n"
         )

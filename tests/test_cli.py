@@ -158,6 +158,17 @@ def test_sweep_deterministic_and_parallel_identical(tmp_path, capsys):
     assert lines[1].split(",")[6] == "2"  # seed_count
 
 
+def test_sweep_rejects_negative_seed_before_running(tmp_path, capsys):
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps({"base": {}, "seeds": [1, -1]}))
+    out = tmp_path / "o.csv"
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error: seed must be non-negative" in err
+    assert not out.exists()
+
+
 def test_sweep_overrides_apply_to_base(tmp_path, capsys):
     campaign = {"base": {"highway_length_m": 1732, "num_gnb": 1}, "seeds": [1]}
     cfg_path = tmp_path / "c.json"
@@ -196,3 +207,20 @@ def test_capacity_grid_script_empty_cell():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("ivd=2000 m -> 0 vehicles per cell")
     assert all(line.endswith(",1.0000") for line in lines[2:])
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--ivd", "-5"], "ivd_m must be positive"),
+    (["--ivd", "nan"], "ivd_m must be finite"),
+    (["--retx", "bogus"], "retx_scheme must be"),
+])
+def test_capacity_grid_script_rejects_bad_config(args, message):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "capacity_grid.py"), *args],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"config error: {message}")

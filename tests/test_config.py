@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import fields
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrv2xsim import config
 from nrv2xsim.config import (
     CampaignSpec,
     ConfigError,
@@ -16,7 +18,6 @@ from nrv2xsim.config import (
     parse_campaign,
     parse_config,
     parse_retx_scheme,
-    serialize_config,
 )
 
 FLOAT_FIELDS = sorted(f.name for f in fields(SimConfig) if f.type == "float")
@@ -97,7 +98,7 @@ def test_round_trip(ivd, mu, bw, tf, retx, delta, sigma, seed):
         ivd_m=ivd, mu=mu, bandwidth_mhz=bw, tf_hz=tf, retx_scheme=retx,
         l2sm_delta_db=delta, shadowing_sigma_db=sigma, seed=seed,
     )
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert parse_config(json.dumps(dataclasses.asdict(cfg))) == cfg
 
 
 def test_fingerprint_ignores_seed_only():
@@ -157,6 +158,24 @@ def test_expand_validates_every_point():
     spec = CampaignSpec(base=SimConfig(bandwidth_mhz=5.0), sweep_mu=(0, 2))
     with pytest.raises(ConfigError, match="undefined PRB entry"):
         expand_campaign(spec)
+
+
+def test_expand_validates_every_seed():
+    spec = CampaignSpec(base=SimConfig(), seeds=(1, -1))
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        expand_campaign(spec)
+
+
+def test_every_field_kind_has_a_coercer():
+    # a field of a new kind would otherwise reach _coerce without a rule
+    assert {f.type for f in fields(SimConfig)} <= set(config._COERCERS)
+
+
+def test_campaign_axes_match_the_axis_table():
+    # CampaignSpec's axis fields, in expansion order, are the table's keys
+    axis_fields = [f.name for f in fields(CampaignSpec) if f.name != "base"]
+    assert axis_fields == list(config._SWEEP_AXES)
+    assert set(config._SWEEP_AXES.values()) <= {f.name for f in fields(SimConfig)}
 
 
 def test_campaign_parse_flat_config_is_single_point():

@@ -119,20 +119,57 @@ def _evaluate(cfg, seed=0):
     return dep, plan, ev
 
 
+def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
+    """SINR in dB of one link through _evaluate_links, shadowing off.
+
+    Vehicle 0 in cell 0 transmits to vehicle 1 (also cell 0) 50 m away.
+    Vehicles 2 (cell 1) and 3 (cell 2) sit 50 m and 60 m from the receiver,
+    out of the transmitter's 60 m range, and share its grant when listed.
+    """
+    cfg = SimConfig(comm_range_m=60.0, shadowing_sigma_db=0.0,
+                    noise_density_dbm_hz=noise_density_dbm_hz)
+    serving = np.array([0, 0, 1, 2])
+    dep = scenario.Deployment(
+        x_m=np.array([0.0, 50.0, 100.0, 50.0]), y_m=np.array([0.0, 0.0, 0.0, 60.0]),
+        lane=np.zeros(4, dtype=np.int64), serving=serving,
+        sites=tuple(scenario.GnbSite(c, 0.0, 0.0, 35.0) for c in range(3)),
+        lanes_per_direction=1,
+    )
+    resource = np.full((1, 4), -1, dtype=np.int64)
+    occupant = np.full((1, 3, 1), -1, dtype=np.int64)
+    for v in (0, *interferers):
+        resource[0, v] = 0
+        occupant[0, serving[v], 0] = v
+    sched = engine.SlotSchedule(assigned=resource[0] >= 0, dropped=np.empty(0, np.int64),
+                                resource=resource, occupant=occupant)
+    ev = engine._evaluate_links(cfg, dep, phy.build_resource_plan(cfg), sched,
+                                l2sm.default_bler_table(), np.array([0]),
+                                np.random.default_rng(0))
+    assert ev.links.tx.tolist() == [0] and ev.links.rx.tolist() == [1]
+    return float(ev.sinr_db[0, 0])
+
+
 def test_sinr_db():
-    # -60 dBm signal = 1e-6 mW, -100 dBm noise = 1e-10 mW
-    assert engine.sinr_db(1e-6, 0.0, 1e-10) == pytest.approx(40.0)
-    assert engine.sinr_db(1e-6, 1e-6, 1e-20) == pytest.approx(0.0, abs=1e-6)
-    expected = 10 * math.log10(1e-6 / (2e-7 + 1e-10))
-    assert engine.sinr_db(1e-6, 2e-7, 1e-10) == pytest.approx(expected)
-    assert engine.sinr_db(1e-6, 2e-7, 1e-10) == pytest.approx(6.99, abs=0.01)
-    got = engine.sinr_db(np.array([1e-6, 1e-6]), np.array([0.0, 2e-7]), 1e-10)
-    np.testing.assert_allclose(got, [40.0, expected])
+    # noise set 40 dB below the received signal, no interferer
+    cfg = SimConfig()
+    plan = phy.build_resource_plan(cfg)
+    signal = channel.rx_power_dbm(cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
+                                  channel.pathloss_db(50.0))
+    scs_hz = phy.Numerology.from_mu(cfg.mu).scs_khz * 1e3
+    noise_bw_db = 10 * math.log10(plan.nprb_pssch * 12 * scs_hz)
+    density = signal - 40.0 - noise_bw_db - cfg.noise_figure_db
+    assert _hand_drop_sinr((), density) == pytest.approx(40.0)
+    # an interferer as strong as the signal over negligible noise: 0 dB
+    assert _hand_drop_sinr((2,), -300.0) == pytest.approx(0.0, abs=1e-6)
+    # both at once: S / (S + S/1e4) in dB
+    assert _hand_drop_sinr((2,), density) == pytest.approx(-10 * math.log10(1.0001))
 
 
 def test_sinr_strictly_drops_with_extra_interferer():
-    base = engine.sinr_db(1e-6, 1e-8, 1e-10)
-    assert engine.sinr_db(1e-6, 1e-8 + 10 ** -9.5, 1e-10) < base
+    alone = _hand_drop_sinr(())
+    one = _hand_drop_sinr((2,))
+    assert one < alone
+    assert _hand_drop_sinr((2, 3)) < one
 
 
 def test_evaluate_links_isolated_cell_noise_limited():

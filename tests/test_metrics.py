@@ -94,7 +94,7 @@ def test_aggregate_sorts_rows_by_axes():
             _result(SimConfig(ivd_m=10.0, mu=0), 1, 0.5),
         ]
     )
-    assert [(r.ivd_m, r.mu) for r in rows] == [(10.0, 0), (10.0, 2), (40.0, 1)]
+    assert [(r.key.ivd_m, r.key.mu) for r in rows] == [(10.0, 0), (10.0, 2), (40.0, 1)]
 
 
 def test_aggregate_rejects_mixed_fingerprints():
