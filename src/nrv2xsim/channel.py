@@ -22,8 +22,8 @@ def breakpoint_distance_m(tx_height_m: float, rx_height_m: float,
 
 
 def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
-                fc_ghz: float = 5.9, min_distance_m: float = 10.0):
-    """WINNER B1 line-of-sight pathloss in dB.  Accepts scalars or arrays.
+                fc_ghz: float = 5.9, min_distance_m: float = 10.0) -> np.ndarray:
+    """WINNER B1 line-of-sight pathloss in dB of an array of distances.
 
     Below the breakpoint: 22.7 log10(d) + 41.0 + 20 log10(fc/5).
     At and beyond it:     40 log10(d) + 9.45 - 17.3 log10(h'_tx)
@@ -44,10 +44,7 @@ def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
     far = (40.0 * np.log10(d) + 9.45
            - 17.3 * np.log10(h_tx) - 17.3 * np.log10(h_rx)
            + 2.7 * freq_term)
-    out = np.where(d < d_bp, near, far)
-    if np.ndim(distance_m) == 0:
-        return float(out)
-    return out
+    return np.where(d < d_bp, near, far)
 
 
 def shadowing_db(rng: np.random.Generator, sigma_db: float, size=None):

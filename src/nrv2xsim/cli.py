@@ -41,7 +41,7 @@ def _resolve_config(args) -> SimConfig:
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     plan = phy.build_resource_plan(cfg)
-    counts = engine.simulate_drops(cfg, plan, cfg.seed)
+    (counts,) = engine.simulate_drops(cfg, plan, cfg.seed, (cfg.l2sm_delta_db,))
     result = engine._finalize(cfg, plan, cfg.seed, counts)
     metrics.write_run_csv(result, args.out)
     log.info("wrote %s (fingerprint %s, seed %d)", args.out, result.fingerprint, result.seed)
@@ -59,9 +59,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sweep_worker(item):
-    cfg, seed = item
-    return engine.execute_run(cfg, seed)
+def _sinr_groups(runs) -> list[tuple[SimConfig, int, tuple[float, ...]]]:
+    """(config without l2sm_delta_db, seed, deltas): runs that differ only in
+    the sensitivity shift share one SINR pass."""
+    groups: dict[tuple[SimConfig, int], list[float]] = {}
+    for cfg, seed in runs:
+        groups.setdefault((replace(cfg, l2sm_delta_db=0.0), seed), []).append(
+            cfg.l2sm_delta_db)
+    return [(cfg, seed, tuple(deltas)) for (cfg, seed), deltas in groups.items()]
+
+
+def _sweep_worker(group):
+    return engine.execute_run(*group)
 
 
 def _cmd_sweep(args) -> int:
@@ -69,15 +78,18 @@ def _cmd_sweep(args) -> int:
     if args.overrides:
         campaign = replace(campaign, base=apply_overrides(campaign.base, args.overrides))
     runs = expand_campaign(campaign)
+    groups = _sinr_groups(runs)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    log.info("expanding campaign: %d runs, %d worker(s)", len(runs), jobs)
-    if jobs == 1 or len(runs) < 2:
-        results = [_sweep_worker(item) for item in runs]
+    log.info("expanding campaign: %d runs in %d SINR groups, %d worker(s)",
+             len(runs), len(groups), jobs)
+    if jobs == 1 or len(groups) < 2:
+        per_group = [_sweep_worker(group) for group in groups]
     else:
-        chunk = max(1, len(runs) // (jobs * 4))
+        chunk = max(1, len(groups) // (jobs * 4))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, runs, chunksize=chunk))
-    rows = metrics.aggregate(results)
+            per_group = list(pool.map(_sweep_worker, groups, chunksize=chunk))
+    # aggregate sorts its rows, so the order of the results does not matter
+    rows = metrics.aggregate(r for results in per_group for r in results)
     metrics.write_sweep_csv(rows, args.out)
     log.info("wrote %s (%d sweep points)", args.out, len(rows))
     return 0

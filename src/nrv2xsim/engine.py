@@ -16,7 +16,7 @@ its ceiling, so dropped vehicles contribute no runtime samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,24 +120,66 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray, cfg: SimConfig,
         dist, cfg.ue_height_m, cfg.ue_height_m, cfg.carrier_freq_ghz,
         cfg.min_pathloss_distance_m,
     )
-    return _LinkBatch(tx=tx, rx=rx, pathloss_db=np.asarray(pl, dtype=float))
+    return _LinkBatch(tx=tx, rx=rx, pathloss_db=pl)
+
+
+def _phase_ratio(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
+                 links: _LinkBatch, p: int, noise_mw: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Linear SINR of every link in phase p: its signal over the interferers
+    holding its grant in other cells, plus noise.  Its per-link temporaries
+    are freed on return, before the decision stage allocates its own."""
+    n_links = links.tx.size
+    x, y = dep.x_m, dep.y_m
+    tx_cell = dep.serving[links.tx]
+    shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, n_links)
+    signal_dbm = channel.rx_power_dbm(
+        cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
+        links.pathloss_db, shadow,
+    )
+    signal_mw = 10.0 ** (signal_dbm / 10.0)
+    interference_mw = np.zeros(n_links)
+    grant = sched.resource[p, links.tx]
+    for c in range(len(dep.sites)):
+        occ = sched.occupant[p, c, grant]
+        hit = np.flatnonzero((occ >= 0) & (tx_cell != c))
+        if hit.size == 0:
+            continue
+        src = occ[hit]
+        dst = links.rx[hit]
+        dist = np.hypot(x[src] - x[dst], y[src] - y[dst])
+        pl = channel.pathloss_db(
+            dist, cfg.ue_height_m, cfg.ue_height_m,
+            cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
+        )
+        shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, hit.size)
+        power_dbm = channel.rx_power_dbm(
+            cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
+        )
+        interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
+    return signal_mw / (interference_mw + noise_mw)
 
 
 @dataclass(frozen=True, eq=False)
 class _Evaluation:
     links: _LinkBatch
     sinr_db: np.ndarray       # (phases, links)
-    received: np.ndarray      # (decisions, links)
+    received: np.ndarray      # (shifts, decisions, links), one row per distinct shift
+    shift_row: np.ndarray     # row of received for each requested delta
 
 
 def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
                     plan: phy.ResourcePlan, sched: SlotSchedule,
                     table: l2sm.BlerTable, tx_ids: np.ndarray,
-                    rng: np.random.Generator) -> _Evaluation:
+                    rng: np.random.Generator,
+                    deltas: tuple[float, ...]) -> _Evaluation:
+    """One SINR pass over the drop's links, decided under every sensitivity
+    shift in ``deltas`` (cfg.l2sm_delta_db is not read)."""
     mcs = plan.phase_mcs
     num_phases = len(mcs)
     # the sensitivity shift applies to retransmission lookups only
-    delta_db = cfg.l2sm_delta_db if num_phases == 2 else 0.0
+    effective = [d if num_phases == 2 else 0.0 for d in deltas]
+    shifts, shift_row = np.unique(effective, return_inverse=True)
 
     num = phy.Numerology.from_mu(cfg.mu)
     noise_dbm = channel.noise_power_dbm(
@@ -147,38 +189,9 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
     noise_mw = 10.0 ** (noise_dbm / 10.0)
 
     links = _build_links(dep, tx_ids, cfg)
-    n_links = links.tx.size
-    x, y = dep.x_m, dep.y_m
-    tx_cell = dep.serving[links.tx]
-
-    ratio = np.empty((num_phases, n_links))  # linear wideband SINR
+    ratio = np.empty((num_phases, links.tx.size))  # linear wideband SINR
     for p in range(num_phases):
-        shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, n_links)
-        signal_dbm = channel.rx_power_dbm(
-            cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
-            links.pathloss_db, shadow,
-        )
-        signal_mw = 10.0 ** (signal_dbm / 10.0)
-        interference_mw = np.zeros(n_links)
-        grant = sched.resource[p, links.tx]
-        for c in range(len(dep.sites)):
-            occ = sched.occupant[p, c, grant]
-            hit = np.flatnonzero((occ >= 0) & (tx_cell != c))
-            if hit.size == 0:
-                continue
-            src = occ[hit]
-            dst = links.rx[hit]
-            dist = np.hypot(x[src] - x[dst], y[src] - y[dst])
-            pl = channel.pathloss_db(
-                dist, cfg.ue_height_m, cfg.ue_height_m,
-                cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
-            )
-            shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, hit.size)
-            power_dbm = channel.rx_power_dbm(
-                cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
-            )
-            interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
-        ratio[p] = signal_mw / (interference_mw + noise_mw)
+        ratio[p] = _phase_ratio(cfg, dep, sched, links, p, noise_mw, rng)
 
     sinr = 10.0 * np.log10(ratio)
     decision_sinr = sinr
@@ -187,11 +200,14 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
             decision_sinr = sinr.mean(axis=0, keepdims=True)
         else:
             decision_sinr = 10.0 * np.log10(ratio.mean(axis=0, keepdims=True))
+    # one uniform per link and decision, compared against the BLER of every
+    # shift: the stream is the one a single-shift run draws
     received = np.stack([
-        l2sm.reception_draw(l2sm.bler_lookup(table, mcs[d], s, delta_db), rng)
+        l2sm.reception_draw(l2sm.bler_lookup(table, mcs[d], s, shifts[:, None]), rng)
         for d, s in enumerate(decision_sinr)
-    ])
-    return _Evaluation(links=links, sinr_db=sinr, received=received)
+    ], axis=1)
+    return _Evaluation(links=links, sinr_db=sinr, received=received,
+                       shift_row=shift_row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,20 +218,22 @@ class _DropCounts:
     n: np.ndarray             # (decisions, transmitters) successes
 
 
-def _drop_counts(cfg: SimConfig, plan: phy.ResourcePlan, seed) -> _DropCounts:
+def _drop_counts(cfg: SimConfig, plan: phy.ResourcePlan, seed,
+                 deltas: tuple[float, ...]) -> list[_DropCounts]:
+    """One drop, one SINR pass; its counts under each shift in ``deltas``."""
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
     sched = schedule_slots(dep, plan, rng)
     table = l2sm.active_table(cfg)
     tx_ids = np.flatnonzero(sched.assigned)
-    ev = _evaluate_links(cfg, dep, plan, sched, table, tx_ids, rng)
+    ev = _evaluate_links(cfg, dep, plan, sched, table, tx_ids, rng, deltas)
 
     link_tx = ev.links.tx
     uniq, start = np.unique(link_tx, return_index=True)
     bounds = np.append(start, link_tx.size)
     m = np.diff(bounds)
-    n = np.add.reduceat(ev.received.astype(np.int64), start, axis=1)
-    return _DropCounts(dep=dep, tx_ids=uniq, m=m, n=n)
+    n = np.add.reduceat(ev.received, start, axis=2, dtype=np.int64)
+    return [_DropCounts(dep=dep, tx_ids=uniq, m=m, n=n[row]) for row in ev.shift_row]
 
 
 def _finalize(cfg: SimConfig, plan: phy.ResourcePlan, seed_label: int,
@@ -245,16 +263,32 @@ def _drop_seed(seed: int, drop_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(drop_index,))
 
 
-def simulate_drops(cfg: SimConfig, plan: phy.ResourcePlan,
-                   seed: int) -> list[_DropCounts]:
-    """Per-drop counts of cfg.drops independent drops under one seed."""
-    return [_drop_counts(cfg, plan, _drop_seed(seed, i)) for i in range(cfg.drops)]
+def simulate_drops(cfg: SimConfig, plan: phy.ResourcePlan, seed: int,
+                   deltas: tuple[float, ...]) -> list[list[_DropCounts]]:
+    """Per-drop counts of cfg.drops independent drops under one seed, one
+    list of drops per shift in ``deltas``."""
+    drops = [_drop_counts(cfg, plan, _drop_seed(seed, i), deltas)
+             for i in range(cfg.drops)]
+    return [list(per_delta) for per_delta in zip(*drops)]
 
 
-def execute_run(cfg: SimConfig, seed: int) -> metrics.RunResult:
-    """Run cfg.drops independent drops under one seed and pool their samples."""
+def execute_run(cfg: SimConfig, seed: int, deltas: tuple[float, ...] | None = None
+                ) -> metrics.RunResult | list[metrics.RunResult]:
+    """Run cfg.drops independent drops under one seed and pool their samples.
+
+    Without ``deltas`` this returns the RunResult of cfg.  With them it
+    returns one RunResult per delta, each equal to that of
+    ``replace(cfg, l2sm_delta_db=delta)`` run alone: the shift enters only
+    at the BLER lookup, so every delta shares one SINR pass.
+    """
     plan = phy.build_resource_plan(cfg)
-    return _finalize(cfg, plan, seed, simulate_drops(cfg, plan, seed))
+    if deltas is None:
+        (counts,) = simulate_drops(cfg, plan, seed, (cfg.l2sm_delta_db,))
+        return _finalize(cfg, plan, seed, counts)
+    return [
+        _finalize(replace(cfg, l2sm_delta_db=delta), plan, seed, counts)
+        for delta, counts in zip(deltas, simulate_drops(cfg, plan, seed, deltas))
+    ]
 
 
 def run_sample_table(counts: list[_DropCounts]) -> list[tuple[int, int, int, int, int]]:

@@ -131,27 +131,27 @@ def active_table(cfg) -> BlerTable:
     return default_bler_table()
 
 
-def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db: float = 0.0):
-    """BLER at (sinr + delta): linear interpolation, constant beyond the grid."""
+def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db=0.0) -> np.ndarray:
+    """BLER at (sinr + delta): linear interpolation, constant beyond the grid.
+
+    ``delta_db`` broadcasts against ``sinr_db``: a ``(shifts, 1)`` column of
+    shifts against ``(links,)`` SINRs gives a ``(shifts, links)`` BLER stack.
+    """
     curve = table.curves.get(int(mcs))
     if curve is None:
         raise ValueError(f"unknown mcs: {mcs}")
     snr, bler = curve
-    query = np.asarray(sinr_db, dtype=float) + delta_db
-    out = np.interp(query, snr, bler)
-    if np.ndim(sinr_db) == 0:
-        return float(out)
-    return out
+    return np.interp(np.asarray(sinr_db, dtype=float) + delta_db, snr, bler)
 
 
-def reception_draw(bler, rng: np.random.Generator):
-    """Bernoulli reception: draw X ~ U[0,1); received iff X >= bler.
+def reception_draw(bler, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli reception: draw X ~ U[0,1) per link; received iff X >= bler.
 
-    P(received) = 1 - bler.  Accepts a scalar or an array of BLER values.
+    P(received) = 1 - bler.  ``bler`` is ``(links,)`` or a ``(shifts, links)``
+    stack; every row is compared against the same ``(links,)`` draw, so the
+    stream consumed is the same whatever the number of rows.
     """
     b = np.asarray(bler, dtype=float)
     if np.any(b < 0) or np.any(b > 1):
         raise ValueError("bler must lie in [0, 1]")
-    if b.ndim == 0:
-        return bool(rng.random() >= float(b))
-    return rng.random(b.shape) >= b
+    return rng.random(b.shape[-1]) >= b

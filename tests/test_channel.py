@@ -9,7 +9,7 @@ from nrv2xsim import channel
 def test_pathloss_near_branch_value():
     # below the breakpoint (~19.7 m at 1.5 m antennas) the 22.7 log10 slope rules
     expected = 22.7 * math.log10(15.0) + 41.0 + 20 * math.log10(1.18)
-    assert channel.pathloss_db(15.0) == pytest.approx(expected, abs=1e-9)
+    assert channel.pathloss_db(np.array([15.0])) == pytest.approx(expected, abs=1e-9)
 
 
 def test_pathloss_far_branch_value():
@@ -17,13 +17,13 @@ def test_pathloss_far_branch_value():
     expected = (
         40 * 2 + 9.45 - 2 * 17.3 * math.log10(0.5) + 2.7 * math.log10(1.18)
     )
-    assert channel.pathloss_db(100.0) == pytest.approx(expected, abs=1e-9)
-    assert channel.pathloss_db(100.0) == pytest.approx(100.06, abs=0.01)
+    assert channel.pathloss_db(np.array([100.0])) == pytest.approx(expected, abs=1e-9)
+    assert channel.pathloss_db(np.array([100.0])) == pytest.approx(100.06, abs=0.01)
 
 
 def test_pathloss_clamps_below_minimum():
-    assert channel.pathloss_db(3.0) == channel.pathloss_db(10.0)
-    assert channel.pathloss_db(0.0) == channel.pathloss_db(10.0)
+    assert channel.pathloss_db(np.array([3.0])) == channel.pathloss_db(np.array([10.0]))
+    assert channel.pathloss_db(np.array([0.0])) == channel.pathloss_db(np.array([10.0]))
 
 
 def test_pathloss_monotone():
@@ -35,14 +35,15 @@ def test_pathloss_monotone():
 def test_breakpoint_continuity():
     d_bp = channel.breakpoint_distance_m(1.5, 1.5, 5.9)
     gap = abs(
-        channel.pathloss_db(d_bp * (1 - 1e-9)) - channel.pathloss_db(d_bp * (1 + 1e-9))
+        channel.pathloss_db(np.array([d_bp * (1 - 1e-9)]))
+        - channel.pathloss_db(np.array([d_bp * (1 + 1e-9)]))
     )
     assert gap < 0.5
 
 
 def test_pathloss_rejects_low_antennas():
     with pytest.raises(ValueError, match="effective antenna height"):
-        channel.pathloss_db(100.0, tx_height_m=1.0)
+        channel.pathloss_db(np.array([100.0]), tx_height_m=1.0)
 
 
 def test_shadowing_zero_sigma_is_exact():

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from nrv2xsim import cli, engine
+from nrv2xsim import cli, engine, metrics
+from nrv2xsim.config import expand_campaign, parse_campaign
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,9 +91,9 @@ def test_run_dump_samples_simulates_each_drop_once(tmp_path, capsys, monkeypatch
     calls = []
     drop_counts = engine._drop_counts
 
-    def counting(cfg, plan, seed):
+    def counting(cfg, plan, seed, deltas):
         calls.append(seed)
-        return drop_counts(cfg, plan, seed)
+        return drop_counts(cfg, plan, seed, deltas)
 
     monkeypatch.setattr(engine, "_drop_counts", counting)
     out = tmp_path / "run.csv"
@@ -156,6 +158,42 @@ def test_sweep_deterministic_and_parallel_identical(tmp_path, capsys):
     lines = outs[0].read_text().splitlines()
     assert len(lines) == 3  # header + 2 sweep points
     assert lines[1].split(",")[6] == "2"  # seed_count
+
+
+def test_sweep_builds_links_once_per_sinr_group(tmp_path, capsys, caplog, monkeypatch):
+    # 2 schemes x 3 deltas x 2 seeds = 12 runs in 4 groups of one SINR pass
+    campaign = {
+        "base": {"mu": 2, "bandwidth_mhz": 20, "ivd_m": 80, "drops": 2},
+        "sweep_retx": ["none", "nonequal:2"],
+        "sweep_l2sm_delta_db": [3, 5, 7],
+        "seeds": [1, 2],
+    }
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps(campaign))
+    calls = []
+    build_links = engine._build_links
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return build_links(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_build_links", counting)
+    caplog.set_level(logging.INFO, logger="nrv2xsim")
+    out = tmp_path / "sweep.csv"
+    code, _ = run_cli(
+        ["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"], capsys
+    )
+    assert code == 0
+    assert len(calls) == 4 * 2  # one per (group, drop)
+    assert "expanding campaign: 12 runs in 4 SINR groups, 1 worker(s)" in caplog.messages
+    # the grouped sweep writes the bytes of one execute_run per run
+    monkeypatch.setattr(engine, "_build_links", build_links)
+    runs = expand_campaign(parse_campaign(cfg_path.read_text()))
+    alone = tmp_path / "alone.csv"
+    metrics.write_sweep_csv(
+        metrics.aggregate(engine.execute_run(cfg, seed) for cfg, seed in runs), alone
+    )
+    assert out.read_bytes() == alone.read_bytes()
 
 
 def test_sweep_rejects_negative_seed_before_running(tmp_path, capsys):

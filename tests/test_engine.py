@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -114,7 +114,8 @@ def _evaluate(cfg, seed=0):
     dep, plan, sched, rng = _setup(cfg, seed)
     tx_ids = np.flatnonzero(sched.assigned)
     ev = engine._evaluate_links(
-        cfg, dep, plan, sched, l2sm.default_bler_table(), tx_ids, rng
+        cfg, dep, plan, sched, l2sm.default_bler_table(), tx_ids, rng,
+        (cfg.l2sm_delta_db,),
     )
     return dep, plan, ev
 
@@ -144,7 +145,7 @@ def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
                                 resource=resource, occupant=occupant)
     ev = engine._evaluate_links(cfg, dep, phy.build_resource_plan(cfg), sched,
                                 l2sm.default_bler_table(), np.array([0]),
-                                np.random.default_rng(0))
+                                np.random.default_rng(0), (cfg.l2sm_delta_db,))
     assert ev.links.tx.tolist() == [0] and ev.links.rx.tolist() == [1]
     return float(ev.sinr_db[0, 0])
 
@@ -154,7 +155,7 @@ def test_sinr_db():
     cfg = SimConfig()
     plan = phy.build_resource_plan(cfg)
     signal = channel.rx_power_dbm(cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
-                                  channel.pathloss_db(50.0))
+                                  channel.pathloss_db(np.array([50.0]))[0])
     scs_hz = phy.Numerology.from_mu(cfg.mu).scs_khz * 1e3
     noise_bw_db = 10 * math.log10(plan.nprb_pssch * 12 * scs_hz)
     density = signal - 40.0 - noise_bw_db - cfg.noise_figure_db
@@ -194,7 +195,7 @@ def test_no_link_has_a_dropped_transmitter():
     # one cell of 1038 vehicles against a 700-transmitter budget
     cfg = SimConfig(highway_length_m=1732.0, num_gnb=1, ivd_m=10.0)
     plan = phy.build_resource_plan(cfg)
-    counts = engine._drop_counts(cfg, plan, 0)
+    (counts,) = engine._drop_counts(cfg, plan, 0, (cfg.l2sm_delta_db,))
     # _drop_counts draws its deployment and schedule from the same stream
     _, _, sched, _ = _setup(cfg, seed=0)
     assert sched.dropped.size == 338
@@ -216,7 +217,7 @@ def test_equal_retx_outcome_shapes_and_delta():
     _, plan, ev = _evaluate(cfg)
     n_links = ev.links.tx.size
     assert ev.sinr_db.shape == (2, n_links)
-    assert ev.received.shape == (1, n_links)
+    assert ev.received.shape == (1, 1, n_links)  # (shifts, decisions, links)
     # shift dominance carried through the lookup
     table = l2sm.default_bler_table()
     mcs = plan.phase_mcs[0]
@@ -228,8 +229,8 @@ def test_equal_retx_outcome_shapes_and_delta():
 
 def test_equal_retx_same_sinr_reproduces_single_bler():
     table = l2sm.default_bler_table()
-    for s in (-3.0, 0.0, 4.2):
-        combined = 10 * math.log10((10 ** (s / 10) + 10 ** (s / 10)) / 2)
+    for s in (np.array([-3.0]), np.array([0.0]), np.array([4.2])):
+        combined = 10 * np.log10((10 ** (s / 10) + 10 ** (s / 10)) / 2)
         assert l2sm.bler_lookup(table, 6, combined, 0.0) == pytest.approx(
             l2sm.bler_lookup(table, 6, s, 0.0), abs=1e-12
         )
@@ -262,8 +263,8 @@ def test_nonequal_outcome_keeps_phase_decisions():
     _, _, ev = _evaluate(cfg)
     n_links = ev.links.tx.size
     assert ev.sinr_db.shape == (2, n_links)
-    assert ev.received.shape == (2, n_links)
-    assert ev.received[0].any() and ev.received[1].any()
+    assert ev.received.shape == (1, 2, n_links)  # (shifts, decisions, links)
+    assert ev.received[0, 0].any() and ev.received[0, 1].any()
 
 
 def test_execute_run_deterministic():
@@ -318,6 +319,40 @@ def test_execute_run_no_receiver_sentinel(base, retx):
         assert result.prr_effective == 0.0
 
 
+def _assert_same_result(grouped, alone):
+    for f in fields(alone):
+        a, b = getattr(grouped, f.name), getattr(alone, f.name)
+        if isinstance(b, float) and math.isnan(b):
+            assert math.isnan(a), f.name
+        else:
+            assert a == b, f.name
+
+
+# two cells, so the shared SINR pass carries cross-cell interference
+TWO_CELLS = SimConfig(
+    highway_length_m=3464.0, num_gnb=2, mu=2, bandwidth_mhz=20.0, ivd_m=40.0,
+    drops=2,
+)
+GROUP_DELTAS = (3.0, 0.0, 7.0, 5.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(TWO_CELLS, retx_scheme="none"),
+    replace(TWO_CELLS, retx_scheme="equal"),
+    replace(TWO_CELLS, retx_scheme="equal", retx_sinr_combining="db"),
+    replace(TWO_CELLS, retx_scheme="nonequal:2"),
+    replace(TWO_CELLS, retx_scheme="nonequal:4"),
+    replace(NO_RECEIVER, retx_scheme="nonequal:2", drops=2),
+    replace(ZERO_CAPACITY, retx_scheme="equal", drops=2),
+], ids=["none", "equal_linear", "equal_db", "nonequal2", "nonequal4",
+        "no_receiver", "zero_capacity"])
+def test_grouped_deltas_equal_each_run_alone(cfg):
+    grouped = engine.execute_run(cfg, 6, GROUP_DELTAS)
+    assert len(grouped) == len(GROUP_DELTAS)
+    for delta, result in zip(GROUP_DELTAS, grouped):
+        _assert_same_result(result, engine.execute_run(replace(cfg, l2sm_delta_db=delta), 6))
+
+
 def test_nonequal_run_reports_phase_prrs():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:3", l2sm_delta_db=3.0)
     result = engine.execute_run(cfg, 9)
@@ -333,7 +368,7 @@ def test_execute_run_pools_drops():
     plan = phy.build_resource_plan(cfg)
     pooled = engine.execute_run(cfg, 7)
     singles = [
-        engine._drop_counts(cfg, plan, engine._drop_seed(7, i)).tx_ids.size
+        engine._drop_counts(cfg, plan, engine._drop_seed(7, i), (0.0,))[0].tx_ids.size
         for i in range(3)
     ]
     assert pooled.samples == sum(singles)
@@ -374,7 +409,8 @@ def test_equal_retx_beats_single_tx_when_noise_limited():
 def test_run_sample_table_matches_result():
     cfg = replace(NOISE_LIMITED, ivd_m=100.0, drops=2)
     plan = phy.build_resource_plan(cfg)
-    rows = engine.run_sample_table(engine.simulate_drops(cfg, plan, 3))
+    (counts,) = engine.simulate_drops(cfg, plan, 3, (cfg.l2sm_delta_db,))
+    rows = engine.run_sample_table(counts)
     result = engine.execute_run(cfg, 3)
     assert len(rows) == result.samples
     assert {row[0] for row in rows} == {0, 1}

@@ -59,15 +59,15 @@ def test_load_rejects_bad_header():
 def test_lookup_constant_extrapolation():
     table = l2sm.default_bler_table()
     snr, bler = table.curves[5]
-    assert l2sm.bler_lookup(table, 5, snr[0] - 100.0) == bler[0]
-    assert l2sm.bler_lookup(table, 5, snr[-1] + 100.0) == bler[-1]
+    assert l2sm.bler_lookup(table, 5, np.array([snr[0] - 100.0])) == bler[0]
+    assert l2sm.bler_lookup(table, 5, np.array([snr[-1] + 100.0])) == bler[-1]
     assert bler[0] > 0.99
     assert bler[-1] < 1e-6
 
 
 def test_lookup_unknown_mcs():
     with pytest.raises(ValueError, match="unknown mcs"):
-        l2sm.bler_lookup(l2sm.default_bler_table(), 16, 0.0)
+        l2sm.bler_lookup(l2sm.default_bler_table(), 16, np.array([0.0]))
 
 
 @given(
@@ -78,7 +78,7 @@ def test_lookup_unknown_mcs():
 @settings(max_examples=200)
 def test_shift_identity_exact(mcs, grid_index, delta):
     table = l2sm.default_bler_table()
-    s = float(table.curves[mcs][0][grid_index])
+    s = table.curves[mcs][0][grid_index : grid_index + 1]
     assert l2sm.bler_lookup(table, mcs, s, delta) == l2sm.bler_lookup(
         table, mcs, s + delta, 0.0
     )
@@ -107,10 +107,29 @@ def test_higher_mcs_never_easier():
 
 def test_reception_extremes():
     rng = np.random.default_rng(0)
-    assert all(l2sm.reception_draw(0.0, rng) for _ in range(100))
-    assert not any(l2sm.reception_draw(1.0, rng) for _ in range(100))
+    assert all(l2sm.reception_draw(np.array([0.0]), rng) for _ in range(100))
+    assert not any(l2sm.reception_draw(np.array([1.0]), rng) for _ in range(100))
     with pytest.raises(ValueError):
-        l2sm.reception_draw(1.5, rng)
+        l2sm.reception_draw(np.array([1.5]), rng)
+
+
+def test_reception_stack_shares_one_draw_per_link():
+    # a (shifts, links) stack consumes the stream of one (links,) draw
+    table = l2sm.default_bler_table()
+    sinr = np.random.default_rng(3).uniform(-10.0, 20.0, 5000)
+    shifts = np.array([0.0, 3.0, 7.0])
+    stack = l2sm.bler_lookup(table, 9, sinr, shifts[:, None])
+    rng = np.random.default_rng(11)
+    received = l2sm.reception_draw(stack, rng)
+    after = rng.random()
+    assert received.shape == (3, sinr.size)
+    for row, bler, shift in zip(received, stack, shifts):
+        np.testing.assert_array_equal(bler, l2sm.bler_lookup(table, 9, sinr, shift))
+        alone = np.random.default_rng(11)
+        np.testing.assert_array_equal(row, l2sm.reception_draw(bler, alone))
+        assert alone.random() == after
+    # a larger shift only ever turns a loss into a reception
+    assert np.all(received[0] <= received[1]) and np.all(received[1] <= received[2])
 
 
 def test_reception_binomial_concentration():
