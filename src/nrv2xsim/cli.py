@@ -111,7 +111,7 @@ def _cmd_capacity(args) -> int:
         ("nprb_total", str(plan.nprb_total)),
         ("ue_per_slot", str(plan.ue_per_slot)),
         ("ue_supported", str(plan.ue_supported)),
-        ("ue_per_gnb", str(plan.ue_per_gnb)),
+        ("cell_population", ";".join(map(str, plan.cell_population))),
         ("prr_max", f"{plan.prr_max:.6f}"),
     ]
     if args.csv:

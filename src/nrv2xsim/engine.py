@@ -86,78 +86,142 @@ def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
     )
 
 
+# Transmitters per pass of the link kernel.  Every per-link temporary of the
+# link search and of the SINR pass spans one block's links, so a dense drop's
+# peak memory stays near its kept arrays while numpy calls stay few.
+_TX_BLOCK = 64
+# Pads each lane window beyond x +/- range: far above the rounding of those
+# sums on any highway shorter than ~1000 km, so the exact mask still decides.
+_WINDOW_PAD_M = 1e-9
+
+
+def _tx_blocks(num_tx: int) -> list[slice]:
+    """Consecutive slices of at most _TX_BLOCK transmitters over num_tx."""
+    return [slice(lo, min(lo + _TX_BLOCK, num_tx)) for lo in range(0, num_tx, _TX_BLOCK)]
+
+
 @dataclass(frozen=True, eq=False)
 class _LinkBatch:
-    tx: np.ndarray            # vehicle id per link, tx-major
-    rx: np.ndarray
-    pathloss_db: np.ndarray
+    """In-range links, tx-major with rx ascending per transmitter."""
+
+    tx_ids: np.ndarray        # the transmitters searched, in order
+    counts: np.ndarray        # links per transmitter
+    rx: np.ndarray            # receiver per link
+    pathloss_db: np.ndarray   # per link
+
+    @property
+    def tx(self) -> np.ndarray:
+        """Transmitter per link."""
+        return np.repeat(self.tx_ids, self.counts)
+
+    def blocks(self) -> list[tuple[slice, slice]]:
+        """(transmitter slice, link slice) of each block of transmitters."""
+        bounds = np.concatenate(([0], np.cumsum(self.counts)))
+        return [(ts, slice(int(bounds[ts.start]), int(bounds[ts.stop])))
+                for ts in _tx_blocks(self.tx_ids.size)]
 
 
-def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray, cfg: SimConfig,
-                 block_size: int = 512) -> _LinkBatch:
+def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
+                 cfg: SimConfig) -> _LinkBatch:
+    """Every receiver within comm_range_m of each transmitter, and its pathloss.
+
+    generate_deployment numbers vehicles lane-major with x ascending inside
+    each lane, so a transmitter's candidates in one lane are one contiguous id
+    range, found by np.searchsorted on that lane's x.  Inside those windows
+    the exact ``dx*dx + dy*dy <= range**2`` mask decides, as over every vehicle.
+    """
     x, y = dep.x_m, dep.y_m
-    range_sq = float(cfg.comm_range_m) ** 2
-    tx_parts, rx_parts, dist_parts = [], [], []
-    for lo in range(0, tx_ids.size, block_size):
-        block = tx_ids[lo : lo + block_size]
-        dx = x[block, None] - x[None, :]
-        dy = y[block, None] - y[None, :]
+    reach = float(cfg.comm_range_m)
+    range_sq = reach**2
+    lane_start = np.concatenate(([0], np.cumsum(np.bincount(dep.lane))))
+    num_lanes = lane_start.size - 1
+    tx_x = x[tx_ids]
+    # (transmitters, lanes) candidate id windows [first, last)
+    first = np.empty((tx_ids.size, num_lanes), dtype=np.int64)
+    last = np.empty((tx_ids.size, num_lanes), dtype=np.int64)
+    for k in range(num_lanes):
+        a, b = lane_start[k], lane_start[k + 1]
+        first[:, k] = a + np.searchsorted(x[a:b], tx_x - reach - _WINDOW_PAD_M, "left")
+        last[:, k] = a + np.searchsorted(x[a:b], tx_x + reach + _WINDOW_PAD_M, "right")
+
+    counts = np.empty(tx_ids.size, dtype=np.int64)
+    rx_parts, pl_parts = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for ts in _tx_blocks(tx_ids.size):
+        block = tx_ids[ts]
+        width = (last[ts] - first[ts]).ravel()
+        # candidate ids window after window, in (transmitter, lane) order
+        shift = first[ts].ravel() - (np.cumsum(width) - width)
+        cand = np.repeat(shift, width) + np.arange(width.sum())
+        row = np.repeat(np.arange(block.size), width.reshape(block.size, -1).sum(axis=1))
+        src = block[row]
+        dx = x[src] - x[cand]
+        dy = y[src] - y[cand]
         d2 = dx * dx + dy * dy
-        mask = d2 <= range_sq
-        mask[np.arange(block.size), block] = False
-        rows, cols = np.nonzero(mask)
-        tx_parts.append(block[rows])
-        rx_parts.append(cols.astype(np.int64))
-        dist_parts.append(np.sqrt(d2[rows, cols]))
-    if tx_parts:
-        tx = np.concatenate(tx_parts)
-        rx = np.concatenate(rx_parts)
-        dist = np.concatenate(dist_parts)
-    else:
-        tx = rx = np.empty(0, dtype=np.int64)
-        dist = np.empty(0)
-    pl = channel.pathloss_db(
-        dist, cfg.ue_height_m, cfg.ue_height_m, cfg.carrier_freq_ghz,
-        cfg.min_pathloss_distance_m,
-    )
-    return _LinkBatch(tx=tx, rx=rx, pathloss_db=pl)
+        keep = (d2 <= range_sq) & (cand != src)
+        counts[ts] = np.bincount(row[keep], minlength=block.size)
+        rx_parts.append(cand[keep])
+        pl_parts.append(channel.pathloss_db(
+            np.sqrt(d2[keep]), cfg.ue_height_m, cfg.ue_height_m,
+            cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
+        ))
+    return _LinkBatch(tx_ids=tx_ids, counts=counts, rx=np.concatenate(rx_parts),
+                      pathloss_db=np.concatenate(pl_parts))
 
 
 def _phase_ratio(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                  links: _LinkBatch, p: int, noise_mw: float,
                  rng: np.random.Generator) -> np.ndarray:
     """Linear SINR of every link in phase p: its signal over the interferers
-    holding its grant in other cells, plus noise.  Its per-link temporaries
-    are freed on return, before the decision stage allocates its own."""
-    n_links = links.tx.size
+    holding its grant in other cells, plus noise.
+
+    Works through one block of transmitters at a time.  The interferer on a
+    grant depends only on the transmitter, so it is read once per transmitter
+    and repeated over that transmitter's links.  Shadowing is drawn pass by
+    pass in whole-drop order (the signal of every link, then the interfered
+    links of cell 0, of cell 1, ...), and consecutive ``rng.normal`` calls
+    yield the values and end state of one call over their total size.
+    """
     x, y = dep.x_m, dep.y_m
-    tx_cell = dep.serving[links.tx]
-    shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, n_links)
-    signal_dbm = channel.rx_power_dbm(
-        cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
-        links.pathloss_db, shadow,
-    )
-    signal_mw = 10.0 ** (signal_dbm / 10.0)
-    interference_mw = np.zeros(n_links)
-    grant = sched.resource[p, links.tx]
+    blocks = links.blocks()
+    ratio = np.empty(links.rx.size)
+    for _, ls in blocks:
+        shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, ls.stop - ls.start)
+        signal_dbm = channel.rx_power_dbm(
+            cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
+            links.pathloss_db[ls], shadow,
+        )
+        ratio[ls] = 10.0 ** (signal_dbm / 10.0)
+    interference_mw = np.zeros(links.rx.size)
+    grant = sched.resource[p, links.tx_ids]
+    tx_cell = dep.serving[links.tx_ids]
     for c in range(len(dep.sites)):
-        occ = sched.occupant[p, c, grant]
-        hit = np.flatnonzero((occ >= 0) & (tx_cell != c))
-        if hit.size == 0:
-            continue
-        src = occ[hit]
-        dst = links.rx[hit]
-        dist = np.hypot(x[src] - x[dst], y[src] - y[dst])
-        pl = channel.pathloss_db(
-            dist, cfg.ue_height_m, cfg.ue_height_m,
-            cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
-        )
-        shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, hit.size)
-        power_dbm = channel.rx_power_dbm(
-            cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
-        )
-        interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
-    return signal_mw / (interference_mw + noise_mw)
+        occ = sched.occupant[p, c, grant]           # interferer per transmitter
+        hit = (occ >= 0) & (tx_cell != c)
+        for ts, ls in blocks:
+            block_hit = hit[ts]
+            if not block_hit.any():
+                continue
+            # under load every transmitter of a block is usually interfered,
+            # and its links are then one slice
+            hit_links = (slice(None) if block_hit.all()
+                         else np.flatnonzero(np.repeat(block_hit, links.counts[ts])))
+            src = occ[ts][block_hit]
+            per_src = links.counts[ts][block_hit]
+            dst = links.rx[ls][hit_links]
+            dist = np.hypot(np.repeat(x[src], per_src) - x[dst],
+                            np.repeat(y[src], per_src) - y[dst])
+            pl = channel.pathloss_db(
+                dist, cfg.ue_height_m, cfg.ue_height_m,
+                cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
+            )
+            shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, dst.size)
+            power_dbm = channel.rx_power_dbm(
+                cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
+            )
+            interference_mw[ls][hit_links] += 10.0 ** (power_dbm / 10.0)
+    interference_mw += noise_mw
+    ratio /= interference_mw
+    return ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +253,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
     noise_mw = 10.0 ** (noise_dbm / 10.0)
 
     links = _build_links(dep, tx_ids, cfg)
-    ratio = np.empty((num_phases, links.tx.size))  # linear wideband SINR
+    ratio = np.empty((num_phases, links.rx.size))  # linear wideband SINR
     for p in range(num_phases):
         ratio[p] = _phase_ratio(cfg, dep, sched, links, p, noise_mw, rng)
 
@@ -228,12 +292,13 @@ def _drop_counts(cfg: SimConfig, plan: phy.ResourcePlan, seed,
     tx_ids = np.flatnonzero(sched.assigned)
     ev = _evaluate_links(cfg, dep, plan, sched, table, tx_ids, rng, deltas)
 
-    link_tx = ev.links.tx
-    uniq, start = np.unique(link_tx, return_index=True)
-    bounds = np.append(start, link_tx.size)
-    m = np.diff(bounds)
+    links = ev.links
+    heard = links.counts > 0
+    m = links.counts[heard]
+    start = np.cumsum(m) - m
     n = np.add.reduceat(ev.received, start, axis=2, dtype=np.int64)
-    return [_DropCounts(dep=dep, tx_ids=uniq, m=m, n=n[row]) for row in ev.shift_row]
+    return [_DropCounts(dep=dep, tx_ids=links.tx_ids[heard], m=m, n=n[row])
+            for row in ev.shift_row]
 
 
 def _finalize(cfg: SimConfig, plan: phy.ResourcePlan, seed_label: int,

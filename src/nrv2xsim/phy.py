@@ -51,29 +51,27 @@ class Numerology:
 @dataclass(frozen=True)
 class CqiEntry:
     cqi_index: int
-    modulation: str
-    code_rate: float        # target code rate
     efficiency: float       # bits per resource element
 
 
 # 4-bit CQI table with 256QAM entries (the variant used for sidelink MCS
 # selection here).  Efficiency is strictly increasing in the index.
 CQI_TABLE = (
-    CqiEntry(1, "qpsk", 78 / 1024, 0.1523),
-    CqiEntry(2, "qpsk", 193 / 1024, 0.3770),
-    CqiEntry(3, "qpsk", 449 / 1024, 0.8770),
-    CqiEntry(4, "16qam", 378 / 1024, 1.4766),
-    CqiEntry(5, "16qam", 490 / 1024, 1.9141),
-    CqiEntry(6, "16qam", 616 / 1024, 2.4063),
-    CqiEntry(7, "64qam", 466 / 1024, 2.7305),
-    CqiEntry(8, "64qam", 567 / 1024, 3.3223),
-    CqiEntry(9, "64qam", 666 / 1024, 3.9023),
-    CqiEntry(10, "64qam", 772 / 1024, 4.5234),
-    CqiEntry(11, "64qam", 873 / 1024, 5.1152),
-    CqiEntry(12, "256qam", 711 / 1024, 5.5547),
-    CqiEntry(13, "256qam", 797 / 1024, 6.2266),
-    CqiEntry(14, "256qam", 885 / 1024, 6.9141),
-    CqiEntry(15, "256qam", 948 / 1024, 7.4063),
+    CqiEntry(1, 0.1523),
+    CqiEntry(2, 0.3770),
+    CqiEntry(3, 0.8770),
+    CqiEntry(4, 1.4766),
+    CqiEntry(5, 1.9141),
+    CqiEntry(6, 2.4063),
+    CqiEntry(7, 2.7305),
+    CqiEntry(8, 3.3223),
+    CqiEntry(9, 3.9023),
+    CqiEntry(10, 4.5234),
+    CqiEntry(11, 5.1152),
+    CqiEntry(12, 5.5547),
+    CqiEntry(13, 6.2266),
+    CqiEntry(14, 6.9141),
+    CqiEntry(15, 7.4063),
 )
 
 
@@ -125,11 +123,13 @@ def ue_supported(per_slot: int, slots_per_second: int, tf_hz: float,
     return math.floor(per_slot * slots_per_second / (tf_hz * retx_factor))
 
 
-def prr_max(supported: int, ue_gnb: int) -> float:
-    """Overload ceiling on PRR: capped at 1 when the cell is not overloaded."""
-    if ue_gnb <= 0:
-        raise ValueError(f"ue_gnb must be positive, got {ue_gnb}")
-    return min(1.0, supported / ue_gnb)
+def prr_max(supported: int, *populations: int) -> float:
+    """Overload ceiling on PRR: the share of the vehicles of one or more cells
+    that get a grant when each cell grants at most ``supported``; 1 when no
+    cell is overloaded."""
+    if any(n < 0 for n in populations) or sum(populations) <= 0:
+        raise ValueError(f"cell populations must sum to a positive count, got {populations}")
+    return sum(min(supported, n) for n in populations) / sum(populations)
 
 
 def phase_shares(retx_scheme: str) -> tuple[float, ...]:
@@ -153,8 +153,9 @@ class ResourcePlan:
     nprb_total: int
     ue_per_slot: int
     ue_supported: int       # per second, after the retransmission factor
-    ue_per_gnb: int         # per-cell population by the spacing formula
-    prr_max: float          # overload ceiling; 1 for an empty cell
+    ue_per_gnb: int         # per-cell demand behind the MCS: the spacing formula over isd_m
+    cell_population: tuple[int, ...]  # vehicles per cell over its highway segment
+    prr_max: float          # overload ceiling over those cells; 1 for an empty highway
     phase_mcs: tuple[int, ...]  # CQI index per transmission phase
     subcarriers_per_prb: int = SUBCARRIERS_PER_PRB
 
@@ -171,6 +172,7 @@ def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
     shares = phase_shares(cfg.retx_scheme)
     supported = ue_supported(per_slot, num.slots_per_second, cfg.tf_hz, len(shares))
     ue_gnb = scenario.ue_per_gnb_count(cfg.isd_m, cfg.ivd_m, 2 * cfg.lanes_per_direction)
+    population = scenario.cell_populations(cfg)
     # a shorter window needs a denser MCS for the same demand
     se_base = required_se(cfg.packet_size_bytes, ue_gnb, cfg.tf_hz, cfg.bandwidth_mhz * 1e6)
     return ResourcePlan(
@@ -181,6 +183,7 @@ def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
         ue_per_slot=per_slot,
         ue_supported=supported,
         ue_per_gnb=ue_gnb,
-        prr_max=prr_max(supported, ue_gnb) if ue_gnb > 0 else 1.0,
+        cell_population=population,
+        prr_max=prr_max(supported, *population) if sum(population) > 0 else 1.0,
         phase_mcs=tuple(select_cqi(se_base / share).cqi_index for share in shares),
     )

@@ -20,10 +20,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class GnbSite:
-    id: int
     x_m: float
     y_m: float
-    height_m: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +55,19 @@ def ue_per_gnb_count(isd_m: float, ivd_m: float, num_lanes: int) -> int:
     return math.floor(isd_m / ivd_m) * num_lanes
 
 
+def cell_populations(cfg: "SimConfig") -> tuple[int, ...]:
+    """Vehicles per cell: the spacing formula over each cell's segment of the
+    highway under nearest-site serving.  Site k serves [k, k + 1) * isd_m and
+    the last site takes the remainder, up to highway_length_m."""
+    num_lanes = 2 * cfg.lanes_per_direction
+    lengths = [
+        min(cfg.isd_m, max(cfg.highway_length_m - k * cfg.isd_m, 0.0))
+        for k in range(cfg.num_gnb - 1)
+    ]
+    lengths.append(max(cfg.highway_length_m - (cfg.num_gnb - 1) * cfg.isd_m, 0.0))
+    return tuple(ue_per_gnb_count(length, cfg.ivd_m, num_lanes) for length in lengths)
+
+
 def generate_deployment(cfg: "SimConfig", rng: np.random.Generator) -> Deployment:
     num_lanes = 2 * cfg.lanes_per_direction
     per_lane = vehicles_per_lane(cfg.highway_length_m, cfg.ivd_m)
@@ -69,13 +80,7 @@ def generate_deployment(cfg: "SimConfig", rng: np.random.Generator) -> Deploymen
 
     median_y = cfg.lanes_per_direction * cfg.lane_width_m
     sites = tuple(
-        GnbSite(
-            id=k,
-            x_m=(k + 0.5) * cfg.isd_m,
-            y_m=median_y,
-            height_m=cfg.gnb_height_m,
-        )
-        for k in range(cfg.num_gnb)
+        GnbSite(x_m=(k + 0.5) * cfg.isd_m, y_m=median_y) for k in range(cfg.num_gnb)
     )
     site_x = np.array([s.x_m for s in sites])
     site_y = np.array([s.y_m for s in sites])

@@ -46,6 +46,24 @@ def test_capacity_csv(capsys):
     assert row["ue_supported"] == "600"
 
 
+def test_capacity_reports_cell_populations(capsys):
+    code, out = run_cli(["capacity", "--csv", "--set", "ivd_m=10"], capsys)
+    assert code == 0
+    header, values = out.splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    assert row["cell_population"] == "1038;1038;1038"
+    assert row["prr_max"] == "0.674374"
+    # one site serves the whole 5196 m highway: 700 of 3114 vehicles transmit
+    code, out = run_cli(
+        ["capacity", "--csv", "--set", "num_gnb=1", "--set", "ivd_m=10"], capsys
+    )
+    assert code == 0
+    header, values = out.splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    assert row["cell_population"] == "3114"
+    assert row["prr_max"] == "0.224791"
+
+
 def test_tables_prb(capsys):
     code, out = run_cli(["tables", "--prb"], capsys)
     assert code == 0

@@ -1,8 +1,12 @@
+import copy
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from nrv2xsim import channel, engine, l2sm, phy, scenario
@@ -109,6 +113,50 @@ def test_interferer_count_bounded_by_other_cells():
         assert len(others) <= num_cells - 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    highway_length_m=st.floats(300.0, 6000.0),
+    num_gnb=st.integers(1, 4),
+    isd_m=st.floats(200.0, 2500.0),
+    ivd_m=st.floats(5.0, 100.0),
+    lanes_per_direction=st.integers(1, 3),
+    mu=st.sampled_from([0, 1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ceiling_matches_scheduled_cells(highway_length_m, num_gnb, isd_m, ivd_m,
+                                         lanes_per_direction, mu, seed):
+    # the ceiling describes the simulated cells: each planned population is
+    # within one vehicle per lane of the served count (the random lane phase)
+    cfg = SimConfig(highway_length_m=highway_length_m, num_gnb=num_gnb, isd_m=isd_m,
+                    ivd_m=ivd_m, lanes_per_direction=lanes_per_direction, mu=mu)
+    dep, plan, sched, _ = _setup(cfg, seed)
+    lanes = 2 * lanes_per_direction
+    served = np.bincount(dep.serving, minlength=num_gnb)
+    granted = np.bincount(dep.serving[sched.assigned], minlength=num_gnb)
+    assert np.array_equal(granted, np.minimum(plan.ue_supported, served))
+    population = np.array(plan.cell_population)
+    assert np.all(np.abs(population - served) <= lanes)
+    # the ceiling lies between its values over the extremes of that band
+    low, high = np.maximum(served - lanes, 0), served + lanes
+    sup = plan.ue_supported
+    lowest = np.minimum(sup, low).sum() / high.sum()
+    highest = np.minimum(sup, high).sum() / low.sum() if low.sum() else 1.0
+    assert lowest <= plan.prr_max <= min(highest, 1.0)
+    if population.sum() == 0:
+        assert plan.prr_max == 1.0
+
+
+def test_ceiling_counts_the_whole_highway():
+    # one cell serves all 3114 vehicles of the 5196 m highway; 700 transmit
+    plan = phy.build_resource_plan(SimConfig(num_gnb=1, ivd_m=10.0))
+    assert plan.cell_population == (3114,)
+    assert plan.prr_max == 700 / 3114
+    # a highway equal to the sites' span keeps the per-cell formula
+    plan = phy.build_resource_plan(SimConfig(ivd_m=10.0))
+    assert plan.cell_population == (1038,) * 3
+    assert plan.prr_max == phy.prr_max(700, 1038)
+
+
 def _evaluate(cfg, seed=0):
     """Every granted transmitter of one drop through the engine's link stage."""
     dep, plan, sched, rng = _setup(cfg, seed)
@@ -126,14 +174,16 @@ def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
     Vehicle 0 in cell 0 transmits to vehicle 1 (also cell 0) 50 m away.
     Vehicles 2 (cell 1) and 3 (cell 2) sit 50 m and 60 m from the receiver,
     out of the transmitter's 60 m range, and share its grant when listed.
+    Vehicle 3 has a lane of its own, so ids stay lane-major with x ascending
+    in each lane, as generate_deployment numbers them.
     """
     cfg = SimConfig(comm_range_m=60.0, shadowing_sigma_db=0.0,
                     noise_density_dbm_hz=noise_density_dbm_hz)
     serving = np.array([0, 0, 1, 2])
     dep = scenario.Deployment(
         x_m=np.array([0.0, 50.0, 100.0, 50.0]), y_m=np.array([0.0, 0.0, 0.0, 60.0]),
-        lane=np.zeros(4, dtype=np.int64), serving=serving,
-        sites=tuple(scenario.GnbSite(c, 0.0, 0.0, 35.0) for c in range(3)),
+        lane=np.array([0, 0, 0, 1]), serving=serving,
+        sites=tuple(scenario.GnbSite(0.0, 0.0) for _ in range(3)),
         lanes_per_direction=1,
     )
     resource = np.full((1, 4), -1, dtype=np.int64)
@@ -171,6 +221,79 @@ def test_sinr_strictly_drops_with_extra_interferer():
     one = _hand_drop_sinr((2,))
     assert one < alone
     assert _hand_drop_sinr((2, 3)) < one
+
+
+def _reference_phase_ratio(cfg, dep, sched, links, p, noise_mw, rng):
+    """The whole-array SINR pass: every per-link temporary spans all links,
+    and each cell gathers the grant and its interferer once per link."""
+    n_links = links.tx.size
+    x, y = dep.x_m, dep.y_m
+    tx_cell = dep.serving[links.tx]
+    shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, n_links)
+    signal_dbm = channel.rx_power_dbm(
+        cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, links.pathloss_db, shadow,
+    )
+    signal_mw = 10.0 ** (signal_dbm / 10.0)
+    interference_mw = np.zeros(n_links)
+    grant = sched.resource[p, links.tx]
+    for c in range(len(dep.sites)):
+        occ = sched.occupant[p, c, grant]
+        hit = np.flatnonzero((occ >= 0) & (tx_cell != c))
+        if hit.size == 0:
+            continue
+        src = occ[hit]
+        dst = links.rx[hit]
+        dist = np.hypot(x[src] - x[dst], y[src] - y[dst])
+        pl = channel.pathloss_db(
+            dist, cfg.ue_height_m, cfg.ue_height_m,
+            cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
+        )
+        shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, hit.size)
+        power_dbm = channel.rx_power_dbm(
+            cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
+        )
+        interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
+    return signal_mw / (interference_mw + noise_mw)
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(ivd_m=40.0),
+    SimConfig(ivd_m=40.0, retx_scheme="equal"),
+    SimConfig(ivd_m=40.0, retx_scheme="nonequal:2", mu=1),
+    SimConfig(ivd_m=40.0, retx_scheme="nonequal:4", mu=2, bandwidth_mhz=20.0),
+    SimConfig(ivd_m=40.0, retx_scheme="equal", comm_range_m=0.0),
+    SimConfig(bandwidth_mhz=5.0, mu=1, max_mcs_efficiency=0.25, retx_scheme="equal"),
+], ids=["none", "equal", "nonequal2", "nonequal4", "zero_range", "zero_capacity"])
+@pytest.mark.parametrize("transmitters", [1, 63, 64, 65, 129, None])
+def test_phase_ratio_matches_whole_array_pass(cfg, transmitters):
+    # the same SINR bytes and the same end state of the stream, whatever the
+    # number of transmitters on either side of a block boundary
+    dep, plan, sched, rng = _setup(cfg, seed=3)
+    tx_ids = np.flatnonzero(sched.assigned)[:transmitters]
+    links = engine._build_links(dep, tx_ids, cfg)
+    reference_rng = copy.deepcopy(rng)
+    for p in range(len(plan.phase_mcs)):
+        ratio = engine._phase_ratio(cfg, dep, sched, links, p, 1e-12, rng)
+        expected = _reference_phase_ratio(cfg, dep, sched, links, p, 1e-12, reference_rng)
+        assert ratio.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_dense_drop_memory_per_link():
+    # a refactor that brings back full-length per-link temporaries fails here
+    # (the whole-array pass peaked at 156 bytes per link on this drop)
+    cfg = SimConfig(mu=2, bandwidth_mhz=20.0, ivd_m=10.0, retx_scheme="equal",
+                    l2sm_delta_db=5.0)
+    plan = phy.build_resource_plan(cfg)
+    tracemalloc.start()
+    try:
+        (counts,) = engine._drop_counts(cfg, plan, 0, (cfg.l2sm_delta_db,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    links = int(counts.m.sum())
+    assert links > 1_000_000
+    assert peak <= 96 * links
 
 
 def test_evaluate_links_isolated_cell_noise_limited():

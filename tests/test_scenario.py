@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nrv2xsim import engine, phy, scenario
+from nrv2xsim import channel, engine, phy, scenario
 from nrv2xsim.config import SimConfig
 
 
@@ -67,7 +69,15 @@ def test_sites_spacing():
     xs = [s.x_m for s in dep.sites]
     assert len(xs) == 3
     assert np.allclose(np.diff(xs), cfg.isd_m)
-    assert all(s.height_m == cfg.gnb_height_m for s in dep.sites)
+
+
+@pytest.mark.parametrize("ivd_m,lanes_per_direction", [(20.0, 3), (7.5, 1), (333.0, 2)])
+def test_deployment_ids_are_lane_major_x_ascending(ivd_m, lanes_per_direction):
+    # the engine's link search finds each lane's window by binary search
+    _, dep = _deployment(seed=7, ivd_m=ivd_m, lanes_per_direction=lanes_per_direction)
+    assert np.all(np.diff(dep.lane) >= 0)
+    for lane in range(2 * lanes_per_direction):
+        assert np.all(np.diff(dep.x_m[dep.lane == lane]) > 0)
 
 
 def test_deployment_reproducible():
@@ -79,27 +89,52 @@ def test_deployment_reproducible():
     assert not np.array_equal(dep_a.x_m, dep_c.x_m)
 
 
-def _links(cfg, dep, block_size=512):
+def _links(cfg, dep):
     """(tx, rx) pairs of the engine's neighbour search over every vehicle."""
     tx_ids = np.arange(dep.num_vehicles)
-    links = engine._build_links(dep, tx_ids, cfg, block_size=block_size)
+    links = engine._build_links(dep, tx_ids, cfg)
     return list(zip(links.tx.tolist(), links.rx.tolist()))
 
 
-def test_neighbors_brute_force_oracle():
-    cfg, dep = _deployment(seed=2, ivd_m=100.0)
-    # tx-major, rx ascending, self excluded; a small block size crosses blocks
-    expected = [
-        (t, r)
-        for t in range(dep.num_vehicles)
-        for r in range(dep.num_vehicles)
-        if r != t
-        and (dep.x_m[r] - dep.x_m[t]) ** 2 + (dep.y_m[r] - dep.y_m[t]) ** 2
-        <= cfg.comm_range_m**2
-    ]
-    assert _links(cfg, dep) == expected
-    assert _links(cfg, dep, block_size=7) == expected
-    assert len(expected) > 0
+def _brute_force_links(cfg, dep, tx_ids):
+    """tx, rx and pathloss of every in-range pair, checked against every vehicle."""
+    dx = dep.x_m[tx_ids, None] - dep.x_m[None, :]
+    dy = dep.y_m[tx_ids, None] - dep.y_m[None, :]
+    d2 = dx * dx + dy * dy
+    mask = d2 <= float(cfg.comm_range_m) ** 2
+    mask[np.arange(tx_ids.size), tx_ids] = False
+    rows, rx = np.nonzero(mask)
+    pl = channel.pathloss_db(
+        np.sqrt(d2[rows, rx]), cfg.ue_height_m, cfg.ue_height_m,
+        cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
+    )
+    return tx_ids[rows], rx, pl
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ivd_m=st.floats(4.0, 400.0),
+    lanes_per_direction=st.integers(1, 3),
+    comm_range_m=st.one_of(st.just(0.0), st.just(6000.0), st.floats(0.0, 800.0)),
+    subset=st.sampled_from([1, 63, 64, 65, 129]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_neighbors_brute_force_oracle(ivd_m, lanes_per_direction, comm_range_m,
+                                      subset, seed):
+    # tx-major, rx ascending, self excluded, the same pathloss bytes; subsets
+    # of 63..65 and 129 transmitters sit on both sides of block boundaries
+    cfg, dep = _deployment(seed=seed, ivd_m=ivd_m, lanes_per_direction=lanes_per_direction,
+                           comm_range_m=comm_range_m)
+    rng = np.random.default_rng(seed)
+    size = min(subset, dep.num_vehicles)
+    tx_ids = np.sort(rng.choice(dep.num_vehicles, size=size, replace=False))
+    links = engine._build_links(dep, tx_ids, cfg)
+    tx, rx, pl = _brute_force_links(cfg, dep, tx_ids)
+    assert np.array_equal(links.tx, tx)
+    assert np.array_equal(links.rx, rx)
+    assert links.pathloss_db.tobytes() == pl.tobytes()
+    assert np.array_equal(links.counts, np.bincount(np.searchsorted(tx_ids, tx),
+                                                    minlength=tx_ids.size))
 
 
 def test_neighbors_symmetry():
