@@ -10,6 +10,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -41,7 +42,7 @@ def _resolve_config(args) -> SimConfig:
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     plan = phy.build_resource_plan(cfg)
-    (counts,) = engine.simulate_drops(cfg, plan, cfg.seed, (cfg.l2sm_delta_db,))
+    (counts,) = engine.simulate_drops([cfg], [plan], cfg.seed)
     result = engine._finalize(cfg, plan, cfg.seed, counts)
     metrics.write_run_csv(result, args.out)
     log.info("wrote %s (fingerprint %s, seed %d)", args.out, result.fingerprint, result.seed)
@@ -59,18 +60,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sinr_groups(runs) -> list[tuple[SimConfig, int, tuple[float, ...]]]:
-    """(config without l2sm_delta_db, seed, deltas): runs that differ only in
-    the sensitivity shift share one SINR pass."""
-    groups: dict[tuple[SimConfig, int], list[float]] = {}
+def _sinr_groups(runs) -> list[tuple[list[SimConfig], int]]:
+    """(member configs, seed): runs that differ only in engine.POST_PASS_FIELDS
+    share each drop's deployment and, per schedule signature, its SINR pass."""
+    groups: dict[tuple[SimConfig, int], list[SimConfig]] = {}
     for cfg, seed in runs:
-        groups.setdefault((replace(cfg, l2sm_delta_db=0.0), seed), []).append(
-            cfg.l2sm_delta_db)
-    return [(cfg, seed, tuple(deltas)) for (cfg, seed), deltas in groups.items()]
+        groups.setdefault((engine.pass_config(cfg), seed), []).append(cfg)
+    return [(members, seed) for (_, seed), members in groups.items()]
 
 
 def _sweep_worker(group):
     return engine.execute_run(*group)
+
+
+def _run_groups(groups, jobs: int):
+    """Each group's results, in group order, as the groups finish."""
+    if jobs == 1 or len(groups) < 2:
+        yield from map(_sweep_worker, groups)
+        return
+    chunk = max(1, len(groups) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_sweep_worker, groups, chunksize=chunk)
 
 
 def _cmd_sweep(args) -> int:
@@ -82,14 +92,16 @@ def _cmd_sweep(args) -> int:
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     log.info("expanding campaign: %d runs in %d SINR groups, %d worker(s)",
              len(runs), len(groups), jobs)
-    if jobs == 1 or len(groups) < 2:
-        per_group = [_sweep_worker(group) for group in groups]
-    else:
-        chunk = max(1, len(groups) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_group = list(pool.map(_sweep_worker, groups, chunksize=chunk))
+    results = []
+    start = time.perf_counter()
+    for group_results in _run_groups(groups, jobs):
+        results.extend(group_results)
+        elapsed = time.perf_counter() - start
+        eta = elapsed * (len(runs) - len(results)) / len(results)
+        log.info("progress: %d/%d runs, %.1f s elapsed, ETA %.1f s",
+                 len(results), len(runs), elapsed, eta)
     # aggregate sorts its rows, so the order of the results does not matter
-    rows = metrics.aggregate(r for results in per_group for r in results)
+    rows = metrics.aggregate(results)
     metrics.write_sweep_csv(rows, args.out)
     log.info("wrote %s (%d sweep points)", args.out, len(rows))
     return 0

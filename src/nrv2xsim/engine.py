@@ -12,16 +12,38 @@ Capacity dropping is per cell: the first ``ue_supported`` vehicles of a
 random order transmit, the rest keep listening but lose their transmit
 opportunity.  The overload penalty enters the effective PRR only through
 its ceiling, so dropped vehicles contribute no runtime samples.
+
+One drop can serve several runs.  Runs whose configs differ only in
+POST_PASS_FIELDS share its deployment; those that also share a schedule
+signature share the schedule, the links and every link's signal and
+interference.  Each run then adds its own noise and decides from its own
+copy of the stream, so its result is the one it gets alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import channel, l2sm, metrics, phy, scenario
 from .config import SimConfig, config_fingerprint
+
+
+# Config fields that act only after the SINR pass: through the resource plan
+# (capacity, phase count, MCS), the noise bandwidth and the decision stage.
+# Runs that differ only in these share a drop's deployment, and the runs of
+# one schedule signature share its links and interference (_drop_counts).
+POST_PASS_FIELDS = ("mu", "tf_hz", "retx_scheme", "l2sm_delta_db")
+_POST_PASS_DEFAULTS = {name: getattr(SimConfig(), name) for name in POST_PASS_FIELDS}
+
+
+def pass_config(cfg: SimConfig) -> SimConfig:
+    """cfg with every post-pass field at its default: runs whose pass
+    configs and seeds are equal can share one SINR pass."""
+    return replace(cfg, **_POST_PASS_DEFAULTS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +190,12 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
                       pathloss_db=np.concatenate(pl_parts))
 
 
-def _phase_ratio(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
-                 links: _LinkBatch, p: int, noise_mw: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Linear SINR of every link in phase p: its signal over the interferers
-    holding its grant in other cells, plus noise.
+def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
+                  links: _LinkBatch, p: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Received signal and summed interference, in mW, of every link in
+    phase p: its own transmitter, and the interferers holding its grant in
+    other cells.  Noise is left out; each run adds its own.
 
     Works through one block of transmitters at a time.  The interferer on a
     grant depends only on the transmitter, so it is read once per transmitter
@@ -183,14 +206,14 @@ def _phase_ratio(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
     """
     x, y = dep.x_m, dep.y_m
     blocks = links.blocks()
-    ratio = np.empty(links.rx.size)
+    signal_mw = np.empty(links.rx.size)
     for _, ls in blocks:
         shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, ls.stop - ls.start)
         signal_dbm = channel.rx_power_dbm(
             cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
             links.pathloss_db[ls], shadow,
         )
-        ratio[ls] = 10.0 ** (signal_dbm / 10.0)
+        signal_mw[ls] = 10.0 ** (signal_dbm / 10.0)
     interference_mw = np.zeros(links.rx.size)
     grant = sched.resource[p, links.tx_ids]
     tx_cell = dep.serving[links.tx_ids]
@@ -219,59 +242,92 @@ def _phase_ratio(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                 cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
             )
             interference_mw[ls][hit_links] += 10.0 ** (power_dbm / 10.0)
-    interference_mw += noise_mw
-    ratio /= interference_mw
-    return ratio
+    return signal_mw, interference_mw
 
 
-@dataclass(frozen=True, eq=False)
-class _Evaluation:
-    links: _LinkBatch
-    sinr_db: np.ndarray       # (phases, links)
-    received: np.ndarray      # (shifts, decisions, links), one row per distinct shift
-    shift_row: np.ndarray     # row of received for each requested delta
-
-
-def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment,
-                    plan: phy.ResourcePlan, sched: SlotSchedule,
-                    table: l2sm.BlerTable, tx_ids: np.ndarray,
-                    rng: np.random.Generator,
-                    deltas: tuple[float, ...]) -> _Evaluation:
-    """One SINR pass over the drop's links, decided under every sensitivity
-    shift in ``deltas`` (cfg.l2sm_delta_db is not read)."""
-    mcs = plan.phase_mcs
-    num_phases = len(mcs)
-    # the sensitivity shift applies to retransmission lookups only
-    effective = [d if num_phases == 2 else 0.0 for d in deltas]
-    shifts, shift_row = np.unique(effective, return_inverse=True)
-
+def _noise_mw(cfg: SimConfig, plan: phy.ResourcePlan) -> float:
+    """Thermal noise over one message's data PRBs at cfg's numerology."""
     num = phy.Numerology.from_mu(cfg.mu)
     noise_dbm = channel.noise_power_dbm(
         cfg.noise_density_dbm_hz, plan.nprb_pssch, num.scs_khz * 1e3,
         cfg.noise_figure_db,
     )
-    noise_mw = 10.0 ** (noise_dbm / 10.0)
+    return 10.0 ** (noise_dbm / 10.0)
 
-    links = _build_links(dep, tx_ids, cfg)
-    ratio = np.empty((num_phases, links.rx.size))  # linear wideband SINR
-    for p in range(num_phases):
-        ratio[p] = _phase_ratio(cfg, dep, sched, links, p, noise_mw, rng)
 
-    sinr = 10.0 * np.log10(ratio)
-    decision_sinr = sinr
-    if cfg.retx_scheme == "equal":
-        if cfg.retx_sinr_combining == "db":
-            decision_sinr = sinr.mean(axis=0, keepdims=True)
-        else:
-            decision_sinr = 10.0 * np.log10(ratio.mean(axis=0, keepdims=True))
+def _decide(cfg: SimConfig, plan: phy.ResourcePlan, table: l2sm.BlerTable,
+            ratio: np.ndarray, deltas: tuple[float, ...],
+            rng: np.random.Generator) -> list[np.ndarray]:
+    """Reception of every link and decision of cfg under each shift in
+    ``deltas`` (cfg.l2sm_delta_db is not read), from the linear SINR of
+    each phase: one ``(decisions, links)`` array per delta."""
+    mcs = plan.phase_mcs
+    # the sensitivity shift applies to retransmission lookups only
+    effective = [d if len(mcs) == 2 else 0.0 for d in deltas]
+    shifts, shift_row = np.unique(effective, return_inverse=True)
+    if cfg.retx_scheme != "equal":
+        decision_sinr = 10.0 * np.log10(ratio)
+    elif cfg.retx_sinr_combining == "db":
+        decision_sinr = (10.0 * np.log10(ratio)).mean(axis=0, keepdims=True)
+    else:
+        decision_sinr = 10.0 * np.log10(ratio.mean(axis=0, keepdims=True))
     # one uniform per link and decision, compared against the BLER of every
     # shift: the stream is the one a single-shift run draws
     received = np.stack([
         l2sm.reception_draw(l2sm.bler_lookup(table, mcs[d], s, shifts[:, None]), rng)
         for d, s in enumerate(decision_sinr)
     ], axis=1)
-    return _Evaluation(links=links, sinr_db=sinr, received=received,
-                       shift_row=shift_row)
+    return [received[row] for row in shift_row]
+
+
+@dataclass(frozen=True, eq=False)
+class _Evaluation:
+    links: _LinkBatch
+    ratio: list[np.ndarray]     # per member, (phases, links) linear SINR
+    received: list[np.ndarray]  # per member, (decisions, links)
+
+
+def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
+                    table: l2sm.BlerTable, tx_ids: np.ndarray,
+                    rng: np.random.Generator, members: Sequence[SimConfig],
+                    plans: Sequence[phy.ResourcePlan]) -> _Evaluation:
+    """One SINR pass over the links of ``tx_ids`` under sched, decided for
+    every member.
+
+    cfg supplies the fields the pass reads; members differ from it only in
+    POST_PASS_FIELDS and share its phase count.  They share the signal and
+    interference of every link, and each adds its own noise, combining,
+    MCS and shift.  Every group of members that differ only in the shift
+    draws its receptions from its own copy of the post-pass stream, so each
+    member sees the stream of its run alone.
+    """
+    links = _build_links(dep, tx_ids, cfg)
+    signal = np.empty((len(plans[0].phase_mcs), links.rx.size))
+    interference = np.empty_like(signal)
+    for p in range(signal.shape[0]):
+        signal[p], interference[p] = _phase_powers(cfg, dep, sched, links, p, rng)
+
+    # linear SINR per distinct noise power; the last one divides in place
+    noise = [_noise_mw(m, plan) for m, plan in zip(members, plans)]
+    distinct = list(dict.fromkeys(noise))
+    ratio = {n: signal / (interference + n) for n in distinct[:-1]}
+    interference += distinct[-1]
+    signal /= interference
+    ratio[distinct[-1]] = signal
+    del interference
+
+    groups: dict[SimConfig, list[int]] = {}
+    for i, m in enumerate(members):
+        groups.setdefault(replace(m, l2sm_delta_db=0.0), []).append(i)
+    received: dict[int, np.ndarray] = {}
+    for idx in groups.values():
+        i = idx[0]
+        deltas = tuple(members[j].l2sm_delta_db for j in idx)
+        per_delta = _decide(members[i], plans[i], table, ratio[noise[i]], deltas,
+                            copy.deepcopy(rng))
+        received.update(zip(idx, per_delta))
+    return _Evaluation(links=links, ratio=[ratio[n] for n in noise],
+                       received=[received[i] for i in range(len(members))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,23 +338,51 @@ class _DropCounts:
     n: np.ndarray             # (decisions, transmitters) successes
 
 
-def _drop_counts(cfg: SimConfig, plan: phy.ResourcePlan, seed,
-                 deltas: tuple[float, ...]) -> list[_DropCounts]:
-    """One drop, one SINR pass; its counts under each shift in ``deltas``."""
+def _drop_counts(members: Sequence[SimConfig], plans: Sequence[phy.ResourcePlan],
+                 seed) -> list[_DropCounts]:
+    """One drop of every member: one deployment, and one schedule and SINR
+    pass per schedule signature.
+
+    The signature is (phase count, min(ue_supported, largest cell)): it
+    fixes every vehicle kept by the schedule and every permutation drawn,
+    while ue_per_slot changes only the width of the grant grid.  Each
+    signature starts from a copy of the post-deployment stream, so every
+    member sees the stream of its run alone.
+    """
+    cfg = pass_config(members[0])
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
-    sched = schedule_slots(dep, plan, rng)
     table = l2sm.active_table(cfg)
-    tx_ids = np.flatnonzero(sched.assigned)
-    ev = _evaluate_links(cfg, dep, plan, sched, table, tx_ids, rng, deltas)
+    largest = int(np.bincount(dep.serving, minlength=len(dep.sites)).max())
+    signatures: dict[tuple[int, int], list[int]] = {}
+    for i, plan in enumerate(plans):
+        key = (len(plan.phase_mcs), min(plan.ue_supported, largest))
+        signatures.setdefault(key, []).append(i)
 
+    counts: list[_DropCounts | None] = [None] * len(members)
+    for idx in signatures.values():
+        shared = _signature_counts(cfg, dep, table, copy.deepcopy(rng),
+                                   [members[i] for i in idx], [plans[i] for i in idx])
+        for i, dc in zip(idx, shared):
+            counts[i] = dc
+    return counts
+
+
+def _signature_counts(cfg: SimConfig, dep: scenario.Deployment, table: l2sm.BlerTable,
+                      rng: np.random.Generator, members: Sequence[SimConfig],
+                      plans: Sequence[phy.ResourcePlan]) -> list[_DropCounts]:
+    """Counts of members that share a schedule signature: one schedule and
+    one SINR pass, whose arrays die before the next signature's."""
+    sched = schedule_slots(dep, plans[0], rng)
+    ev = _evaluate_links(cfg, dep, sched, table, np.flatnonzero(sched.assigned), rng,
+                         members, plans)
     links = ev.links
     heard = links.counts > 0
     m = links.counts[heard]
     start = np.cumsum(m) - m
-    n = np.add.reduceat(ev.received, start, axis=2, dtype=np.int64)
-    return [_DropCounts(dep=dep, tx_ids=links.tx_ids[heard], m=m, n=n[row])
-            for row in ev.shift_row]
+    return [_DropCounts(dep=dep, tx_ids=links.tx_ids[heard], m=m,
+                        n=np.add.reduceat(received, start, axis=1, dtype=np.int64))
+            for received in ev.received]
 
 
 def _finalize(cfg: SimConfig, plan: phy.ResourcePlan, seed_label: int,
@@ -328,32 +412,35 @@ def _drop_seed(seed: int, drop_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(drop_index,))
 
 
-def simulate_drops(cfg: SimConfig, plan: phy.ResourcePlan, seed: int,
-                   deltas: tuple[float, ...]) -> list[list[_DropCounts]]:
+def simulate_drops(members: Sequence[SimConfig], plans: Sequence[phy.ResourcePlan],
+                   seed: int) -> list[list[_DropCounts]]:
     """Per-drop counts of cfg.drops independent drops under one seed, one
-    list of drops per shift in ``deltas``."""
-    drops = [_drop_counts(cfg, plan, _drop_seed(seed, i), deltas)
-             for i in range(cfg.drops)]
-    return [list(per_delta) for per_delta in zip(*drops)]
+    list of drops per member.  Raises ValueError unless the members differ
+    only in POST_PASS_FIELDS."""
+    cfg, *others = (pass_config(m) for m in members)
+    mixed = sorted(f.name for f in fields(SimConfig)
+                   if any(getattr(o, f.name) != getattr(cfg, f.name) for o in others))
+    if mixed:
+        raise ValueError(f"runs of one SINR pass differ in {', '.join(mixed)}")
+    drops = [_drop_counts(members, plans, _drop_seed(seed, i)) for i in range(cfg.drops)]
+    return [list(per_member) for per_member in zip(*drops)]
 
 
-def execute_run(cfg: SimConfig, seed: int, deltas: tuple[float, ...] | None = None
+def execute_run(cfg: SimConfig | Sequence[SimConfig], seed: int
                 ) -> metrics.RunResult | list[metrics.RunResult]:
     """Run cfg.drops independent drops under one seed and pool their samples.
 
-    Without ``deltas`` this returns the RunResult of cfg.  With them it
-    returns one RunResult per delta, each equal to that of
-    ``replace(cfg, l2sm_delta_db=delta)`` run alone: the shift enters only
-    at the BLER lookup, so every delta shares one SINR pass.
+    For one config this returns its RunResult.  For a sequence of member
+    configs that differ only in POST_PASS_FIELDS it returns one RunResult
+    per member, each equal to that of the member run alone: every drop
+    shares one deployment among the members, and one schedule, link search
+    and interference pass among the members of each schedule signature.
     """
-    plan = phy.build_resource_plan(cfg)
-    if deltas is None:
-        (counts,) = simulate_drops(cfg, plan, seed, (cfg.l2sm_delta_db,))
-        return _finalize(cfg, plan, seed, counts)
-    return [
-        _finalize(replace(cfg, l2sm_delta_db=delta), plan, seed, counts)
-        for delta, counts in zip(deltas, simulate_drops(cfg, plan, seed, deltas))
-    ]
+    members = [cfg] if isinstance(cfg, SimConfig) else list(cfg)
+    plans = [phy.build_resource_plan(m) for m in members]
+    results = [_finalize(m, plan, seed, counts)
+               for m, plan, counts in zip(members, plans, simulate_drops(members, plans, seed))]
+    return results[0] if isinstance(cfg, SimConfig) else results
 
 
 def run_sample_table(counts: list[_DropCounts]) -> list[tuple[int, int, int, int, int]]:

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,9 +110,9 @@ def test_run_dump_samples_simulates_each_drop_once(tmp_path, capsys, monkeypatch
     calls = []
     drop_counts = engine._drop_counts
 
-    def counting(cfg, plan, seed, deltas):
+    def counting(members, plans, seed):
         calls.append(seed)
-        return drop_counts(cfg, plan, seed, deltas)
+        return drop_counts(members, plans, seed)
 
     monkeypatch.setattr(engine, "_drop_counts", counting)
     out = tmp_path / "run.csv"
@@ -179,12 +180,14 @@ def test_sweep_deterministic_and_parallel_identical(tmp_path, capsys):
 
 
 def test_sweep_builds_links_once_per_sinr_group(tmp_path, capsys, caplog, monkeypatch):
-    # 2 schemes x 3 deltas x 2 seeds = 12 runs in 4 groups of one SINR pass
+    # 3 numerologies x 2 schemes x 2 deltas at 2 spacings = 24 runs in 2 groups
     campaign = {
-        "base": {"mu": 2, "bandwidth_mhz": 20, "ivd_m": 80, "drops": 2},
-        "sweep_retx": ["none", "nonequal:2"],
-        "sweep_l2sm_delta_db": [3, 5, 7],
-        "seeds": [1, 2],
+        "base": {"bandwidth_mhz": 10, "drops": 2},
+        "sweep_ivd_m": [20, 100],
+        "sweep_mu": [0, 1, 2],
+        "sweep_retx": ["none", "equal"],
+        "sweep_l2sm_delta_db": [3, 7],
+        "seeds": [1],
     }
     cfg_path = tmp_path / "campaign.json"
     cfg_path.write_text(json.dumps(campaign))
@@ -202,10 +205,44 @@ def test_sweep_builds_links_once_per_sinr_group(tmp_path, capsys, caplog, monkey
         ["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"], capsys
     )
     assert code == 0
-    assert len(calls) == 4 * 2  # one per (group, drop)
-    assert "expanding campaign: 12 runs in 4 SINR groups, 1 worker(s)" in caplog.messages
+    # ivd 20 (about 516 vehicles per cell) overloads some plans: "none"
+    # supports 700/600/400 at mu 0/1/2 and "equal" 350/300/200, so 5 schedule
+    # signatures; ivd 100 (102 per cell) overloads none, so one per scheme
+    assert len(calls) == (5 + 2) * 2  # one per (group, signature, drop)
+    assert "expanding campaign: 24 runs in 2 SINR groups, 1 worker(s)" in caplog.messages
     # the grouped sweep writes the bytes of one execute_run per run
     monkeypatch.setattr(engine, "_build_links", build_links)
+    runs = expand_campaign(parse_campaign(cfg_path.read_text()))
+    alone = tmp_path / "alone.csv"
+    metrics.write_sweep_csv(
+        metrics.aggregate(engine.execute_run(cfg, seed) for cfg, seed in runs), alone
+    )
+    assert out.read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_logs_progress_per_group(tmp_path, capsys, caplog, jobs):
+    campaign = {
+        "base": {"highway_length_m": 1732, "num_gnb": 1, "ivd_m": 200},
+        "sweep_retx": ["none", "equal"],
+        "seeds": [1, 2, 3],
+    }
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps(campaign))
+    caplog.set_level(logging.INFO, logger="nrv2xsim")
+    out = tmp_path / "sweep.csv"
+    code, _ = run_cli(
+        ["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs], capsys
+    )
+    assert code == 0
+    progress = [m for m in caplog.messages if m.startswith("progress: ")]
+    # one line per group of two runs, counting runs up to the total
+    done = [int(m.split()[1].split("/")[0]) for m in progress]
+    assert done == [2, 4, 6]
+    assert all(re.fullmatch(r"progress: \d+/6 runs, \d+\.\d s elapsed, ETA \d+\.\d s", m)
+               for m in progress)
+    assert progress[-1].endswith("ETA 0.0 s")
+    # the log goes to stderr only: the CSV holds the rows of each run alone
     runs = expand_campaign(parse_campaign(cfg_path.read_text()))
     alone = tmp_path / "alone.csv"
     metrics.write_sweep_csv(

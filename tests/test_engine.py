@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from nrv2xsim import channel, engine, l2sm, phy, scenario
+from nrv2xsim import channel, config, engine, l2sm, phy, scenario
 from nrv2xsim.config import SimConfig
 
 # single-cell highway: no cross-cell interference, fast to simulate
@@ -162,8 +162,7 @@ def _evaluate(cfg, seed=0):
     dep, plan, sched, rng = _setup(cfg, seed)
     tx_ids = np.flatnonzero(sched.assigned)
     ev = engine._evaluate_links(
-        cfg, dep, plan, sched, l2sm.default_bler_table(), tx_ids, rng,
-        (cfg.l2sm_delta_db,),
+        cfg, dep, sched, l2sm.default_bler_table(), tx_ids, rng, [cfg], [plan],
     )
     return dep, plan, ev
 
@@ -193,11 +192,11 @@ def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
         occupant[0, serving[v], 0] = v
     sched = engine.SlotSchedule(assigned=resource[0] >= 0, dropped=np.empty(0, np.int64),
                                 resource=resource, occupant=occupant)
-    ev = engine._evaluate_links(cfg, dep, phy.build_resource_plan(cfg), sched,
-                                l2sm.default_bler_table(), np.array([0]),
-                                np.random.default_rng(0), (cfg.l2sm_delta_db,))
+    ev = engine._evaluate_links(cfg, dep, sched, l2sm.default_bler_table(),
+                                np.array([0]), np.random.default_rng(0), [cfg],
+                                [phy.build_resource_plan(cfg)])
     assert ev.links.tx.tolist() == [0] and ev.links.rx.tolist() == [1]
-    return float(ev.sinr_db[0, 0])
+    return float(10.0 * np.log10(ev.ratio[0][0, 0]))
 
 
 def test_sinr_db():
@@ -273,7 +272,8 @@ def test_phase_ratio_matches_whole_array_pass(cfg, transmitters):
     links = engine._build_links(dep, tx_ids, cfg)
     reference_rng = copy.deepcopy(rng)
     for p in range(len(plan.phase_mcs)):
-        ratio = engine._phase_ratio(cfg, dep, sched, links, p, 1e-12, rng)
+        signal, interference = engine._phase_powers(cfg, dep, sched, links, p, rng)
+        ratio = signal / (interference + 1e-12)
         expected = _reference_phase_ratio(cfg, dep, sched, links, p, 1e-12, reference_rng)
         assert ratio.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
@@ -287,7 +287,7 @@ def test_dense_drop_memory_per_link():
     plan = phy.build_resource_plan(cfg)
     tracemalloc.start()
     try:
-        (counts,) = engine._drop_counts(cfg, plan, 0, (cfg.l2sm_delta_db,))
+        (counts,) = engine._drop_counts([cfg], [plan], 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,14 +311,14 @@ def test_evaluate_links_isolated_cell_noise_limited():
         cfg.min_pathloss_distance_m,
     )
     expected = (cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db - pl) - noise
-    np.testing.assert_allclose(ev.sinr_db[0], expected, atol=1e-9)
+    np.testing.assert_allclose(10.0 * np.log10(ev.ratio[0][0]), expected, atol=1e-9)
 
 
 def test_no_link_has_a_dropped_transmitter():
     # one cell of 1038 vehicles against a 700-transmitter budget
     cfg = SimConfig(highway_length_m=1732.0, num_gnb=1, ivd_m=10.0)
     plan = phy.build_resource_plan(cfg)
-    (counts,) = engine._drop_counts(cfg, plan, 0, (cfg.l2sm_delta_db,))
+    (counts,) = engine._drop_counts([cfg], [plan], 0)
     # _drop_counts draws its deployment and schedule from the same stream
     _, _, sched, _ = _setup(cfg, seed=0)
     assert sched.dropped.size == 338
@@ -339,12 +339,12 @@ def test_equal_retx_outcome_shapes_and_delta():
     cfg = replace(NOISE_LIMITED, retx_scheme="equal", l2sm_delta_db=3.0)
     _, plan, ev = _evaluate(cfg)
     n_links = ev.links.tx.size
-    assert ev.sinr_db.shape == (2, n_links)
-    assert ev.received.shape == (1, 1, n_links)  # (shifts, decisions, links)
+    assert ev.ratio[0].shape == (2, n_links)
+    assert ev.received[0].shape == (1, n_links)  # (decisions, links)
     # shift dominance carried through the lookup
     table = l2sm.default_bler_table()
     mcs = plan.phase_mcs[0]
-    x = ev.sinr_db.mean(axis=0)
+    x = 10.0 * np.log10(ev.ratio[0].mean(axis=0))
     with_shift = l2sm.bler_lookup(table, mcs, x, 3.0)
     without = l2sm.bler_lookup(table, mcs, x, 0.0)
     assert np.all(with_shift <= without)
@@ -385,9 +385,9 @@ def test_nonequal_outcome_keeps_phase_decisions():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:2", l2sm_delta_db=5.0)
     _, _, ev = _evaluate(cfg)
     n_links = ev.links.tx.size
-    assert ev.sinr_db.shape == (2, n_links)
-    assert ev.received.shape == (1, 2, n_links)  # (shifts, decisions, links)
-    assert ev.received[0, 0].any() and ev.received[0, 1].any()
+    assert ev.ratio[0].shape == (2, n_links)
+    assert ev.received[0].shape == (2, n_links)  # (decisions, links)
+    assert ev.received[0][0].any() and ev.received[0][1].any()
 
 
 def test_execute_run_deterministic():
@@ -470,10 +470,65 @@ GROUP_DELTAS = (3.0, 0.0, 7.0, 5.0)
 ], ids=["none", "equal_linear", "equal_db", "nonequal2", "nonequal4",
         "no_receiver", "zero_capacity"])
 def test_grouped_deltas_equal_each_run_alone(cfg):
-    grouped = engine.execute_run(cfg, 6, GROUP_DELTAS)
+    grouped = engine.execute_run([replace(cfg, l2sm_delta_db=d) for d in GROUP_DELTAS], 6)
     assert len(grouped) == len(GROUP_DELTAS)
     for delta, result in zip(GROUP_DELTAS, grouped):
         _assert_same_result(result, engine.execute_run(replace(cfg, l2sm_delta_db=delta), 6))
+
+
+# two 1732 m cells of about 258 vehicles: at 10 MHz "none" supports 700/600/400
+# transmitters per cell at mu 0/1/2 and tf 10, the two-phase schemes half of
+# that and tf 20 halves it again, so member sets mix overloaded plans with
+# plans that keep every vehicle
+SHARED_PASS = SimConfig(
+    highway_length_m=3464.0, num_gnb=2, bandwidth_mhz=10.0, ivd_m=40.0,
+    comm_range_m=200.0, drops=2,
+)
+# pass config -> the numerologies its bandwidth allows
+ORACLE_PASSES = {
+    "linear": (SHARED_PASS, (0, 1, 2)),
+    "db": (replace(SHARED_PASS, retx_sinr_combining="db"), (0, 1, 2)),
+    "zero_capacity": (replace(ZERO_CAPACITY, drops=2), (0, 1)),
+    "no_receiver": (replace(NO_RECEIVER, drops=2), (0, 1, 2)),
+}
+
+
+@st.composite
+def _member_sets(draw):
+    base, mus = ORACLE_PASSES[draw(st.sampled_from(sorted(ORACLE_PASSES)))]
+    member = st.builds(
+        lambda mu, tf, retx, delta: replace(base, mu=mu, tf_hz=tf, retx_scheme=retx,
+                                            l2sm_delta_db=delta),
+        st.sampled_from(mus), st.sampled_from((10.0, 20.0)),
+        st.sampled_from(("none", "equal", "nonequal:1", "nonequal:4")),
+        st.sampled_from(config.L2SM_DELTA_VALUES_DB),
+    )
+    return draw(st.lists(member, min_size=1, max_size=6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(members=_member_sets(), seed=st.integers(0, 1000))
+def test_grouped_members_equal_each_run_alone(members, seed):
+    # runs that differ in numerology, message rate, scheme and shift share
+    # each drop's deployment and, per schedule signature, one SINR pass
+    grouped = engine.execute_run(members, seed)
+    assert len(grouped) == len(members)
+    for cfg, result in zip(members, grouped):
+        _assert_same_result(result, engine.execute_run(cfg, seed))
+
+
+def test_every_sweep_axis_splits_or_shares_the_pass():
+    # a new sweep axis must either split the SINR groups (a pass field) or be
+    # one the engine applies after the pass
+    pass_axes = {"ivd_m", "seed"}
+    for name in config._SWEEP_AXES.values():
+        assert (name in pass_axes) != (name in engine.POST_PASS_FIELDS), name
+
+
+def test_execute_run_rejects_members_of_different_passes():
+    members = [NOISE_LIMITED, replace(NOISE_LIMITED, ivd_m=80.0, mu=1)]
+    with pytest.raises(ValueError, match=r"differ in ivd_m$"):
+        engine.execute_run(members, 1)
 
 
 def test_nonequal_run_reports_phase_prrs():
@@ -491,7 +546,7 @@ def test_execute_run_pools_drops():
     plan = phy.build_resource_plan(cfg)
     pooled = engine.execute_run(cfg, 7)
     singles = [
-        engine._drop_counts(cfg, plan, engine._drop_seed(7, i), (0.0,))[0].tx_ids.size
+        engine._drop_counts([cfg], [plan], engine._drop_seed(7, i))[0].tx_ids.size
         for i in range(3)
     ]
     assert pooled.samples == sum(singles)
@@ -532,7 +587,7 @@ def test_equal_retx_beats_single_tx_when_noise_limited():
 def test_run_sample_table_matches_result():
     cfg = replace(NOISE_LIMITED, ivd_m=100.0, drops=2)
     plan = phy.build_resource_plan(cfg)
-    (counts,) = engine.simulate_drops(cfg, plan, 3, (cfg.l2sm_delta_db,))
+    (counts,) = engine.simulate_drops([cfg], [plan], 3)
     rows = engine.run_sample_table(counts)
     result = engine.execute_run(cfg, 3)
     assert len(rows) == result.samples
