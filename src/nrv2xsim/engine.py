@@ -14,10 +14,12 @@ opportunity.  The overload penalty enters the effective PRR only through
 its ceiling, so dropped vehicles contribute no runtime samples.
 
 One drop can serve several runs.  Runs whose configs differ only in
-POST_PASS_FIELDS share its deployment; those that also share a schedule
-signature share the schedule, the links and every link's signal and
-interference.  Each run then adds its own noise and decides from its own
-copy of the stream, so its result is the one it gets alone.
+POST_PASS_FIELDS share its deployment, and sharing then has two levels.
+Runs of one schedule signature share the schedule, the links and every
+link's signal and interference.  Runs of one decision key (noise power,
+phase MCS, combining, effective shift) also share their receptions: each
+key adds its noise and decides from its own copy of the stream, so every
+run's result is the one it gets alone.
 """
 
 from __future__ import annotations
@@ -255,35 +257,33 @@ def _noise_mw(cfg: SimConfig, plan: phy.ResourcePlan) -> float:
     return 10.0 ** (noise_dbm / 10.0)
 
 
+def _shift_db(cfg: SimConfig, plan: phy.ResourcePlan) -> float:
+    """cfg's sensitivity shift: it applies to retransmission lookups only."""
+    return cfg.l2sm_delta_db if len(plan.phase_mcs) == 2 else 0.0
+
+
 def _decide(cfg: SimConfig, plan: phy.ResourcePlan, table: l2sm.BlerTable,
-            ratio: np.ndarray, deltas: tuple[float, ...],
-            rng: np.random.Generator) -> list[np.ndarray]:
-    """Reception of every link and decision of cfg under each shift in
-    ``deltas`` (cfg.l2sm_delta_db is not read), from the linear SINR of
-    each phase: one ``(decisions, links)`` array per delta."""
-    mcs = plan.phase_mcs
-    # the sensitivity shift applies to retransmission lookups only
-    effective = [d if len(mcs) == 2 else 0.0 for d in deltas]
-    shifts, shift_row = np.unique(effective, return_inverse=True)
-    if cfg.retx_scheme != "equal":
-        decision_sinr = 10.0 * np.log10(ratio)
-    elif cfg.retx_sinr_combining == "db":
-        decision_sinr = (10.0 * np.log10(ratio)).mean(axis=0, keepdims=True)
-    else:
-        decision_sinr = 10.0 * np.log10(ratio.mean(axis=0, keepdims=True))
-    # one uniform per link and decision, compared against the BLER of every
-    # shift: the stream is the one a single-shift run draws
-    received = np.stack([
-        l2sm.reception_draw(l2sm.bler_lookup(table, mcs[d], s, shifts[:, None]), rng)
-        for d, s in enumerate(decision_sinr)
-    ], axis=1)
-    return [received[row] for row in shift_row]
+            ratio: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Reception of every link and decision of cfg, ``(decisions, links)``,
+    from the ``(phases, links)`` linear SINR, which it overwrites: the dB
+    are taken in the ratio's own memory."""
+    combine = cfg.retx_scheme == "equal"
+    if combine and cfg.retx_sinr_combining == "linear":
+        ratio = ratio.mean(axis=0, keepdims=True)
+    sinr_db = np.log10(ratio, out=ratio)
+    sinr_db *= 10.0
+    if combine and cfg.retx_sinr_combining == "db":
+        sinr_db = sinr_db.mean(axis=0, keepdims=True)
+    shift = _shift_db(cfg, plan)
+    return np.stack([
+        l2sm.reception_draw(l2sm.bler_lookup(table, plan.phase_mcs[d], s, shift), rng)
+        for d, s in enumerate(sinr_db)
+    ])
 
 
 @dataclass(frozen=True, eq=False)
 class _Evaluation:
     links: _LinkBatch
-    ratio: list[np.ndarray]     # per member, (phases, links) linear SINR
     received: list[np.ndarray]  # per member, (decisions, links)
 
 
@@ -295,11 +295,12 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
     every member.
 
     cfg supplies the fields the pass reads; members differ from it only in
-    POST_PASS_FIELDS and share its phase count.  They share the signal and
-    interference of every link, and each adds its own noise, combining,
-    MCS and shift.  Every group of members that differ only in the shift
-    draws its receptions from its own copy of the post-pass stream, so each
-    member sees the stream of its run alone.
+    POST_PASS_FIELDS and share its phase count, so they share the signal
+    and interference of every link.  A member's receptions then depend only
+    on its decision key (noise power, phase MCS, whether it combines,
+    effective shift; retx_sinr_combining is a pass field).  Each distinct
+    key forms its own linear SINR, the last one in place, and decides from
+    its own copy of the post-pass stream, as its runs would alone.
     """
     links = _build_links(dep, tx_ids, cfg)
     signal = np.empty((len(plans[0].phase_mcs), links.rx.size))
@@ -307,27 +308,24 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
     for p in range(signal.shape[0]):
         signal[p], interference[p] = _phase_powers(cfg, dep, sched, links, p, rng)
 
-    # linear SINR per distinct noise power; the last one divides in place
-    noise = [_noise_mw(m, plan) for m, plan in zip(members, plans)]
-    distinct = list(dict.fromkeys(noise))
-    ratio = {n: signal / (interference + n) for n in distinct[:-1]}
-    interference += distinct[-1]
-    signal /= interference
-    ratio[distinct[-1]] = signal
-    del interference
-
-    groups: dict[SimConfig, list[int]] = {}
-    for i, m in enumerate(members):
-        groups.setdefault(replace(m, l2sm_delta_db=0.0), []).append(i)
-    received: dict[int, np.ndarray] = {}
-    for idx in groups.values():
-        i = idx[0]
-        deltas = tuple(members[j].l2sm_delta_db for j in idx)
-        per_delta = _decide(members[i], plans[i], table, ratio[noise[i]], deltas,
-                            copy.deepcopy(rng))
-        received.update(zip(idx, per_delta))
-    return _Evaluation(links=links, ratio=[ratio[n] for n in noise],
-                       received=[received[i] for i in range(len(members))])
+    keys = [(_noise_mw(m, plan), plan.phase_mcs, m.retx_scheme == "equal", _shift_db(m, plan))
+            for m, plan in zip(members, plans)]
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    received = {}
+    for n, (key, i) in enumerate(first.items(), start=1):
+        if n < len(first):
+            ratio = interference + key[0]
+            np.divide(signal, ratio, out=ratio)
+        else:  # the last key divides in place
+            interference += key[0]
+            signal /= interference
+            ratio = signal
+            del interference
+        received[key] = _decide(members[i], plans[i], table, ratio, copy.deepcopy(rng))
+        del ratio  # before the next key allocates its own
+    return _Evaluation(links=links, received=[received[key] for key in keys])
 
 
 @dataclass(frozen=True, eq=False)

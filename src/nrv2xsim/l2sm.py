@@ -131,12 +131,8 @@ def active_table(cfg) -> BlerTable:
     return default_bler_table()
 
 
-def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db=0.0) -> np.ndarray:
-    """BLER at (sinr + delta): linear interpolation, constant beyond the grid.
-
-    ``delta_db`` broadcasts against ``sinr_db``: a ``(shifts, 1)`` column of
-    shifts against ``(links,)`` SINRs gives a ``(shifts, links)`` BLER stack.
-    """
+def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db: float = 0.0) -> np.ndarray:
+    """BLER at (sinr + delta): linear interpolation, constant beyond the grid."""
     curve = table.curves.get(int(mcs))
     if curve is None:
         raise ValueError(f"unknown mcs: {mcs}")
@@ -147,11 +143,9 @@ def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db=0.0) -> np.ndarray
 def reception_draw(bler, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli reception: draw X ~ U[0,1) per link; received iff X >= bler.
 
-    P(received) = 1 - bler.  ``bler`` is ``(links,)`` or a ``(shifts, links)``
-    stack; every row is compared against the same ``(links,)`` draw, so the
-    stream consumed is the same whatever the number of rows.
+    P(received) = 1 - bler.
     """
     b = np.asarray(bler, dtype=float)
     if np.any(b < 0) or np.any(b > 1):
         raise ValueError("bler must lie in [0, 1]")
-    return rng.random(b.shape[-1]) >= b
+    return rng.random(b.shape) >= b

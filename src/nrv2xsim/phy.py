@@ -30,9 +30,9 @@ PRB_TABLE_MUS = (0, 1, 2)
 
 
 def scs_khz(mu: int) -> int:
-    """Subcarrier spacing in kHz for numerology index mu (0..4)."""
-    if not 0 <= mu <= 4:
-        raise ValueError(f"mu must be in 0..4, got {mu}")
+    """Subcarrier spacing in kHz for numerology index mu (0..2)."""
+    if mu not in PRB_TABLE_MUS:
+        raise ValueError(f"mu must be in 0..2, got {mu}")
     return 15 * 2**mu
 
 
@@ -126,10 +126,11 @@ def ue_supported(per_slot: int, slots_per_second: int, tf_hz: float,
 def prr_max(supported: int, *populations: int) -> float:
     """Overload ceiling on PRR: the share of the vehicles of one or more cells
     that get a grant when each cell grants at most ``supported``; 1 when no
-    cell is overloaded."""
-    if any(n < 0 for n in populations) or sum(populations) <= 0:
-        raise ValueError(f"cell populations must sum to a positive count, got {populations}")
-    return sum(min(supported, n) for n in populations) / sum(populations)
+    cell is overloaded or no cell has a vehicle."""
+    if any(n < 0 for n in populations):
+        raise ValueError(f"cell populations must be non-negative, got {populations}")
+    total = sum(populations)
+    return sum(min(supported, n) for n in populations) / total if total else 1.0
 
 
 def phase_shares(retx_scheme: str) -> tuple[float, ...]:
@@ -184,6 +185,6 @@ def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
         ue_supported=supported,
         ue_per_gnb=ue_gnb,
         cell_population=population,
-        prr_max=prr_max(supported, *population) if sum(population) > 0 else 1.0,
+        prr_max=prr_max(supported, *population),
         phase_mcs=tuple(select_cqi(se_base / share).cqi_index for share in shares),
     )

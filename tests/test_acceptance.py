@@ -78,9 +78,16 @@ def test_criterion_1_prb_table(capsys):
 
 
 def test_criterion_2_scs_formula(capsys):
-    values = [phy.scs_khz(mu) for mu in range(5)]
+    values = [phy.scs_khz(mu) for mu in range(3)]
+    rejected = []
+    for mu in (3, 4):
+        try:
+            phy.scs_khz(mu)
+        except ValueError:
+            rejected.append(mu)
+    ok = values == [15, 30, 60] and rejected == [3, 4]
     with capsys.disabled():
-        _report(2, "SCS(mu) = 15*2^mu", values == [15, 30, 60, 120, 240], str(values))
+        _report(2, "SCS(mu) = 15*2^mu", ok, f"{values}, rejects mu {rejected}")
 
 
 def test_criterion_3_capacity_chain(capsys):

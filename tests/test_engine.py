@@ -157,18 +157,31 @@ def test_ceiling_counts_the_whole_highway():
     assert plan.prr_max == phy.prr_max(700, 1038)
 
 
+def _linear_sinr(cfg, dep, plan, sched, links, rng):
+    """(phases, links) linear SINR of cfg: the pass's signal over its
+    interference plus cfg's noise, the arithmetic of _evaluate_links."""
+    noise = engine._noise_mw(cfg, plan)
+    ratio = np.empty((len(plan.phase_mcs), links.rx.size))
+    for p in range(ratio.shape[0]):
+        signal, interference = engine._phase_powers(cfg, dep, sched, links, p, rng)
+        ratio[p] = signal / (interference + noise)
+    return ratio
+
+
 def _evaluate(cfg, seed=0):
-    """Every granted transmitter of one drop through the engine's link stage."""
+    """Every granted transmitter of one drop through the engine's link stage,
+    and the linear SINR of its pass."""
     dep, plan, sched, rng = _setup(cfg, seed)
     tx_ids = np.flatnonzero(sched.assigned)
+    pass_rng = copy.deepcopy(rng)
     ev = engine._evaluate_links(
         cfg, dep, sched, l2sm.default_bler_table(), tx_ids, rng, [cfg], [plan],
     )
-    return dep, plan, ev
+    return dep, plan, ev, _linear_sinr(cfg, dep, plan, sched, ev.links, pass_rng)
 
 
 def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
-    """SINR in dB of one link through _evaluate_links, shadowing off.
+    """SINR in dB of one link through the engine's SINR pass, shadowing off.
 
     Vehicle 0 in cell 0 transmits to vehicle 1 (also cell 0) 50 m away.
     Vehicles 2 (cell 1) and 3 (cell 2) sit 50 m and 60 m from the receiver,
@@ -192,11 +205,11 @@ def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
         occupant[0, serving[v], 0] = v
     sched = engine.SlotSchedule(assigned=resource[0] >= 0, dropped=np.empty(0, np.int64),
                                 resource=resource, occupant=occupant)
-    ev = engine._evaluate_links(cfg, dep, sched, l2sm.default_bler_table(),
-                                np.array([0]), np.random.default_rng(0), [cfg],
-                                [phy.build_resource_plan(cfg)])
-    assert ev.links.tx.tolist() == [0] and ev.links.rx.tolist() == [1]
-    return float(10.0 * np.log10(ev.ratio[0][0, 0]))
+    links = engine._build_links(dep, np.array([0]), cfg)
+    assert links.tx.tolist() == [0] and links.rx.tolist() == [1]
+    ratio = _linear_sinr(cfg, dep, phy.build_resource_plan(cfg), sched, links,
+                         np.random.default_rng(0))
+    return float(10.0 * np.log10(ratio[0, 0]))
 
 
 def test_sinr_db():
@@ -298,7 +311,7 @@ def test_dense_drop_memory_per_link():
 
 def test_evaluate_links_isolated_cell_noise_limited():
     cfg = replace(NOISE_LIMITED, shadowing_sigma_db=0.0)
-    dep, plan, ev = _evaluate(cfg)
+    dep, plan, ev, ratio = _evaluate(cfg)
     links = ev.links
     assert links.tx.size > 0
     # zero interference: SINR must equal signal minus noise exactly
@@ -311,7 +324,7 @@ def test_evaluate_links_isolated_cell_noise_limited():
         cfg.min_pathloss_distance_m,
     )
     expected = (cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db - pl) - noise
-    np.testing.assert_allclose(10.0 * np.log10(ev.ratio[0][0]), expected, atol=1e-9)
+    np.testing.assert_allclose(10.0 * np.log10(ratio[0]), expected, atol=1e-9)
 
 
 def test_no_link_has_a_dropped_transmitter():
@@ -337,14 +350,14 @@ def test_equal_retx_combining_math():
 
 def test_equal_retx_outcome_shapes_and_delta():
     cfg = replace(NOISE_LIMITED, retx_scheme="equal", l2sm_delta_db=3.0)
-    _, plan, ev = _evaluate(cfg)
+    _, plan, ev, ratio = _evaluate(cfg)
     n_links = ev.links.tx.size
-    assert ev.ratio[0].shape == (2, n_links)
+    assert ratio.shape == (2, n_links)
     assert ev.received[0].shape == (1, n_links)  # (decisions, links)
     # shift dominance carried through the lookup
     table = l2sm.default_bler_table()
     mcs = plan.phase_mcs[0]
-    x = 10.0 * np.log10(ev.ratio[0].mean(axis=0))
+    x = 10.0 * np.log10(ratio.mean(axis=0))
     with_shift = l2sm.bler_lookup(table, mcs, x, 3.0)
     without = l2sm.bler_lookup(table, mcs, x, 0.0)
     assert np.all(with_shift <= without)
@@ -383,9 +396,9 @@ def test_raising_delta_never_hurts_on_fixed_seed():
 
 def test_nonequal_outcome_keeps_phase_decisions():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:2", l2sm_delta_db=5.0)
-    _, _, ev = _evaluate(cfg)
+    _, _, ev, ratio = _evaluate(cfg)
     n_links = ev.links.tx.size
-    assert ev.ratio[0].shape == (2, n_links)
+    assert ratio.shape == (2, n_links)
     assert ev.received[0].shape == (2, n_links)  # (decisions, links)
     assert ev.received[0][0].any() and ev.received[0][1].any()
 
@@ -484,9 +497,13 @@ SHARED_PASS = SimConfig(
     highway_length_m=3464.0, num_gnb=2, bandwidth_mhz=10.0, ivd_m=40.0,
     comm_range_m=200.0, drops=2,
 )
+# at ivd 100 (102 vehicles per cell) "equal" and "nonequal:1" both pick MCS
+# (3, 3) at tf 10, so only the combining tells their decisions apart
+SPARSE_PASS = replace(SHARED_PASS, ivd_m=100.0)
 # pass config -> the numerologies its bandwidth allows
 ORACLE_PASSES = {
     "linear": (SHARED_PASS, (0, 1, 2)),
+    "sparse": (SPARSE_PASS, (0, 1, 2)),
     "db": (replace(SHARED_PASS, retx_sinr_combining="db"), (0, 1, 2)),
     "zero_capacity": (replace(ZERO_CAPACITY, drops=2), (0, 1)),
     "no_receiver": (replace(NO_RECEIVER, drops=2), (0, 1, 2)),
@@ -515,6 +532,39 @@ def test_grouped_members_equal_each_run_alone(members, seed):
     assert len(grouped) == len(members)
     for cfg, result in zip(members, grouped):
         _assert_same_result(result, engine.execute_run(cfg, seed))
+
+
+def test_combining_splits_members_of_one_mcs():
+    # equal and nonequal:1 share noise, phase MCS and shift here: one decision
+    # key without the scheme kind would hand one of them the other's receptions
+    members = [replace(SPARSE_PASS, retx_scheme=retx, l2sm_delta_db=delta)
+               for retx in ("equal", "nonequal:1", "none")
+               for delta in config.L2SM_DELTA_VALUES_DB]
+    equal, nonequal = (phy.build_resource_plan(replace(SPARSE_PASS, retx_scheme=retx))
+                       for retx in ("equal", "nonequal:1"))
+    assert equal.phase_mcs == nonequal.phase_mcs
+    grouped = engine.execute_run(members, 6)
+    for cfg, result in zip(members, grouped):
+        _assert_same_result(result, engine.execute_run(cfg, 6))
+
+
+@pytest.mark.parametrize("retx, deltas, lookups", [
+    ("none", (0.0, 3.0, 5.0, 7.0), 1),   # one phase ignores the shift
+    ("equal", (3.0, 5.0, 7.0), 3),       # one combined decision per shift
+    ("nonequal:2", (3.0, 5.0, 7.0), 6),  # two phase decisions per shift
+])
+def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, lookups, monkeypatch):
+    calls = []
+    lookup = l2sm.bler_lookup
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(l2sm, "bler_lookup", counting)
+    cfg = replace(NOISE_LIMITED, ivd_m=80.0, retx_scheme=retx, drops=2)
+    engine.execute_run([replace(cfg, l2sm_delta_db=d) for d in deltas], 4)
+    assert len(calls) == lookups * cfg.drops
 
 
 def test_every_sweep_axis_splits_or_shares_the_pass():

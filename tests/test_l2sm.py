@@ -113,25 +113,6 @@ def test_reception_extremes():
         l2sm.reception_draw(np.array([1.5]), rng)
 
 
-def test_reception_stack_shares_one_draw_per_link():
-    # a (shifts, links) stack consumes the stream of one (links,) draw
-    table = l2sm.default_bler_table()
-    sinr = np.random.default_rng(3).uniform(-10.0, 20.0, 5000)
-    shifts = np.array([0.0, 3.0, 7.0])
-    stack = l2sm.bler_lookup(table, 9, sinr, shifts[:, None])
-    rng = np.random.default_rng(11)
-    received = l2sm.reception_draw(stack, rng)
-    after = rng.random()
-    assert received.shape == (3, sinr.size)
-    for row, bler, shift in zip(received, stack, shifts):
-        np.testing.assert_array_equal(bler, l2sm.bler_lookup(table, 9, sinr, shift))
-        alone = np.random.default_rng(11)
-        np.testing.assert_array_equal(row, l2sm.reception_draw(bler, alone))
-        assert alone.random() == after
-    # a larger shift only ever turns a loss into a reception
-    assert np.all(received[0] <= received[1]) and np.all(received[1] <= received[2])
-
-
 def test_reception_binomial_concentration():
     rng = np.random.default_rng(42)
     n = 100_000

@@ -27,9 +27,11 @@ def test_prb_undefined_pair():
 
 
 def test_scs_formula():
-    assert [phy.scs_khz(mu) for mu in range(5)] == [15, 30, 60, 120, 240]
-    with pytest.raises(ValueError):
-        phy.scs_khz(5)
+    assert [phy.scs_khz(mu) for mu in range(3)] == [15, 30, 60]
+    # only the numerologies of the PRB table, which validate_config allows
+    for mu in (3, 4, 5, -1):
+        with pytest.raises(ValueError, match="mu must be in 0..2"):
+            phy.scs_khz(mu)
 
 
 def test_numerology_slots():
@@ -117,8 +119,11 @@ def test_prr_max():
     assert phy.prr_max(700, 1038) == 700 / 1038
     assert phy.prr_max(700, 516) == 1.0
     assert phy.prr_max(0, 516) == 0.0
-    with pytest.raises(ValueError):
-        phy.prr_max(700, 0)
+    # no cell has a vehicle: nobody is dropped
+    assert phy.prr_max(700, 0) == 1.0
+    assert phy.prr_max(0, 0, 0) == 1.0
+    with pytest.raises(ValueError, match="non-negative"):
+        phy.prr_max(700, 5, -1)
 
 
 @given(st.integers(0, 5000), st.integers(1, 5000))
