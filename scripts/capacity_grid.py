@@ -27,8 +27,8 @@ def main() -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    ue_gnb = phy.build_resource_plan(grid[0]).ue_per_gnb
-    print(f"ivd={args.ivd:g} m -> {ue_gnb} vehicles per cell, retx={args.retx}")
+    largest = max(phy.build_resource_plan(grid[0]).cell_population)
+    print(f"ivd={args.ivd:g} m -> {largest} vehicles per cell, retx={args.retx}")
     print("bandwidth_mhz,mu,tf_hz,ue_supported,prr_max")
     for cfg in grid:
         plan = phy.build_resource_plan(cfg)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields, replace
 
 from . import phy
 
-FR1_SIDELINK_MUS = (0, 1, 2)
 L2SM_DELTA_VALUES_DB = (0.0, 3.0, 5.0, 7.0)
 SINR_COMBINING_MODES = ("linear", "db")
 MAX_NONEQUAL_SPLIT = 4
@@ -144,7 +143,7 @@ def validate_config(cfg: SimConfig) -> None:
     for name in ("comm_range_m", "shadowing_sigma_db", "seed"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be non-negative, got {getattr(cfg, name)}")
-    if cfg.mu not in FR1_SIDELINK_MUS:
+    if cfg.mu not in phy.PRB_TABLE_MUS:
         raise ConfigError(f"mu out of FR1 sidelink range: {cfg.mu} (allowed: 0, 1, 2)")
     try:
         phy.prb_count(cfg.bandwidth_mhz, cfg.mu)

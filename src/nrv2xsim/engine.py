@@ -16,10 +16,12 @@ its ceiling, so dropped vehicles contribute no runtime samples.
 One drop can serve several runs.  Runs whose configs differ only in
 POST_PASS_FIELDS share its deployment, and sharing then has two levels.
 Runs of one schedule signature share the schedule, the links and every
-link's signal and interference.  Runs of one decision key (noise power,
-phase MCS, combining, effective shift) also share their receptions: each
-key adds its noise and decides from its own copy of the stream, so every
-run's result is the one it gets alone.
+link's signal and interference.  Runs of one decision key also share their
+receptions.  The key is read from each run's resource plan (noise power,
+phase MCS, combining, shift): after deployment the engine reads the pass
+config and the plans, never a member config.  Each key adds its noise and
+decides from its own copy of the stream, so every run's result is the one
+it gets alone.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from . import channel, l2sm, metrics, phy, scenario
 from .config import SimConfig, config_fingerprint
 
 
-# Config fields that act only after the SINR pass: through the resource plan
-# (capacity, phase count, MCS), the noise bandwidth and the decision stage.
+# Config fields that act only after the SINR pass, all through the resource
+# plan (capacity, phase count, MCS, noise bandwidth, combining, shift).
 # Runs that differ only in these share a drop's deployment, and the runs of
 # one schedule signature share its links and interference (_drop_counts).
 POST_PASS_FIELDS = ("mu", "tf_hz", "retx_scheme", "l2sm_delta_db")
@@ -247,60 +249,39 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
     return signal_mw, interference_mw
 
 
-def _noise_mw(cfg: SimConfig, plan: phy.ResourcePlan) -> float:
-    """Thermal noise over one message's data PRBs at cfg's numerology."""
-    num = phy.Numerology.from_mu(cfg.mu)
-    noise_dbm = channel.noise_power_dbm(
-        cfg.noise_density_dbm_hz, plan.nprb_pssch, num.scs_khz * 1e3,
-        cfg.noise_figure_db,
-    )
-    return 10.0 ** (noise_dbm / 10.0)
+def _decision_key(plan: phy.ResourcePlan) -> tuple:
+    """Every input a run's receptions read after the SINR pass."""
+    return plan.noise_mw, plan.phase_mcs, plan.combining, plan.shift_db
 
 
-def _shift_db(cfg: SimConfig, plan: phy.ResourcePlan) -> float:
-    """cfg's sensitivity shift: it applies to retransmission lookups only."""
-    return cfg.l2sm_delta_db if len(plan.phase_mcs) == 2 else 0.0
-
-
-def _decide(cfg: SimConfig, plan: phy.ResourcePlan, table: l2sm.BlerTable,
-            ratio: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Reception of every link and decision of cfg, ``(decisions, links)``,
+def _decide(plan: phy.ResourcePlan, table: l2sm.BlerTable, ratio: np.ndarray,
+            rng: np.random.Generator) -> np.ndarray:
+    """Reception of every link and decision of plan, ``(decisions, links)``,
     from the ``(phases, links)`` linear SINR, which it overwrites: the dB
     are taken in the ratio's own memory."""
-    combine = cfg.retx_scheme == "equal"
-    if combine and cfg.retx_sinr_combining == "linear":
+    if plan.combining == "linear":
         ratio = ratio.mean(axis=0, keepdims=True)
     sinr_db = np.log10(ratio, out=ratio)
     sinr_db *= 10.0
-    if combine and cfg.retx_sinr_combining == "db":
+    if plan.combining == "db":
         sinr_db = sinr_db.mean(axis=0, keepdims=True)
-    shift = _shift_db(cfg, plan)
     return np.stack([
-        l2sm.reception_draw(l2sm.bler_lookup(table, plan.phase_mcs[d], s, shift), rng)
+        l2sm.reception_draw(l2sm.bler_lookup(table, plan.phase_mcs[d], s, plan.shift_db), rng)
         for d, s in enumerate(sinr_db)
     ])
 
 
-@dataclass(frozen=True, eq=False)
-class _Evaluation:
-    links: _LinkBatch
-    received: list[np.ndarray]  # per member, (decisions, links)
-
-
 def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
-                    table: l2sm.BlerTable, tx_ids: np.ndarray,
-                    rng: np.random.Generator, members: Sequence[SimConfig],
-                    plans: Sequence[phy.ResourcePlan]) -> _Evaluation:
+                    table: l2sm.BlerTable, tx_ids: np.ndarray, rng: np.random.Generator,
+                    plans: Sequence[phy.ResourcePlan]) -> tuple[_LinkBatch, dict]:
     """One SINR pass over the links of ``tx_ids`` under sched, decided for
-    every member.
+    every decision key of plans: the links, and the ``(decisions, links)``
+    receptions of each key.
 
-    cfg supplies the fields the pass reads; members differ from it only in
-    POST_PASS_FIELDS and share its phase count, so they share the signal
-    and interference of every link.  A member's receptions then depend only
-    on its decision key (noise power, phase MCS, whether it combines,
-    effective shift; retx_sinr_combining is a pass field).  Each distinct
-    key forms its own linear SINR, the last one in place, and decides from
-    its own copy of the post-pass stream, as its runs would alone.
+    cfg is the pass config; plans share its phase count, so they share the
+    signal and interference of every link.  Each distinct key forms its own
+    linear SINR, the last one in place, and decides from its own copy of
+    the post-pass stream, as its runs would alone.
     """
     links = _build_links(dep, tx_ids, cfg)
     signal = np.empty((len(plans[0].phase_mcs), links.rx.size))
@@ -308,24 +289,22 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
     for p in range(signal.shape[0]):
         signal[p], interference[p] = _phase_powers(cfg, dep, sched, links, p, rng)
 
-    keys = [(_noise_mw(m, plan), plan.phase_mcs, m.retx_scheme == "equal", _shift_db(m, plan))
-            for m, plan in zip(members, plans)]
     first = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
+    for plan in plans:
+        first.setdefault(_decision_key(plan), plan)
     received = {}
-    for n, (key, i) in enumerate(first.items(), start=1):
+    for n, (key, plan) in enumerate(first.items(), start=1):
         if n < len(first):
-            ratio = interference + key[0]
+            ratio = interference + plan.noise_mw
             np.divide(signal, ratio, out=ratio)
         else:  # the last key divides in place
-            interference += key[0]
+            interference += plan.noise_mw
             signal /= interference
             ratio = signal
             del interference
-        received[key] = _decide(members[i], plans[i], table, ratio, copy.deepcopy(rng))
+        received[key] = _decide(plan, table, ratio, copy.deepcopy(rng))
         del ratio  # before the next key allocates its own
-    return _Evaluation(links=links, received=[received[key] for key in keys])
+    return links, received
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,18 +315,17 @@ class _DropCounts:
     n: np.ndarray             # (decisions, transmitters) successes
 
 
-def _drop_counts(members: Sequence[SimConfig], plans: Sequence[phy.ResourcePlan],
+def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
                  seed) -> list[_DropCounts]:
-    """One drop of every member: one deployment, and one schedule and SINR
-    pass per schedule signature.
+    """One drop of every plan under the pass config cfg: one deployment, and
+    one schedule and SINR pass per schedule signature.
 
     The signature is (phase count, min(ue_supported, largest cell)): it
     fixes every vehicle kept by the schedule and every permutation drawn,
     while ue_per_slot changes only the width of the grant grid.  Each
     signature starts from a copy of the post-deployment stream, so every
-    member sees the stream of its run alone.
+    plan sees the stream of its run alone.
     """
-    cfg = pass_config(members[0])
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
     table = l2sm.active_table(cfg)
@@ -357,30 +335,30 @@ def _drop_counts(members: Sequence[SimConfig], plans: Sequence[phy.ResourcePlan]
         key = (len(plan.phase_mcs), min(plan.ue_supported, largest))
         signatures.setdefault(key, []).append(i)
 
-    counts: list[_DropCounts | None] = [None] * len(members)
+    counts: list[_DropCounts | None] = [None] * len(plans)
     for idx in signatures.values():
-        shared = _signature_counts(cfg, dep, table, copy.deepcopy(rng),
-                                   [members[i] for i in idx], [plans[i] for i in idx])
+        shared = _signature_counts(cfg, dep, table, copy.deepcopy(rng), [plans[i] for i in idx])
         for i, dc in zip(idx, shared):
             counts[i] = dc
     return counts
 
 
 def _signature_counts(cfg: SimConfig, dep: scenario.Deployment, table: l2sm.BlerTable,
-                      rng: np.random.Generator, members: Sequence[SimConfig],
+                      rng: np.random.Generator,
                       plans: Sequence[phy.ResourcePlan]) -> list[_DropCounts]:
-    """Counts of members that share a schedule signature: one schedule and
-    one SINR pass, whose arrays die before the next signature's."""
+    """Counts of plans that share a schedule signature: one schedule and
+    one SINR pass, whose arrays die before the next signature's, and one
+    reduction per decision key."""
     sched = schedule_slots(dep, plans[0], rng)
-    ev = _evaluate_links(cfg, dep, sched, table, np.flatnonzero(sched.assigned), rng,
-                         members, plans)
-    links = ev.links
+    links, received = _evaluate_links(cfg, dep, sched, table, np.flatnonzero(sched.assigned),
+                                      rng, plans)
     heard = links.counts > 0
     m = links.counts[heard]
     start = np.cumsum(m) - m
-    return [_DropCounts(dep=dep, tx_ids=links.tx_ids[heard], m=m,
-                        n=np.add.reduceat(received, start, axis=1, dtype=np.int64))
-            for received in ev.received]
+    tx_ids = links.tx_ids[heard]
+    n = {key: np.add.reduceat(r, start, axis=1, dtype=np.int64) for key, r in received.items()}
+    return [_DropCounts(dep=dep, tx_ids=tx_ids, m=m, n=n[_decision_key(plan)])
+            for plan in plans]
 
 
 def _finalize(cfg: SimConfig, plan: phy.ResourcePlan, seed_label: int,
@@ -420,25 +398,21 @@ def simulate_drops(members: Sequence[SimConfig], plans: Sequence[phy.ResourcePla
                    if any(getattr(o, f.name) != getattr(cfg, f.name) for o in others))
     if mixed:
         raise ValueError(f"runs of one SINR pass differ in {', '.join(mixed)}")
-    drops = [_drop_counts(members, plans, _drop_seed(seed, i)) for i in range(cfg.drops)]
+    drops = [_drop_counts(cfg, plans, _drop_seed(seed, i)) for i in range(cfg.drops)]
     return [list(per_member) for per_member in zip(*drops)]
 
 
-def execute_run(cfg: SimConfig | Sequence[SimConfig], seed: int
-                ) -> metrics.RunResult | list[metrics.RunResult]:
-    """Run cfg.drops independent drops under one seed and pool their samples.
+def execute_run(members: Sequence[SimConfig], seed: int) -> list[metrics.RunResult]:
+    """One RunResult per member: its drops' samples pooled under one seed.
 
-    For one config this returns its RunResult.  For a sequence of member
-    configs that differ only in POST_PASS_FIELDS it returns one RunResult
-    per member, each equal to that of the member run alone: every drop
-    shares one deployment among the members, and one schedule, link search
-    and interference pass among the members of each schedule signature.
+    The members differ only in POST_PASS_FIELDS, and each RunResult equals
+    that of its member run alone: every drop shares one deployment among
+    the members, and one schedule, link search and interference pass among
+    the members of each schedule signature.
     """
-    members = [cfg] if isinstance(cfg, SimConfig) else list(cfg)
     plans = [phy.build_resource_plan(m) for m in members]
-    results = [_finalize(m, plan, seed, counts)
-               for m, plan, counts in zip(members, plans, simulate_drops(members, plans, seed))]
-    return results[0] if isinstance(cfg, SimConfig) else results
+    return [_finalize(m, plan, seed, counts)
+            for m, plan, counts in zip(members, plans, simulate_drops(members, plans, seed))]
 
 
 def run_sample_table(counts: list[_DropCounts]) -> list[tuple[int, int, int, int, int]]:

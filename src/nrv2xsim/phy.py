@@ -4,7 +4,9 @@ Everything here is exact integer/closed-form math: subcarrier spacing,
 the PRB grid per (bandwidth, numerology), per-message PRB sizing, how
 many transmitters fit into a slot and into a second, the overload
 ceiling on the packet reception ratio, and the share of the period and
-the MCS of each transmission phase.
+the MCS of each transmission phase.  The resource plan also holds the
+noise power, the combining mode and the sensitivity shift, so every
+input of the reception decisions comes from one plan.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import config, scenario
+from . import channel, config, scenario
 
 SUBCARRIERS_PER_PRB = 12
 USABLE_SYMBOLS_PER_SLOT = 9
@@ -145,8 +147,8 @@ def phase_shares(retx_scheme: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ResourcePlan:
-    """Numerology-derived capacity of one cell and the transmission phases
-    of each message."""
+    """Numerology-derived capacity of one cell, the transmission phases of
+    each message, and every input the reception decisions read."""
 
     n_prb: int              # PRB grid size of the carrier
     nprb_pscch: int         # control PRBs per message
@@ -154,11 +156,12 @@ class ResourcePlan:
     nprb_total: int
     ue_per_slot: int
     ue_supported: int       # per second, after the retransmission factor
-    ue_per_gnb: int         # per-cell demand behind the MCS: the spacing formula over isd_m
     cell_population: tuple[int, ...]  # vehicles per cell over its highway segment
     prr_max: float          # overload ceiling over those cells; 1 for an empty highway
-    phase_mcs: tuple[int, ...]  # CQI index per transmission phase
-    subcarriers_per_prb: int = SUBCARRIERS_PER_PRB
+    phase_mcs: tuple[int, ...]  # CQI index per transmission phase, for the largest cell
+    noise_mw: float         # thermal noise over one message's data PRBs
+    combining: str | None   # SINR combining of the equal scheme; None decides each phase
+    shift_db: float         # sensitivity shift of the lookups; 0 with one phase
 
 
 def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
@@ -172,10 +175,13 @@ def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
     per_slot = ue_per_slot(n_prb, total)
     shares = phase_shares(cfg.retx_scheme)
     supported = ue_supported(per_slot, num.slots_per_second, cfg.tf_hz, len(shares))
-    ue_gnb = scenario.ue_per_gnb_count(cfg.isd_m, cfg.ivd_m, 2 * cfg.lanes_per_direction)
     population = scenario.cell_populations(cfg)
     # a shorter window needs a denser MCS for the same demand
-    se_base = required_se(cfg.packet_size_bytes, ue_gnb, cfg.tf_hz, cfg.bandwidth_mhz * 1e6)
+    se_base = required_se(cfg.packet_size_bytes, max(population), cfg.tf_hz,
+                          cfg.bandwidth_mhz * 1e6)
+    noise_dbm = channel.noise_power_dbm(
+        cfg.noise_density_dbm_hz, pssch, num.scs_khz * 1e3, cfg.noise_figure_db,
+    )
     return ResourcePlan(
         n_prb=n_prb,
         nprb_pscch=NPRB_PSCCH,
@@ -183,8 +189,10 @@ def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
         nprb_total=total,
         ue_per_slot=per_slot,
         ue_supported=supported,
-        ue_per_gnb=ue_gnb,
         cell_population=population,
         prr_max=prr_max(supported, *population),
         phase_mcs=tuple(select_cqi(se_base / share).cqi_index for share in shares),
+        noise_mw=float(10.0 ** (noise_dbm / 10.0)),
+        combining=cfg.retx_sinr_combining if cfg.retx_scheme == "equal" else None,
+        shift_db=cfg.l2sm_delta_db if len(shares) == 2 else 0.0,
     )

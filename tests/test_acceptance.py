@@ -28,7 +28,7 @@ def _report(num, name, ok, detail=""):
 
 
 def _effective(cfg, seeds=SEEDS):
-    return np.array([engine.execute_run(cfg, s).prr_effective for s in seeds])
+    return np.array([engine.execute_run([cfg], s)[0].prr_effective for s in seeds])
 
 
 def _significantly_greater(x, y, alpha=0.05):

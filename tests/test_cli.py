@@ -110,9 +110,9 @@ def test_run_dump_samples_simulates_each_drop_once(tmp_path, capsys, monkeypatch
     calls = []
     drop_counts = engine._drop_counts
 
-    def counting(members, plans, seed):
+    def counting(cfg, plans, seed):
         calls.append(seed)
-        return drop_counts(members, plans, seed)
+        return drop_counts(cfg, plans, seed)
 
     monkeypatch.setattr(engine, "_drop_counts", counting)
     out = tmp_path / "run.csv"
@@ -215,7 +215,7 @@ def test_sweep_builds_links_once_per_sinr_group(tmp_path, capsys, caplog, monkey
     runs = expand_campaign(parse_campaign(cfg_path.read_text()))
     alone = tmp_path / "alone.csv"
     metrics.write_sweep_csv(
-        metrics.aggregate(engine.execute_run(cfg, seed) for cfg, seed in runs), alone
+        metrics.aggregate(engine.execute_run([cfg], seed)[0] for cfg, seed in runs), alone
     )
     assert out.read_bytes() == alone.read_bytes()
 
@@ -246,7 +246,7 @@ def test_sweep_logs_progress_per_group(tmp_path, capsys, caplog, jobs):
     runs = expand_campaign(parse_campaign(cfg_path.read_text()))
     alone = tmp_path / "alone.csv"
     metrics.write_sweep_csv(
-        metrics.aggregate(engine.execute_run(cfg, seed) for cfg, seed in runs), alone
+        metrics.aggregate(engine.execute_run([cfg], seed)[0] for cfg, seed in runs), alone
     )
     assert out.read_bytes() == alone.read_bytes()
 

@@ -18,6 +18,18 @@ NOISE_LIMITED = SimConfig(
 )
 
 
+def _run(cfg, seed):
+    """The RunResult of cfg run alone."""
+    (result,) = engine.execute_run([cfg], seed)
+    return result
+
+
+def _drop(cfg, plan, seed):
+    """The counts of one drop of cfg under plan."""
+    (counts,) = engine._drop_counts(engine.pass_config(cfg), [plan], seed)
+    return counts
+
+
 def _setup(cfg, seed=0):
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
@@ -39,7 +51,7 @@ def test_retx_scheme_parse_and_shares():
 def test_no_retx_ignores_sensitivity_shift():
     cfg = replace(NOISE_LIMITED, ivd_m=80.0)
     runtimes = {
-        engine.execute_run(replace(cfg, l2sm_delta_db=d), 4).prr_runtime
+        _run(replace(cfg, l2sm_delta_db=d), 4).prr_runtime
         for d in (0.0, 3.0, 7.0)
     }
     assert len(runtimes) == 1
@@ -159,25 +171,26 @@ def test_ceiling_counts_the_whole_highway():
 
 def _linear_sinr(cfg, dep, plan, sched, links, rng):
     """(phases, links) linear SINR of cfg: the pass's signal over its
-    interference plus cfg's noise, the arithmetic of _evaluate_links."""
-    noise = engine._noise_mw(cfg, plan)
+    interference plus the plan's noise, the arithmetic of _evaluate_links."""
     ratio = np.empty((len(plan.phase_mcs), links.rx.size))
     for p in range(ratio.shape[0]):
         signal, interference = engine._phase_powers(cfg, dep, sched, links, p, rng)
-        ratio[p] = signal / (interference + noise)
+        ratio[p] = signal / (interference + plan.noise_mw)
     return ratio
 
 
 def _evaluate(cfg, seed=0):
-    """Every granted transmitter of one drop through the engine's link stage,
-    and the linear SINR of its pass."""
+    """Every granted transmitter of one drop through the engine's link stage:
+    its links, their receptions under cfg's plan, and the linear SINR of its
+    pass."""
     dep, plan, sched, rng = _setup(cfg, seed)
     tx_ids = np.flatnonzero(sched.assigned)
     pass_rng = copy.deepcopy(rng)
-    ev = engine._evaluate_links(
-        cfg, dep, sched, l2sm.default_bler_table(), tx_ids, rng, [cfg], [plan],
+    links, received = engine._evaluate_links(
+        engine.pass_config(cfg), dep, sched, l2sm.default_bler_table(), tx_ids, rng, [plan],
     )
-    return dep, plan, ev, _linear_sinr(cfg, dep, plan, sched, ev.links, pass_rng)
+    ratio = _linear_sinr(cfg, dep, plan, sched, links, pass_rng)
+    return dep, plan, links, received[engine._decision_key(plan)], ratio
 
 
 def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
@@ -300,7 +313,7 @@ def test_dense_drop_memory_per_link():
     plan = phy.build_resource_plan(cfg)
     tracemalloc.start()
     try:
-        (counts,) = engine._drop_counts([cfg], [plan], 0)
+        counts = _drop(cfg, plan, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,8 +324,7 @@ def test_dense_drop_memory_per_link():
 
 def test_evaluate_links_isolated_cell_noise_limited():
     cfg = replace(NOISE_LIMITED, shadowing_sigma_db=0.0)
-    dep, plan, ev, ratio = _evaluate(cfg)
-    links = ev.links
+    dep, plan, links, _, ratio = _evaluate(cfg)
     assert links.tx.size > 0
     # zero interference: SINR must equal signal minus noise exactly
     num = phy.Numerology.from_mu(cfg.mu)
@@ -331,7 +343,7 @@ def test_no_link_has_a_dropped_transmitter():
     # one cell of 1038 vehicles against a 700-transmitter budget
     cfg = SimConfig(highway_length_m=1732.0, num_gnb=1, ivd_m=10.0)
     plan = phy.build_resource_plan(cfg)
-    (counts,) = engine._drop_counts([cfg], [plan], 0)
+    counts = _drop(cfg, plan, 0)
     # _drop_counts draws its deployment and schedule from the same stream
     _, _, sched, _ = _setup(cfg, seed=0)
     assert sched.dropped.size == 338
@@ -350,10 +362,10 @@ def test_equal_retx_combining_math():
 
 def test_equal_retx_outcome_shapes_and_delta():
     cfg = replace(NOISE_LIMITED, retx_scheme="equal", l2sm_delta_db=3.0)
-    _, plan, ev, ratio = _evaluate(cfg)
-    n_links = ev.links.tx.size
+    _, plan, links, received, ratio = _evaluate(cfg)
+    n_links = links.tx.size
     assert ratio.shape == (2, n_links)
-    assert ev.received[0].shape == (1, n_links)  # (decisions, links)
+    assert received.shape == (1, n_links)  # (decisions, links)
     # shift dominance carried through the lookup
     table = l2sm.default_bler_table()
     mcs = plan.phase_mcs[0]
@@ -388,7 +400,7 @@ def test_raising_delta_never_hurts_on_fixed_seed():
     base = replace(NOISE_LIMITED, retx_scheme="equal", ivd_m=80.0)
     for seed in (1, 2, 3, 4, 5):
         runtimes = [
-            engine.execute_run(replace(base, l2sm_delta_db=d), seed).prr_runtime
+            _run(replace(base, l2sm_delta_db=d), seed).prr_runtime
             for d in (3.0, 5.0, 7.0)
         ]
         assert runtimes[0] <= runtimes[1] <= runtimes[2]
@@ -396,32 +408,32 @@ def test_raising_delta_never_hurts_on_fixed_seed():
 
 def test_nonequal_outcome_keeps_phase_decisions():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:2", l2sm_delta_db=5.0)
-    _, _, ev, ratio = _evaluate(cfg)
-    n_links = ev.links.tx.size
+    _, _, links, received, ratio = _evaluate(cfg)
+    n_links = links.tx.size
     assert ratio.shape == (2, n_links)
-    assert ev.received[0].shape == (2, n_links)  # (decisions, links)
-    assert ev.received[0][0].any() and ev.received[0][1].any()
+    assert received.shape == (2, n_links)  # (decisions, links)
+    assert received[0].any() and received[1].any()
 
 
 def test_execute_run_deterministic():
     cfg = replace(NOISE_LIMITED, ivd_m=80.0)
-    a = engine.execute_run(cfg, 123)
-    b = engine.execute_run(cfg, 123)
+    a = _run(cfg, 123)
+    b = _run(cfg, 123)
     assert a == b
-    c = engine.execute_run(cfg, 124)
+    c = _run(cfg, 124)
     assert a.prr_effective != c.prr_effective
 
 
 def test_execute_run_not_overloaded_effective_equals_runtime():
     cfg = SimConfig(ivd_m=100.0)  # 102 per cell, far below 700
-    result = engine.execute_run(cfg, 5)
+    result = _run(cfg, 5)
     assert result.prr_max == 1.0
     assert result.prr_effective == result.prr_runtime
 
 
 def test_execute_run_overloaded_applies_ceiling():
     cfg = SimConfig(ivd_m=10.0)
-    result = engine.execute_run(cfg, 5)
+    result = _run(cfg, 5)
     assert result.prr_max == pytest.approx(700 / 1038)
     assert result.prr_effective == pytest.approx(result.prr_max * result.prr_runtime)
 
@@ -442,7 +454,7 @@ ZERO_CAPACITY = SimConfig(
     "base", [NO_RECEIVER, ZERO_CAPACITY], ids=["no_receiver", "zero_capacity"]
 )
 def test_execute_run_no_receiver_sentinel(base, retx):
-    result = engine.execute_run(replace(base, retx_scheme=retx), 1)
+    result = _run(replace(base, retx_scheme=retx), 1)
     assert math.isnan(result.prr_runtime)
     assert result.samples == 0
     phases = (result.prr_phase1, result.prr_phase2)
@@ -486,7 +498,7 @@ def test_grouped_deltas_equal_each_run_alone(cfg):
     grouped = engine.execute_run([replace(cfg, l2sm_delta_db=d) for d in GROUP_DELTAS], 6)
     assert len(grouped) == len(GROUP_DELTAS)
     for delta, result in zip(GROUP_DELTAS, grouped):
-        _assert_same_result(result, engine.execute_run(replace(cfg, l2sm_delta_db=delta), 6))
+        _assert_same_result(result, _run(replace(cfg, l2sm_delta_db=delta), 6))
 
 
 # two 1732 m cells of about 258 vehicles: at 10 MHz "none" supports 700/600/400
@@ -531,7 +543,7 @@ def test_grouped_members_equal_each_run_alone(members, seed):
     grouped = engine.execute_run(members, seed)
     assert len(grouped) == len(members)
     for cfg, result in zip(members, grouped):
-        _assert_same_result(result, engine.execute_run(cfg, seed))
+        _assert_same_result(result, _run(cfg, seed))
 
 
 def test_combining_splits_members_of_one_mcs():
@@ -545,7 +557,7 @@ def test_combining_splits_members_of_one_mcs():
     assert equal.phase_mcs == nonequal.phase_mcs
     grouped = engine.execute_run(members, 6)
     for cfg, result in zip(members, grouped):
-        _assert_same_result(result, engine.execute_run(cfg, 6))
+        _assert_same_result(result, _run(cfg, 6))
 
 
 @pytest.mark.parametrize("retx, deltas, lookups", [
@@ -583,7 +595,7 @@ def test_execute_run_rejects_members_of_different_passes():
 
 def test_nonequal_run_reports_phase_prrs():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:3", l2sm_delta_db=3.0)
-    result = engine.execute_run(cfg, 9)
+    result = _run(cfg, 9)
     assert result.prr_phase1 is not None and result.prr_phase2 is not None
     assert result.prr_runtime == pytest.approx(
         (result.prr_phase1 + result.prr_phase2) / 2
@@ -594,13 +606,13 @@ def test_nonequal_run_reports_phase_prrs():
 def test_execute_run_pools_drops():
     cfg = replace(NOISE_LIMITED, ivd_m=200.0, drops=3)
     plan = phy.build_resource_plan(cfg)
-    pooled = engine.execute_run(cfg, 7)
+    pooled = _run(cfg, 7)
     singles = [
-        engine._drop_counts([cfg], [plan], engine._drop_seed(7, i))[0].tx_ids.size
+        _drop(cfg, plan, engine._drop_seed(7, i)).tx_ids.size
         for i in range(3)
     ]
     assert pooled.samples == sum(singles)
-    assert engine.execute_run(cfg, 7) == pooled
+    assert _run(cfg, 7) == pooled
 
 
 def test_execute_run_builds_one_plan(monkeypatch):
@@ -612,7 +624,7 @@ def test_execute_run_builds_one_plan(monkeypatch):
         return build(cfg)
 
     monkeypatch.setattr(phy, "build_resource_plan", counting)
-    engine.execute_run(replace(NOISE_LIMITED, ivd_m=200.0, drops=3), 7)
+    _run(replace(NOISE_LIMITED, ivd_m=200.0, drops=3), 7)
     assert len(calls) == 1
 
 
@@ -620,9 +632,9 @@ def test_equal_retx_beats_single_tx_when_noise_limited():
     # diversity plus receiver-sensitivity shift must help when capacity allows
     seeds = range(1, 21)
     base = replace(NOISE_LIMITED, ivd_m=80.0)
-    single = np.array([engine.execute_run(base, s).prr_runtime for s in seeds])
+    single = np.array([_run(base, s).prr_runtime for s in seeds])
     equal = np.array([
-        engine.execute_run(
+        _run(
             replace(base, retx_scheme="equal", l2sm_delta_db=3.0), s
         ).prr_runtime
         for s in seeds
@@ -639,7 +651,7 @@ def test_run_sample_table_matches_result():
     plan = phy.build_resource_plan(cfg)
     (counts,) = engine.simulate_drops([cfg], [plan], 3)
     rows = engine.run_sample_table(counts)
-    result = engine.execute_run(cfg, 3)
+    result = _run(cfg, 3)
     assert len(rows) == result.samples
     assert {row[0] for row in rows} == {0, 1}
     assert all(0 <= n <= m for _, _, _, m, n in rows)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -140,7 +141,6 @@ def test_build_resource_plan_defaults():
     assert plan.nprb_total == 7
     assert plan.ue_per_slot == 7
     assert plan.ue_supported == 700
-    assert plan.subcarriers_per_prb == 12
 
 
 def test_build_resource_plan_retx_halves():
@@ -164,17 +164,49 @@ def test_build_resource_plan_phase_mcs():
     assert nonequal[0] < equal[0] < nonequal[1]
 
 
+def test_build_resource_plan_phase_mcs_follows_the_largest_cell():
+    # one cell serves all 3114 vehicles of the 5196 m highway: the MCS must
+    # carry that load, not the 1038 of a 1732 m segment the sites span
+    plan = phy.build_resource_plan(SimConfig(num_gnb=1, ivd_m=10.0))
+    assert plan.cell_population == (3114,)
+    assert phy.select_cqi(phy.required_se(300, 1038, 10.0, 10e6)).cqi_index == 7
+    assert phy.select_cqi(phy.required_se(300, 3114, 10.0, 10e6)).cqi_index == 15
+    assert plan.phase_mcs == (15,)
+
+
+@pytest.mark.parametrize("mu", [0, 1, 2])
+@pytest.mark.parametrize("retx, mode, combining, phases", [
+    ("none", "linear", None, 1),
+    ("equal", "linear", "linear", 2),
+    ("equal", "db", "db", 2),
+    ("nonequal:2", "linear", None, 2),
+    ("nonequal:4", "db", None, 2),
+], ids=["none", "equal_linear", "equal_db", "nonequal_linear", "nonequal_db"])
+def test_build_resource_plan_decision_inputs(mu, retx, mode, combining, phases):
+    cfg = SimConfig(mu=mu, bandwidth_mhz=20.0, retx_scheme=retx,
+                    retx_sinr_combining=mode, l2sm_delta_db=5.0)
+    plan = phy.build_resource_plan(cfg)
+    # thermal noise over the data subcarriers of one message at 15*2^mu kHz
+    bandwidth_hz = plan.nprb_pssch * 12 * 15e3 * 2**mu
+    noise_dbm = cfg.noise_density_dbm_hz + 10 * math.log10(bandwidth_hz) + cfg.noise_figure_db
+    assert plan.noise_mw == pytest.approx(10 ** (noise_dbm / 10), rel=1e-12)
+    # only the equal scheme combines its phases; the shift needs two phases
+    assert plan.combining == combining
+    assert len(plan.phase_mcs) == phases
+    assert plan.shift_db == (5.0 if phases == 2 else 0.0)
+
+
 def test_build_resource_plan_ceiling():
     plan = phy.build_resource_plan(SimConfig())
-    assert plan.ue_per_gnb == 516
+    assert plan.cell_population == (516,) * 3
     assert plan.prr_max == 1.0
     plan = phy.build_resource_plan(SimConfig(ivd_m=10.0))
-    assert plan.ue_per_gnb == 1038
+    assert plan.cell_population == (1038,) * 3
     assert plan.prr_max == 700 / 1038
 
 
 def test_build_resource_plan_empty_cell_ceiling():
     # vehicles wider apart than the sites leave the spacing formula at zero
     plan = phy.build_resource_plan(SimConfig(ivd_m=2000.0))
-    assert plan.ue_per_gnb == 0
+    assert plan.cell_population == (0,) * 3
     assert plan.prr_max == 1.0

@@ -30,9 +30,9 @@ def _deployment(seed=0, **kwargs):
 def test_deployment_counts():
     cfg, dep = _deployment(ivd_m=20.0)
     assert dep.num_vehicles == 259 * 6
-    assert phy.build_resource_plan(cfg).ue_per_gnb == 516
+    assert max(phy.build_resource_plan(cfg).cell_population) == 516
     cfg, dep = _deployment(ivd_m=10.0)
-    assert phy.build_resource_plan(cfg).ue_per_gnb == 1038
+    assert max(phy.build_resource_plan(cfg).cell_population) == 1038
 
 
 def test_deployment_degenerate_density():
