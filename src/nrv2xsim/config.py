@@ -187,8 +187,12 @@ def parse_config(text: str) -> SimConfig:
 
 
 def config_fingerprint(cfg: SimConfig) -> str:
-    """Short stable digest of every field except the seed."""
+    """Short stable digest of every field except the seed, and of the BLER
+    table file's contents when ``bler_table_path`` is set."""
     doc = {name: getattr(cfg, name) for name in _FIELD_KINDS if name != "seed"}
+    if cfg.bler_table_path is not None:
+        with open(cfg.bler_table_path, "rb") as handle:
+            doc["bler_table_sha256"] = hashlib.sha256(handle.read()).hexdigest()
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

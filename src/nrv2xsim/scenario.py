@@ -33,14 +33,10 @@ class Deployment:
     lane: np.ndarray
     serving: np.ndarray     # site index per vehicle
     sites: tuple[GnbSite, ...]
-    lanes_per_direction: int
 
     @property
     def num_vehicles(self) -> int:
         return self.x_m.size
-
-    def direction(self, vehicle_id: int) -> str:
-        return "east" if self.lane[vehicle_id] < self.lanes_per_direction else "west"
 
 
 def vehicles_per_lane(length_m: float, ivd_m: float) -> int:
@@ -93,14 +89,16 @@ def generate_deployment(cfg: "SimConfig", rng: np.random.Generator) -> Deploymen
         lane=lane,
         serving=serving,
         sites=sites,
-        lanes_per_direction=cfg.lanes_per_direction,
     )
 
 
 def write_deployment_csv(dep: Deployment, handle) -> None:
+    # every site stands on the median: eastbound lanes lie below it
+    median_y = dep.sites[0].y_m
     handle.write("id,lane,direction,x_m,y_m,serving_gnb\n")
     for i in range(dep.num_vehicles):
+        direction = "east" if dep.y_m[i] < median_y else "west"
         handle.write(
-            f"{i},{int(dep.lane[i])},{dep.direction(i)},"
+            f"{i},{int(dep.lane[i])},{direction},"
             f"{dep.x_m[i]:.3f},{dep.y_m[i]:.3f},{int(dep.serving[i])}\n"
         )

@@ -109,6 +109,29 @@ def test_fingerprint_ignores_seed_only():
     assert config_fingerprint(a) != config_fingerprint(c)
 
 
+def test_fingerprint_covers_table_contents(tmp_path):
+    # two different tables written in turn at one path fingerprint apart;
+    # rewriting the first brings its fingerprint back
+    path = tmp_path / "curves.csv"
+    cfg = SimConfig(bler_table_path=str(path))
+    first = _table_document(0.5)
+    path.write_text(first)
+    fp_first = config_fingerprint(cfg)
+    path.write_text(_table_document(0.25))
+    fp_second = config_fingerprint(cfg)
+    path.write_text(first)
+    assert fp_first != fp_second
+    assert config_fingerprint(cfg) == fp_first
+    assert fp_first != config_fingerprint(SimConfig())
+
+
+def _table_document(mid_bler):
+    rows = ["mcs,snr_db,bler"]
+    for mcs in range(1, 16):
+        rows += [f"{mcs},0.0,1.0", f"{mcs},1.0,{mid_bler}", f"{mcs},2.0,0.0"]
+    return "\n".join(rows) + "\n"
+
+
 def test_overrides_apply_and_validate():
     cfg = apply_overrides(SimConfig(), ["ivd_m=40", "retx_scheme=equal", "mu=1"])
     assert cfg.ivd_m == 40.0

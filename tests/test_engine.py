@@ -209,7 +209,6 @@ def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
         x_m=np.array([0.0, 50.0, 100.0, 50.0]), y_m=np.array([0.0, 0.0, 0.0, 60.0]),
         lane=np.array([0, 0, 0, 1]), serving=serving,
         sites=tuple(scenario.GnbSite(0.0, 0.0) for _ in range(3)),
-        lanes_per_direction=1,
     )
     resource = np.full((1, 4), -1, dtype=np.int64)
     occupant = np.full((1, 3, 1), -1, dtype=np.int64)

@@ -56,6 +56,163 @@ def test_load_rejects_bad_header():
         l2sm.load_table(io.StringIO("snr,bler\n"))
 
 
+def _table_csv(rows):
+    """A table document with the same rows for every MCS."""
+    lines = ["mcs,snr_db,bler"]
+    for mcs in range(1, 16):
+        lines += [f"{mcs},{row}" for row in rows]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("rows", [
+    ["-5,1.0", "0,nan", "inf,0.0"],
+    ["-5,1.0", "0,0.5", "inf,0.0"],
+    ["-inf,1.0", "0,0.5"],
+    ["-5,1.0", "0,nan"],
+    ["nan,1.0", "0,0.5"],
+])
+def test_load_rejects_non_finite(rows):
+    with pytest.raises(ValueError, match="must be finite"):
+        l2sm.load_table(io.StringIO(_table_csv(rows)))
+
+
+def test_load_rejects_infinite_slope():
+    # two grid points one subnormal apart: the BLER step has no finite slope
+    with pytest.raises(ValueError, match="slopes must be finite"):
+        l2sm.load_table(io.StringIO(_table_csv(["0.0,1.0", "5e-324,0.0"])))
+
+
+def test_negative_zero_bler_reads_as_zero():
+    table = l2sm.load_table(io.StringIO(_table_csv(["0.0,1.0", "1.0,-0.0", "2.0,-0.0"])))
+    snr, bler = table.curves[4]
+    assert not np.signbit(bler).any()
+    x = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    _assert_interp_bytes(table, 4, x, 0.0)
+
+
+def test_lookup_rejects_nan():
+    table = l2sm.default_bler_table()
+    with pytest.raises(ValueError, match="NaN"):
+        l2sm.bler_lookup(table, 5, np.array([0.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="NaN"):
+        l2sm.bler_lookup(table, 5, np.array([1.0]), np.nan)
+
+
+def test_reception_rejects_nan():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        l2sm.reception_draw(np.array([0.5, np.nan]), rng)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        l2sm.reception_draw(np.array([np.nan]), rng)
+    assert l2sm.reception_draw(np.empty(0), rng).shape == (0,)
+
+
+def _queries(snr, delta, rng):
+    """Random values, every grid point and its float neighbours on both
+    sides (also minus the shift, so the sum lands on them), ends and beyond."""
+    points = np.concatenate((snr, snr - delta))
+    return np.concatenate((
+        rng.uniform(snr[0] - 10.0, snr[-1] + 10.0, 200),
+        points,
+        np.nextafter(points, np.inf),
+        np.nextafter(points, -np.inf),
+        [np.inf, -np.inf, snr[0] - 1.0, snr[-1] + 1.0, -1e300, 1e300],
+    ))
+
+
+def _assert_interp_bytes(table, mcs, x, delta):
+    snr, bler = table.curves[mcs]
+    got = l2sm.bler_lookup(table, mcs, x, delta)
+    assert got.shape == x.shape
+    assert got.tobytes() == np.interp(x + delta, snr, bler).tobytes()
+
+
+_SHIFTS = st.one_of(st.sampled_from([0.0, 3.0, 5.0, 7.0, -0.0]),
+                    st.floats(-40.0, 40.0, allow_subnormal=False))
+
+
+@given(mcs=st.integers(1, 15), delta=_SHIFTS, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_lookup_matches_interp_on_builtin_curves(mcs, delta, seed):
+    table = l2sm.default_bler_table()
+    x = _queries(table.curves[mcs][0], delta, np.random.default_rng(seed))
+    _assert_interp_bytes(table, mcs, x, delta)
+    _assert_interp_bytes(table, mcs, x[: x.size // 2 * 2].reshape(2, -1), delta)
+
+
+def test_lookup_matches_interp_across_chunks(monkeypatch):
+    # more values than one chunk, with a partial last chunk
+    monkeypatch.setattr(l2sm, "_LOOKUP_CHUNK", 1000)
+    table = l2sm.default_bler_table()
+    x = np.random.default_rng(3).normal(5.0, 12.0, 4321)
+    for mcs in (1, 8, 15):
+        _assert_interp_bytes(table, mcs, x, 5.0)
+
+
+@st.composite
+def _curves(draw):
+    """(snr, bler, clustered): a strictly increasing finite grid, uniform,
+    random or with a tight cluster, and a non-increasing BLER in [0, 1]."""
+    kind = draw(st.sampled_from(["uniform", "random", "clustered"]))
+    if kind == "uniform":
+        n = draw(st.integers(2, 80))
+        snr = draw(st.floats(-50.0, 50.0)) + draw(st.floats(1e-3, 5.0)) * np.arange(n)
+    else:
+        coarse = draw(st.lists(st.floats(-20.0, 20.0).filter(lambda v: v == 0 or abs(v) > 1e-3),
+                               min_size=2, max_size=60, unique=True))
+        snr = np.array([-20.0, 20.0, *coarse])
+        if kind == "clustered":
+            # >= 3 points within 1e-6 dB span at most two buckets, so one
+            # bucket holds two or more
+            # away from 0, where float neighbours are subnormal and the
+            # slopes overflow
+            start = draw(st.floats(-19.0, 19.0).filter(lambda v: abs(v) > 1e-3))
+            step = draw(st.sampled_from([None, 1e-9, 1e-7]))
+            cluster = [start]
+            for _ in range(draw(st.integers(2, 12))):
+                cluster.append(np.nextafter(cluster[-1], np.inf) if step is None
+                               else cluster[-1] + step)
+            snr = np.concatenate((snr, cluster))
+        snr = np.unique(snr)
+    bler = np.sort(np.array(draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+        min_size=snr.size, max_size=snr.size))))[::-1]
+    return snr, bler, kind == "clustered"
+
+
+@given(curve=_curves(), delta=_SHIFTS, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_lookup_matches_interp_on_loaded_tables(curve, delta, seed):
+    snr, bler, clustered = curve
+    buf = io.StringIO()
+    l2sm.dump_table(l2sm.BlerTable(curves={m: (snr, bler) for m in range(1, 16)}), buf)
+    table = l2sm.load_table(io.StringIO(buf.getvalue()))
+    if clustered:
+        assert table._index[1].k >= 2
+    x = _queries(table.curves[1][0], delta, np.random.default_rng(seed))
+    _assert_interp_bytes(table, 1, x, delta)
+
+
+def test_lookup_index_built_once_per_table(monkeypatch):
+    built = []
+
+    class Counting(l2sm._CurveIndex):
+        def __init__(self, snr, bler):
+            built.append(snr.size)
+            super().__init__(snr, bler)
+
+    monkeypatch.setattr(l2sm, "_CurveIndex", Counting)
+    buf = io.StringIO()
+    l2sm.dump_table(l2sm.default_bler_table(), buf)
+    table = l2sm.load_table(io.StringIO(buf.getvalue()))
+    assert len(built) == 15
+    x = np.linspace(-20.0, 40.0, 1001)
+    for _ in range(3):
+        for mcs in table.mcs_indices():
+            l2sm.bler_lookup(table, mcs, x, 3.0)
+    assert len(built) == 15
+
+
 def test_lookup_constant_extrapolation():
     table = l2sm.default_bler_table()
     snr, bler = table.curves[5]

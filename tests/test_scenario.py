@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -49,8 +50,13 @@ def test_deployment_grid_spacing_and_lanes():
         assert xs.max() <= cfg.highway_length_m
         ys = dep.y_m[dep.lane == lane]
         assert np.all(ys == (lane + 0.5) * cfg.lane_width_m)
-    assert dep.direction(0) == "east"
-    assert dep.direction(dep.num_vehicles - 1) == "west"
+    buf = io.StringIO()
+    scenario.write_deployment_csv(dep, buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert rows[0][2] == "east" and rows[-1][2] == "west"
+    assert [r[2] for r in rows] == [
+        "east" if lane < cfg.lanes_per_direction else "west" for lane in dep.lane
+    ]
 
 
 def test_every_vehicle_served_once():
