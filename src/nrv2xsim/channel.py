@@ -40,8 +40,9 @@ def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
     d = np.maximum(np.asarray(distance_m, dtype=float), min_distance_m)
     d_bp = breakpoint_distance_m(tx_height_m, rx_height_m, fc_ghz)
     freq_term = np.log10(fc_ghz / 5.0)
-    near = 22.7 * np.log10(d) + 41.0 + 20.0 * freq_term
-    far = (40.0 * np.log10(d) + 9.45
+    log_d = np.log10(d)
+    near = 22.7 * log_d + 41.0 + 20.0 * freq_term
+    far = (40.0 * log_d + 9.45
            - 17.3 * np.log10(h_tx) - 17.3 * np.log10(h_rx)
            + 2.7 * freq_term)
     return np.where(d < d_bp, near, far)

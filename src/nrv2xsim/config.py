@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 
-from . import phy
+from . import l2sm, phy
 
 L2SM_DELTA_VALUES_DB = (0.0, 3.0, 5.0, 7.0)
 SINR_COMBINING_MODES = ("linear", "db")
@@ -191,8 +191,7 @@ def config_fingerprint(cfg: SimConfig) -> str:
     table file's contents when ``bler_table_path`` is set."""
     doc = {name: getattr(cfg, name) for name in _FIELD_KINDS if name != "seed"}
     if cfg.bler_table_path is not None:
-        with open(cfg.bler_table_path, "rb") as handle:
-            doc["bler_table_sha256"] = hashlib.sha256(handle.read()).hexdigest()
+        doc["bler_table_sha256"] = l2sm.read_table_file(cfg.bler_table_path)[0]
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

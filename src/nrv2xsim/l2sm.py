@@ -10,6 +10,8 @@ applied at lookup time.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -207,16 +209,30 @@ def dump_table(table: BlerTable, handle) -> None:
             handle.write(f"{mcs},{float(s)!r},{float(b)!r}\n")
 
 
-@lru_cache(maxsize=8)
-def _load_cached(path: str) -> BlerTable:
-    return load_table(path)
+def read_table_file(path) -> tuple[str, bytes]:
+    """A table file's sha256 and its bytes.  The digest stands for the
+    curves in the run fingerprint and in the loaded-table cache alike."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return hashlib.sha256(data).hexdigest(), data
+
+
+# Loaded tables by file digest, oldest first: a file rewritten at one path
+# loads its new curves.
+_LOADED: dict[str, BlerTable] = {}
+_LOADED_MAX = 8
 
 
 def active_table(cfg) -> BlerTable:
     """The table a run uses: the configured file if set, else the built-in."""
-    if cfg.bler_table_path is not None:
-        return _load_cached(cfg.bler_table_path)
-    return default_bler_table()
+    if cfg.bler_table_path is None:
+        return default_bler_table()
+    digest, data = read_table_file(cfg.bler_table_path)
+    if digest not in _LOADED:
+        if len(_LOADED) >= _LOADED_MAX:
+            del _LOADED[next(iter(_LOADED))]
+        _LOADED[digest] = load_table(io.StringIO(data.decode("utf-8"), newline=""))
+    return _LOADED[digest]
 
 
 def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db: float = 0.0) -> np.ndarray:

@@ -207,8 +207,9 @@ def test_sweep_builds_links_once_per_sinr_group(tmp_path, capsys, caplog, monkey
     assert code == 0
     # ivd 20 (about 516 vehicles per cell) overloads some plans: "none"
     # supports 700/600/400 at mu 0/1/2 and "equal" 350/300/200, so 5 schedule
-    # signatures; ivd 100 (102 per cell) overloads none, so one per scheme
-    assert len(calls) == (5 + 2) * 2  # one per (group, signature, drop)
+    # signatures; ivd 100 (102 per cell) overloads none, so one per scheme.
+    # The signatures of a drop share one search over their transmitters.
+    assert len(calls) == 2 * 2  # one per (group, drop)
     assert "expanding campaign: 24 runs in 2 SINR groups, 1 worker(s)" in caplog.messages
     # the grouped sweep writes the bytes of one execute_run per run
     monkeypatch.setattr(engine, "_build_links", build_links)

@@ -172,11 +172,18 @@ def test_ceiling_counts_the_whole_highway():
 def _linear_sinr(cfg, dep, plan, sched, links, rng):
     """(phases, links) linear SINR of cfg: the pass's signal over its
     interference plus the plan's noise, the arithmetic of _evaluate_links."""
-    ratio = np.empty((len(plan.phase_mcs), links.rx.size))
-    for p in range(ratio.shape[0]):
-        signal, interference = engine._phase_powers(cfg, dep, sched, links, p, rng)
-        ratio[p] = signal / (interference + plan.noise_mw)
-    return ratio
+    signal, interference = _powers(cfg, dep, sched, links, len(plan.phase_mcs), rng)
+    return signal / (interference + plan.noise_mw)
+
+
+def _powers(cfg, dep, sched, links, phases, rng):
+    """(phases, links) signal and interference of one pass through
+    _phase_powers."""
+    signal = np.empty((phases, links.rx.size))
+    interference = np.empty_like(signal)
+    for p in range(phases):
+        engine._phase_powers(cfg, dep, sched, links, p, rng, signal[p], interference[p])
+    return signal, interference
 
 
 def _evaluate(cfg, seed=0):
@@ -184,10 +191,9 @@ def _evaluate(cfg, seed=0):
     its links, their receptions under cfg's plan, and the linear SINR of its
     pass."""
     dep, plan, sched, rng = _setup(cfg, seed)
-    tx_ids = np.flatnonzero(sched.assigned)
     pass_rng = copy.deepcopy(rng)
     links, received = engine._evaluate_links(
-        engine.pass_config(cfg), dep, sched, l2sm.default_bler_table(), tx_ids, rng, [plan],
+        engine.pass_config(cfg), dep, sched, l2sm.default_bler_table(), rng, [plan],
     )
     ratio = _linear_sinr(cfg, dep, plan, sched, links, pass_rng)
     return dep, plan, links, received[engine._decision_key(plan)], ratio
@@ -291,13 +297,22 @@ def _reference_phase_ratio(cfg, dep, sched, links, p, noise_mw, rng):
 @pytest.mark.parametrize("transmitters", [1, 63, 64, 65, 129, None])
 def test_phase_ratio_matches_whole_array_pass(cfg, transmitters):
     # the same SINR bytes and the same end state of the stream, whatever the
-    # number of transmitters on either side of a block boundary
+    # number of transmitters on either side of a block boundary, and whether
+    # phase 0 computes its interferer pathloss or reads it precomputed
     dep, plan, sched, rng = _setup(cfg, seed=3)
     tx_ids = np.flatnonzero(sched.assigned)[:transmitters]
     links = engine._build_links(dep, tx_ids, cfg)
-    reference_rng = copy.deepcopy(rng)
+    phase0_pl = engine._interferer_pathloss(
+        cfg, dep, links, engine._interferers(dep, sched, tx_ids, 0))
+    reference_rng, read_rng = copy.deepcopy(rng), copy.deepcopy(rng)
     for p in range(len(plan.phase_mcs)):
-        signal, interference = engine._phase_powers(cfg, dep, sched, links, p, rng)
+        signal, interference, read_signal, read_interference = (
+            np.empty(links.rx.size) for _ in range(4))
+        engine._phase_powers(cfg, dep, sched, links, p, rng, signal, interference)
+        engine._phase_powers(cfg, dep, sched, links, p, read_rng, read_signal,
+                             read_interference, iter(phase0_pl) if p == 0 else None)
+        assert signal.tobytes() == read_signal.tobytes()
+        assert interference.tobytes() == read_interference.tobytes()
         ratio = signal / (interference + 1e-12)
         expected = _reference_phase_ratio(cfg, dep, sched, links, p, 1e-12, reference_rng)
         assert ratio.tobytes() == expected.tobytes()
@@ -557,6 +572,95 @@ def test_combining_splits_members_of_one_mcs():
     grouped = engine.execute_run(members, 6)
     for cfg, result in zip(members, grouped):
         _assert_same_result(result, _run(cfg, 6))
+
+
+# SHARED_PASS at ivd 20: about 516 vehicles per cell, so "none" keeps every
+# vehicle at mu 0 and 1 and 400 per cell at mu 2, and the two-phase schemes
+# keep 350/300/200: five schedule signatures of mixed caps and phase counts
+OVERLOADED_PASS = replace(SHARED_PASS, ivd_m=20.0, drops=1)
+
+
+def _signature_passes(members, seed, monkeypatch):
+    """Every (transmitters, phase, signal, interference) that _phase_powers
+    fills in one drop of members, as bytes."""
+    passes = []
+    phase_powers = engine._phase_powers
+
+    def recording(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl=None):
+        phase_powers(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl)
+        passes.append((links.tx_ids.tobytes(), p, signal.tobytes(), interference.tobytes()))
+
+    monkeypatch.setattr(engine, "_phase_powers", recording)
+    plans = [phy.build_resource_plan(m) for m in members]
+    engine._drop_counts(engine.pass_config(members[0]), plans, engine._drop_seed(seed, 0))
+    monkeypatch.setattr(engine, "_phase_powers", phase_powers)
+    return passes
+
+
+def test_shared_geometry_gives_each_signature_its_own_pass(monkeypatch):
+    # one link search for the drop, and each signature's signal and
+    # interference are the bytes of that signature run alone
+    members = [replace(OVERLOADED_PASS, mu=mu, retx_scheme=retx)
+               for mu in (0, 1, 2) for retx in ("none", "equal", "nonequal:4")]
+    searched = []
+    build_links = engine._build_links
+
+    def counting(dep, tx_ids, cfg):
+        searched.append(tx_ids.size)
+        return build_links(dep, tx_ids, cfg)
+
+    monkeypatch.setattr(engine, "_build_links", counting)
+    grouped = _signature_passes(members, 8, monkeypatch)
+    assert len(searched) == 1
+    alone = {record for m in members for record in _signature_passes([m], 8, monkeypatch)}
+    assert len(searched) == 1 + len(members)
+    assert len({tx for tx, *_ in grouped}) == 5
+    assert sorted(grouped) == sorted(alone)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       grids=st.lists(st.tuples(st.integers(0, 140), st.integers(1, 30), st.integers(1, 2)),
+                      min_size=2, max_size=4))
+def test_kept_sets_nest_and_phase0_interferers_agree(seed, grids):
+    # schedules drawn from copies of one stream under any caps, grant grid
+    # widths and phase counts: a smaller cap keeps a subset of a larger one,
+    # and a kept vehicle meets the same phase-0 interferer in every cell
+    cfg = SimConfig(ivd_m=80.0)  # about 130 vehicles per cell
+    rng = np.random.default_rng(seed)
+    dep = scenario.generate_deployment(cfg, rng)
+    base = phy.build_resource_plan(cfg)
+    scheds = sorted(
+        ((cap, engine.schedule_slots(
+            dep, replace(base, ue_supported=cap, ue_per_slot=width,
+                         phase_mcs=base.phase_mcs * phases), copy.deepcopy(rng)))
+         for cap, width, phases in grids), key=lambda item: item[0])
+    for (_, small), (_, large) in zip(scheds, scheds[1:]):
+        assert not (small.assigned & ~large.assigned).any()
+        tx_ids = np.flatnonzero(small.assigned)
+        assert np.array_equal(engine._interferers(dep, small, tx_ids, 0),
+                              engine._interferers(dep, large, tx_ids, 0))
+
+
+def test_shared_geometry_rejects_a_schedule_it_does_not_nest():
+    cfg = replace(OVERLOADED_PASS, retx_scheme="equal")
+    rng = np.random.default_rng(1)
+    dep = scenario.generate_deployment(cfg, rng)
+    plan = phy.build_resource_plan(cfg)
+
+    def read(first, then):
+        shared = engine._SharedGeometry()
+        shared.read(cfg, dep, first)
+        with pytest.raises(RuntimeError, match="not nested"):
+            shared.read(cfg, dep, then)
+
+    # a schedule keeping more vehicles than the first one read
+    read(engine.schedule_slots(dep, replace(plan, ue_supported=100), copy.deepcopy(rng)),
+         engine.schedule_slots(dep, plan, copy.deepcopy(rng)))
+    # every vehicle in both, but in another phase-0 order
+    every = replace(plan, ue_supported=dep.num_vehicles)
+    read(engine.schedule_slots(dep, every, copy.deepcopy(rng)),
+         engine.schedule_slots(dep, every, np.random.default_rng(2)))
 
 
 @pytest.mark.parametrize("retx, deltas, lookups", [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from nrv2xsim import l2sm
+from nrv2xsim.config import SimConfig, config_fingerprint
 
 
 def test_default_table_covers_all_mcs():
@@ -300,3 +301,25 @@ def test_active_table_uses_file(tmp_path):
 
     loaded = l2sm.active_table(Cfg())
     assert loaded.mcs_indices() == list(range(1, 16))
+
+
+def _three_point_table(mid_bler):
+    rows = ["mcs,snr_db,bler"]
+    for mcs in range(1, 16):
+        rows += [f"{mcs},0.0,1.0", f"{mcs},1.0,{mid_bler}", f"{mcs},2.0,0.0"]
+    return "\n".join(rows) + "\n"
+
+
+def test_active_table_follows_a_rewritten_file(tmp_path):
+    # the table loaded is the one the fingerprint names, after each rewrite
+    # at one path too
+    path = tmp_path / "curves.csv"
+    cfg = SimConfig(bler_table_path=str(path))
+    tables = {}
+    for mid in (0.5, 0.25, 0.5):
+        path.write_text(_three_point_table(mid))
+        table = l2sm.active_table(cfg)
+        assert table.curves[1][1].tolist() == [1.0, mid, 0.0]
+        tables.setdefault(config_fingerprint(cfg), table)
+        assert tables[config_fingerprint(cfg)] is table
+    assert len(tables) == 2
