@@ -20,9 +20,10 @@ interferers.  Runs of one schedule signature also share the schedule and
 every link's signal and interference, and runs of one decision key their
 receptions.  The key is read from each run's resource plan (noise power,
 phase MCS, combining, shift): after deployment the engine reads the pass
-config and the plans, never a member config.  Each key adds its noise and
-decides from its own copy of the stream, so every run's result is the one
-it gets alone.
+config and the plans, never a member config.  The keys of a pass decide in
+one loop: one uniform draw per (decision, chunk of links) that every key
+reads, one dB SINR per (noise, combining), and one lookup per key, so
+every run's result is the one it gets alone.
 """
 
 from __future__ import annotations
@@ -340,38 +341,51 @@ def _decision_key(plan: phy.ResourcePlan) -> tuple:
     return plan.noise_mw, plan.phase_mcs, plan.combining, plan.shift_db
 
 
-# Links per pass of a decision: its SINR, lookup and draw temporaries stay
-# this size however many links the pass has.
-_DECIDE_CHUNK = 1 << 16
+# Links per step of the decision loop: the SINR, lookup and draw
+# temporaries stay this size however many links the pass has.
+_DECIDE_CHUNK = 1 << 14
 
 
-def _decide(plan: phy.ResourcePlan, table: l2sm.BlerTable, signal: np.ndarray,
-            interference: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Reception of every link and decision of plan, ``(decisions, links)``,
-    from the pass's ``(phases, links)`` signal and interference plus the
-    plan's noise.
+def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable, signal: np.ndarray,
+            interference: np.ndarray, rng: np.random.Generator) -> dict:
+    """Reception of every link and decision, ``(decisions, links)``, of each
+    decision key of plans, from the pass's ``(phases, links)`` signal and
+    interference plus the key's noise.
 
-    Works through one chunk of links at a time, decision after decision.
-    Every step is elementwise or a mean over the phases of one link, so a
-    chunk holds the bytes of the whole-array arithmetic, and consecutive
-    ``rng.random`` calls yield the values of one call over their total size.
+    One loop over (decision, chunk of links) serves every key.  The chunk's
+    uniforms are drawn once from the post-pass stream and read by every key,
+    its dB SINR is formed once per (noise, combining), and each key adds only
+    its lookup and compare.  That is what each key's runs get alone: every
+    step is elementwise or a mean over the phases of one link, so a chunk
+    holds the bytes of the whole-array arithmetic; consecutive
+    ``rng.random`` calls yield the values of one call over their total size,
+    so decision d of every key reads the same uniforms, a combining key
+    those of decision 0; and nothing reads the stream after the decisions.
     """
-    decisions = 1 if plan.combining else signal.shape[0]
-    received = np.empty((decisions, signal.shape[1]), dtype=bool)
-    for d in range(decisions):
-        rows = slice(None) if plan.combining else slice(d, d + 1)
-        for lo in range(0, signal.shape[1], _DECIDE_CHUNK):
+    deciders = {_decision_key(plan): plan for plan in plans}
+    phases, num_links = signal.shape
+    received = {key: np.empty((1 if plan.combining else phases, num_links), dtype=bool)
+                for key, plan in deciders.items()}
+    for d in range(max(map(len, received.values()))):
+        for lo in range(0, num_links, _DECIDE_CHUNK):
             chunk = slice(lo, lo + _DECIDE_CHUNK)
-            ratio = interference[rows, chunk] + plan.noise_mw
-            np.divide(signal[rows, chunk], ratio, out=ratio)
-            if plan.combining == "linear":
-                ratio = ratio.mean(axis=0, keepdims=True)
-            sinr_db = np.log10(ratio, out=ratio)
-            sinr_db *= 10.0
-            if plan.combining == "db":
-                sinr_db = sinr_db.mean(axis=0, keepdims=True)
-            received[d, chunk] = l2sm.reception_draw(
-                l2sm.bler_lookup(table, plan.phase_mcs[d], sinr_db[0], plan.shift_db), rng)
+            uniforms = rng.random(min(_DECIDE_CHUNK, num_links - lo))
+            sinr_db = {}  # (noise, combining) -> the chunk's decision-d SINR in dB
+            for key, plan in deciders.items():
+                if d >= len(received[key]):
+                    continue
+                at = plan.noise_mw, plan.combining
+                if at not in sinr_db:
+                    rows = slice(None) if plan.combining else slice(d, d + 1)
+                    ratio = interference[rows, chunk] + plan.noise_mw
+                    np.divide(signal[rows, chunk], ratio, out=ratio)
+                    if plan.combining == "linear":
+                        ratio = ratio.mean(axis=0, keepdims=True)
+                    db = np.log10(ratio, out=ratio)
+                    db *= 10.0
+                    sinr_db[at] = db.mean(axis=0) if plan.combining == "db" else db[0]
+                received[key][d, chunk] = l2sm.reception_draw(l2sm.bler_lookup(
+                    table, plan.phase_mcs[d], sinr_db[at], plan.shift_db), uniforms)
     return received
 
 
@@ -386,8 +400,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
     cfg is the pass config; plans share its phase count, so they share the
     signal and interference of every link.  The links and the phase-0
     interferer pathloss come from shared when given, else from their own
-    search.  Each distinct key decides from its own copy of the post-pass
-    stream, as its runs would alone.
+    search.  Every key then decides from the post-pass stream (_decide).
     """
     if shared is None:
         links, phase0_pl = _build_links(dep, np.flatnonzero(sched.assigned), cfg), None
@@ -398,12 +411,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
     for p in range(signal.shape[0]):
         _phase_powers(cfg, dep, sched, links, p, rng, signal[p], interference[p],
                       phase0_pl if p == 0 else None)
-    received = {}
-    for plan in plans:
-        key = _decision_key(plan)
-        if key not in received:
-            received[key] = _decide(plan, table, signal, interference, copy.deepcopy(rng))
-    return links, received
+    return links, _decide(plans, table, signal, interference, rng)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,9 +30,6 @@ MIDPOINT_STEP_DB = 2.0
 
 CSV_HEADER = ("mcs", "snr_db", "bler")
 
-# Values per pass of the indexed lookup, so its temporaries stay a few
-# hundred kB however many links one call brings.
-_LOOKUP_CHUNK = 1 << 14
 # Buckets per grid point in a curve's index.
 _BUCKETS_PER_POINT = 4
 
@@ -70,36 +67,19 @@ class _CurveIndex:
         self.bler = np.concatenate(([0.0], bler))
 
     def _bucket(self, x: np.ndarray) -> np.ndarray:
-        """b(x), by the arithmetic lookup() repeats in its buffers."""
+        """b(x) of each value x, the bucket both the index and lookup() use."""
         return (x * self.inv - self.offset).astype(np.intp)
 
-    def lookup(self, values: np.ndarray, delta_db: float, out: np.ndarray) -> None:
-        """out = BLER at values + delta_db, both flat, one chunk at a time."""
-        size = min(values.size, _LOOKUP_CHUNK)
-        x, g = np.empty(size), np.empty(size)
-        b, j = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-        for lo in range(0, values.size, _LOOKUP_CHUNK):
-            n = min(_LOOKUP_CHUNK, values.size - lo)
-            xc, gc, bc, jc = x[:n], g[:n], b[:n], j[:n]
-            np.add(values[lo:lo + n], delta_db, out=xc)
-            if np.isnan(xc.min()):
-                raise ValueError("sinr_db + delta_db must not be NaN")
-            np.clip(xc, self.lo, self.hi, out=xc)
-            np.multiply(xc, self.inv, out=gc)
-            np.subtract(gc, self.offset, out=gc)
-            np.copyto(bc, gc, casting="unsafe")
-            # every index is in range; "clip" only spares take() its buffer
-            np.take(self.first, bc, out=jc, mode="clip")
-            for _ in range(self.k):  # the grid is sorted: once a step fails, all do
-                np.take(self.thresholds, jc, out=gc, mode="clip")
-                np.less_equal(gc, xc, out=bc)
-                jc += bc
-            np.take(self.snr, jc, out=gc, mode="clip")
-            np.subtract(xc, gc, out=xc)
-            np.take(self.slopes, jc, out=gc, mode="clip")
-            np.multiply(xc, gc, out=xc)
-            np.take(self.bler, jc, out=gc, mode="clip")
-            np.add(xc, gc, out=out[lo:lo + n])
+    def lookup(self, values: np.ndarray, delta_db: float) -> np.ndarray:
+        """BLER at each of the flat values + delta_db."""
+        x = values + delta_db
+        if x.size and np.isnan(x.min()):
+            raise ValueError("sinr_db + delta_db must not be NaN")
+        np.clip(x, self.lo, self.hi, out=x)
+        j = self.first[self._bucket(x)]
+        for _ in range(self.k):  # the grid is sorted: once a step fails, all do
+            j += self.thresholds[j] <= x
+        return (x - self.snr[j]) * self.slopes[j] + self.bler[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,17 +224,16 @@ def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db: float = 0.0) -> n
     if index is None:
         raise ValueError(f"unknown mcs: {mcs}")
     values = np.asarray(sinr_db, dtype=float)
-    out = np.empty(values.shape)
-    index.lookup(values.reshape(-1), delta_db, out.reshape(-1))
-    return out
+    return index.lookup(values.reshape(-1), delta_db).reshape(values.shape)
 
 
-def reception_draw(bler, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli reception: draw X ~ U[0,1) per link; received iff X >= bler.
+def reception_draw(bler, uniforms: np.ndarray) -> np.ndarray:
+    """Bernoulli reception: received iff X >= bler, X each link's U[0,1)
+    variate in uniforms.
 
     P(received) = 1 - bler.
     """
     b = np.asarray(bler, dtype=float)
     if b.size and not (0 <= b.min() and b.max() <= 1):  # NaN fails both
         raise ValueError("bler must lie in [0, 1]")
-    return rng.random(b.shape) >= b
+    return uniforms >= b

@@ -175,7 +175,7 @@ def test_criterion_7_bernoulli_fidelity(capsys):
     ok = True
     details = []
     for bler in (0.05, 0.25, 0.5):
-        rate = l2sm.reception_draw(np.full(n, bler), rng).mean()
+        rate = l2sm.reception_draw(np.full(n, bler), rng.random(n)).mean()
         sigma = math.sqrt(bler * (1 - bler) / n)
         details.append(f"{bler}:{rate:.4f}")
         if abs(rate - (1 - bler)) > 3 * sigma:

@@ -663,23 +663,120 @@ def test_shared_geometry_rejects_a_schedule_it_does_not_nest():
          engine.schedule_slots(dep, every, np.random.default_rng(2)))
 
 
+def _decided_passes(members, seed, monkeypatch):
+    """(plans, signal, interference, post-pass stream, receptions) of each
+    SINR pass in one drop of members, as _decide takes and returns them."""
+    passes = []
+    decide = engine._decide
+
+    def recording(plans, table, signal, interference, rng):
+        stream = copy.deepcopy(rng)
+        received = decide(plans, table, signal, interference, rng)
+        passes.append((plans, signal, interference, stream, received))
+        return received
+
+    monkeypatch.setattr(engine, "_decide", recording)
+    plans = [phy.build_resource_plan(m) for m in members]
+    engine._drop_counts(engine.pass_config(members[0]), plans, engine._drop_seed(seed, 0))
+    monkeypatch.setattr(engine, "_decide", decide)
+    return passes
+
+
+def _reference_receptions(plan, table, signal, interference, rng):
+    """plan's receptions by whole-array arithmetic: decision d compares row
+    d of one (decisions, links) uniform draw from the post-pass stream with
+    np.interp at the decision's SINR in dB plus the shift."""
+    ratio = signal / (interference + plan.noise_mw)
+    if plan.combining == "linear":
+        ratio = ratio.mean(axis=0, keepdims=True)
+    sinr_db = 10.0 * np.log10(ratio)
+    if plan.combining == "db":
+        sinr_db = sinr_db.mean(axis=0, keepdims=True)
+    uniforms = copy.deepcopy(rng).random(sinr_db.shape)
+    return np.array([
+        uniforms[d] >= np.interp(sinr_db[d] + plan.shift_db, *table.curves[plan.phase_mcs[d]])
+        for d in range(sinr_db.shape[0])
+    ])
+
+
+@pytest.mark.parametrize("chunk", [engine._DECIDE_CHUNK, 1000])
+@pytest.mark.parametrize("combining", ["linear", "db"])
+def test_decisions_match_whole_array_reference(combining, chunk, monkeypatch):
+    # every key of every pass, whatever chunk size the decision loop steps by
+    monkeypatch.setattr(engine, "_DECIDE_CHUNK", chunk)
+    members = [replace(OVERLOADED_PASS, mu=mu, retx_scheme=retx, l2sm_delta_db=delta,
+                       retx_sinr_combining=combining)
+               for mu in (0, 1, 2) for retx in ("none", "equal", "nonequal:1", "nonequal:4")
+               for delta in (3.0, 7.0)]
+    table = l2sm.default_bler_table()
+    passes = _decided_passes(members, 5, monkeypatch)
+    assert len(passes) == 5
+    assert any(signal.shape[1] > chunk and signal.shape[1] % chunk
+               for _, signal, *_ in passes)
+    for plans, signal, interference, rng, received in passes:
+        assert set(received) == {engine._decision_key(plan) for plan in plans}
+        for plan in plans:
+            got = received[engine._decision_key(plan)]
+            expected = _reference_receptions(plan, table, signal, interference, rng)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("retx, decisions", [
+    (("equal",), 1),
+    (("nonequal:4",), 2),
+    (("equal", "nonequal:1", "nonequal:4"), 2),
+])
+def test_one_uniform_draw_per_decision_and_chunk(retx, decisions, monkeypatch):
+    # every key of a pass reads the same uniforms: one draw per (decision,
+    # chunk), however many keys and lookups the pass serves
+    monkeypatch.setattr(engine, "_DECIDE_CHUNK", 1000)
+    seen = []
+    draw = l2sm.reception_draw
+
+    def recording(bler, uniforms):
+        seen.append(uniforms)
+        return draw(bler, uniforms)
+
+    monkeypatch.setattr(l2sm, "reception_draw", recording)
+    cfg = replace(OVERLOADED_PASS, retx_scheme=retx[0])
+    dep, _, sched, rng = _setup(cfg)
+    plans = [phy.build_resource_plan(replace(cfg, retx_scheme=r, l2sm_delta_db=delta))
+             for r in retx for delta in (3.0, 5.0, 7.0)]
+    links, received = engine._evaluate_links(engine.pass_config(cfg), dep, sched,
+                                              l2sm.default_bler_table(), rng, plans)
+    chunks = -(-links.rx.size // 1000)
+    assert chunks > 1
+    assert len(received) == len(plans)
+    assert len(seen) == sum(r.shape[0] for r in received.values()) * chunks
+    assert len({id(u) for u in seen}) == decisions * chunks
+
+
 @pytest.mark.parametrize("retx, deltas, lookups", [
     ("none", (0.0, 3.0, 5.0, 7.0), 1),   # one phase ignores the shift
     ("equal", (3.0, 5.0, 7.0), 3),       # one combined decision per shift
     ("nonequal:2", (3.0, 5.0, 7.0), 6),  # two phase decisions per shift
 ])
 def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, lookups, monkeypatch):
-    calls = []
-    lookup = l2sm.bler_lookup
+    # looked-up values per link of each pass: a count no chunk size changes
+    looked_up, passed = [], []
+    lookup, evaluate = l2sm.bler_lookup, engine._evaluate_links
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        looked_up.append(np.size(args[2]))
         return lookup(*args, **kwargs)
 
+    def recording(*args, **kwargs):
+        links, received = evaluate(*args, **kwargs)
+        passed.append(links.rx.size)
+        return links, received
+
     monkeypatch.setattr(l2sm, "bler_lookup", counting)
+    monkeypatch.setattr(engine, "_evaluate_links", recording)
     cfg = replace(NOISE_LIMITED, ivd_m=80.0, retx_scheme=retx, drops=2)
     engine.execute_run([replace(cfg, l2sm_delta_db=d) for d in deltas], 4)
-    assert len(calls) == lookups * cfg.drops
+    assert len(passed) == cfg.drops
+    assert sum(looked_up) == lookups * sum(passed)
 
 
 def test_every_sweep_axis_splits_or_shares_the_pass():

@@ -99,13 +99,18 @@ def test_lookup_rejects_nan():
         l2sm.bler_lookup(table, 5, np.array([1.0]), np.nan)
 
 
+def _draw(bler, rng):
+    """reception_draw of bler against fresh uniforms of its shape."""
+    return l2sm.reception_draw(bler, rng.random(bler.shape))
+
+
 def test_reception_rejects_nan():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        l2sm.reception_draw(np.array([0.5, np.nan]), rng)
+        _draw(np.array([0.5, np.nan]), rng)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        l2sm.reception_draw(np.array([np.nan]), rng)
-    assert l2sm.reception_draw(np.empty(0), rng).shape == (0,)
+        _draw(np.array([np.nan]), rng)
+    assert _draw(np.empty(0), rng).shape == (0,)
 
 
 def _queries(snr, delta, rng):
@@ -141,11 +146,11 @@ def test_lookup_matches_interp_on_builtin_curves(mcs, delta, seed):
     _assert_interp_bytes(table, mcs, x[: x.size // 2 * 2].reshape(2, -1), delta)
 
 
-def test_lookup_matches_interp_across_chunks(monkeypatch):
-    # more values than one chunk, with a partial last chunk
-    monkeypatch.setattr(l2sm, "_LOOKUP_CHUNK", 1000)
+@pytest.mark.parametrize("x", [
+    np.array(2.5), np.float64(-7.25), np.empty(0), np.empty((2, 0)),
+], ids=["0-d", "scalar", "empty", "empty_2d"])
+def test_lookup_keeps_the_input_shape(x):
     table = l2sm.default_bler_table()
-    x = np.random.default_rng(3).normal(5.0, 12.0, 4321)
     for mcs in (1, 8, 15):
         _assert_interp_bytes(table, mcs, x, 5.0)
 
@@ -265,17 +270,17 @@ def test_higher_mcs_never_easier():
 
 def test_reception_extremes():
     rng = np.random.default_rng(0)
-    assert all(l2sm.reception_draw(np.array([0.0]), rng) for _ in range(100))
-    assert not any(l2sm.reception_draw(np.array([1.0]), rng) for _ in range(100))
+    assert all(_draw(np.array([0.0]), rng) for _ in range(100))
+    assert not any(_draw(np.array([1.0]), rng) for _ in range(100))
     with pytest.raises(ValueError):
-        l2sm.reception_draw(np.array([1.5]), rng)
+        _draw(np.array([1.5]), rng)
 
 
 def test_reception_binomial_concentration():
     rng = np.random.default_rng(42)
     n = 100_000
     bler = 0.25
-    received = l2sm.reception_draw(np.full(n, bler), rng)
+    received = _draw(np.full(n, bler), rng)
     rate = received.mean()
     sigma = math.sqrt(bler * (1 - bler) / n)
     assert abs(rate - (1 - bler)) <= 3 * sigma
