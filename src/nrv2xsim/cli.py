@@ -40,10 +40,7 @@ def _resolve_config(args) -> SimConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _resolve_config(args)
-    plan = phy.build_resource_plan(cfg)
-    (counts,) = engine.simulate_drops([cfg], [plan], cfg.seed)
-    result = engine._finalize(cfg, plan, cfg.seed, counts)
+    ((result, counts),) = engine.execute_run([_resolve_config(args)])
     metrics.write_run_csv(result, args.out)
     log.info("wrote %s (fingerprint %s, seed %d)", args.out, result.fingerprint, result.seed)
     if args.dump_samples:
@@ -60,22 +57,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sinr_groups(runs) -> list[tuple[list[SimConfig], int]]:
-    """(member configs, seed): runs that differ only in engine.POST_PASS_FIELDS
-    share each drop's deployment and, per schedule signature, its SINR pass."""
-    groups: dict[tuple[SimConfig, int], list[SimConfig]] = {}
-    for cfg, seed in runs:
-        groups.setdefault((engine.pass_config(cfg), seed), []).append(cfg)
-    return [(members, seed) for (_, seed), members in groups.items()]
-
-
-def _sweep_worker(group):
-    return engine.execute_run(*group)
+def _sweep_worker(members):
+    return [result for result, _ in engine.execute_run(members)]
 
 
 def _run_groups(groups, jobs: int):
     """Each group's results, in group order, as the groups finish."""
-    if jobs == 1 or len(groups) < 2:
+    if jobs == 1:
         yield from map(_sweep_worker, groups)
         return
     chunk = max(1, len(groups) // (jobs * 4))
@@ -88,8 +76,9 @@ def _cmd_sweep(args) -> int:
     if args.overrides:
         campaign = replace(campaign, base=apply_overrides(campaign.base, args.overrides))
     runs = expand_campaign(campaign)
-    groups = _sinr_groups(runs)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    groups = engine.sinr_groups(cfg for cfg, _ in runs)
+    # a worker beyond the group count would only be forked and left idle
+    jobs = min(args.jobs or os.cpu_count() or 1, len(groups))
     log.info("expanding campaign: %d runs in %d SINR groups, %d worker(s)",
              len(runs), len(groups), jobs)
     results = []
@@ -168,6 +157,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _jobs(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0 (0: all cores), got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrv2xsim",
@@ -189,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="expand and execute a campaign")
     _add_common(sweep_p)
     sweep_p.add_argument("--out", default="sweep.csv", metavar="PATH")
-    sweep_p.add_argument("--jobs", type=int, default=0, metavar="N",
-                         help="parallel workers (default: all cores)")
+    sweep_p.add_argument("--jobs", type=_jobs, default=0, metavar="N",
+                         help="parallel workers, at most one per SINR group "
+                              "(default 0: all cores)")
     sweep_p.set_defaults(func=_cmd_sweep)
 
     cap_p = sub.add_parser("capacity", help="print the resource plan for a config")

@@ -13,8 +13,10 @@ random order transmit, the rest keep listening but lose their transmit
 opportunity.  The overload penalty enters the effective PRR only through
 its ceiling, so dropped vehicles contribute no runtime samples.
 
-One drop can serve several runs.  Runs whose configs differ only in
-POST_PASS_FIELDS share its deployment and its geometry: one link search
+execute_run is the one way in, for run and sweep alike.  It takes one
+sinr_groups group, runs whose configs (seed included) differ only in
+POST_PASS_FIELDS, and returns each run's RunResult with its drops.  Such
+runs share each drop's deployment and its geometry: one link search
 over every transmitter any of them keeps, and the pathloss of the phase-0
 interferers.  Runs of one schedule signature also share the schedule and
 every link's signal and interference, and runs of one decision key their
@@ -29,7 +31,7 @@ every run's result is the one it gets alone.
 from __future__ import annotations
 
 import copy
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -46,10 +48,18 @@ POST_PASS_FIELDS = ("mu", "tf_hz", "retx_scheme", "l2sm_delta_db")
 _POST_PASS_DEFAULTS = {name: getattr(SimConfig(), name) for name in POST_PASS_FIELDS}
 
 
-def pass_config(cfg: SimConfig) -> SimConfig:
+def _pass_config(cfg: SimConfig) -> SimConfig:
     """cfg with every post-pass field at its default: runs whose pass
-    configs and seeds are equal can share one SINR pass."""
+    configs are equal, the seed included, can share one SINR pass."""
     return replace(cfg, **_POST_PASS_DEFAULTS)
+
+
+def sinr_groups(configs: Iterable[SimConfig]) -> list[list[SimConfig]]:
+    """configs grouped by pass config, in first-seen order: one execute_run each."""
+    groups: dict[SimConfig, list[SimConfig]] = {}
+    for cfg in configs:
+        groups.setdefault(_pass_config(cfg), []).append(cfg)
+    return list(groups.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,7 +480,7 @@ def _signature_counts(cfg: SimConfig, dep: scenario.Deployment, table: l2sm.Bler
             for plan in plans]
 
 
-def _finalize(cfg: SimConfig, plan: phy.ResourcePlan, seed_label: int,
+def _finalize(cfg: SimConfig, plan: phy.ResourcePlan,
               counts: list[_DropCounts]) -> metrics.RunResult:
     m = np.concatenate([dc.m for dc in counts])
     n = np.concatenate([dc.n for dc in counts], axis=1)
@@ -483,7 +493,7 @@ def _finalize(cfg: SimConfig, plan: phy.ResourcePlan, seed_label: int,
     return metrics.RunResult(
         key=metrics.RunKey.from_config(cfg),
         fingerprint=config_fingerprint(cfg),
-        seed=int(seed_label),
+        seed=cfg.seed,
         prr_runtime=runtime,
         prr_max=plan.prr_max,
         prr_effective=effective,
@@ -497,31 +507,24 @@ def _drop_seed(seed: int, drop_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(drop_index,))
 
 
-def simulate_drops(members: Sequence[SimConfig], plans: Sequence[phy.ResourcePlan],
-                   seed: int) -> list[list[_DropCounts]]:
-    """Per-drop counts of cfg.drops independent drops under one seed, one
-    list of drops per member.  Raises ValueError unless the members differ
-    only in POST_PASS_FIELDS."""
-    cfg, *others = (pass_config(m) for m in members)
+def execute_run(members: Sequence[SimConfig]
+                ) -> list[tuple[metrics.RunResult, list[_DropCounts]]]:
+    """Per member, its RunResult and the counts of its drops, seeded by the
+    cfg.seed the members share.  Raises ValueError unless they share one pass
+    config (one sinr_groups group).  Each member's result and drops equal
+    those of its run alone: every drop shares one deployment among the
+    members, and one schedule, link search and interference pass among the
+    members of each schedule signature.
+    """
+    cfg, *others = (_pass_config(m) for m in members)
     mixed = sorted(f.name for f in fields(SimConfig)
                    if any(getattr(o, f.name) != getattr(cfg, f.name) for o in others))
     if mixed:
         raise ValueError(f"runs of one SINR pass differ in {', '.join(mixed)}")
-    drops = [_drop_counts(cfg, plans, _drop_seed(seed, i)) for i in range(cfg.drops)]
-    return [list(per_member) for per_member in zip(*drops)]
-
-
-def execute_run(members: Sequence[SimConfig], seed: int) -> list[metrics.RunResult]:
-    """One RunResult per member: its drops' samples pooled under one seed.
-
-    The members differ only in POST_PASS_FIELDS, and each RunResult equals
-    that of its member run alone: every drop shares one deployment among
-    the members, and one schedule, link search and interference pass among
-    the members of each schedule signature.
-    """
     plans = [phy.build_resource_plan(m) for m in members]
-    return [_finalize(m, plan, seed, counts)
-            for m, plan, counts in zip(members, plans, simulate_drops(members, plans, seed))]
+    drops = [_drop_counts(cfg, plans, _drop_seed(cfg.seed, i)) for i in range(cfg.drops)]
+    return [(_finalize(m, plan, counts), counts)
+            for m, plan, counts in zip(members, plans, map(list, zip(*drops)))]
 
 
 def run_sample_table(counts: list[_DropCounts]) -> list[tuple[int, int, int, int, int]]:

@@ -28,7 +28,8 @@ def _report(num, name, ok, detail=""):
 
 
 def _effective(cfg, seeds=SEEDS):
-    return np.array([engine.execute_run([cfg], s)[0].prr_effective for s in seeds])
+    runs = (engine.execute_run([replace(cfg, seed=s)]) for s in seeds)
+    return np.array([result.prr_effective for ((result, _),) in runs])
 
 
 def _significantly_greater(x, y, alpha=0.05):

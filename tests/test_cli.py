@@ -216,7 +216,8 @@ def test_sweep_builds_links_once_per_sinr_group(tmp_path, capsys, caplog, monkey
     runs = expand_campaign(parse_campaign(cfg_path.read_text()))
     alone = tmp_path / "alone.csv"
     metrics.write_sweep_csv(
-        metrics.aggregate(engine.execute_run([cfg], seed)[0] for cfg, seed in runs), alone
+        metrics.aggregate(result for cfg, _ in runs
+                          for result, _ in engine.execute_run([cfg])), alone
     )
     assert out.read_bytes() == alone.read_bytes()
 
@@ -247,9 +248,96 @@ def test_sweep_logs_progress_per_group(tmp_path, capsys, caplog, jobs):
     runs = expand_campaign(parse_campaign(cfg_path.read_text()))
     alone = tmp_path / "alone.csv"
     metrics.write_sweep_csv(
-        metrics.aggregate(engine.execute_run([cfg], seed)[0] for cfg, seed in runs), alone
+        metrics.aggregate(result for cfg, _ in runs
+                          for result, _ in engine.execute_run([cfg])), alone
     )
     assert out.read_bytes() == alone.read_bytes()
+
+
+# a campaign of two SINR groups (one per spacing) and one of a single group
+TWO_GROUPS = {"base": {"highway_length_m": 1732, "num_gnb": 1},
+              "sweep_ivd_m": [200, 400], "seeds": [1]}
+ONE_GROUP = {"base": {"highway_length_m": 1732, "num_gnb": 1, "ivd_m": 400},
+             "sweep_retx": ["none", "equal"], "seeds": [1]}
+
+
+@pytest.mark.parametrize("campaign", [TWO_GROUPS, ONE_GROUP], ids=["two_groups", "one_group"])
+@pytest.mark.parametrize("jobs", ["-1", "-3", "two"])
+def test_sweep_rejects_bad_jobs_at_parse_time(tmp_path, capsys, campaign, jobs):
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps(campaign))
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert (f"argument --jobs: must be an integer >= 0 (0: all cores), got '{jobs}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+class _SerialPool:
+    """A ProcessPoolExecutor stand-in that records its width and maps in
+    this process."""
+
+    widths: list = []
+
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("campaign, jobs, width", [
+    (TWO_GROUPS, "0", 2),   # all of 64 cores, but only two groups
+    (TWO_GROUPS, "8", 2),
+    (TWO_GROUPS, "1", None),
+    (ONE_GROUP, "0", None),  # one group runs in this process
+], ids=["two_groups_all_cores", "two_groups_jobs8", "two_groups_jobs1", "one_group_all_cores"])
+def test_sweep_starts_at_most_one_worker_per_group(tmp_path, capsys, caplog, monkeypatch,
+                                                   campaign, jobs, width):
+    monkeypatch.setattr(_SerialPool, "widths", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps(campaign))
+    caplog.set_level(logging.INFO, logger="nrv2xsim")
+    code, _ = run_cli(
+        ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"), "--jobs", jobs],
+        capsys,
+    )
+    assert code == 0
+    assert _SerialPool.widths == ([] if width is None else [width])
+    groups = len(campaign.get("sweep_ivd_m", [None]))
+    assert (f"expanding campaign: 2 runs in {groups} SINR groups, {width or 1} worker(s)"
+            in caplog.messages)
+
+
+def test_run_equals_sweep_of_its_seed(tmp_path, capsys):
+    # run and sweep enter the engine the same way: one seed, one row
+    settings = {"highway_length_m": 1732, "num_gnb": 1, "ivd_m": 200,
+                "retx_scheme": "nonequal:2", "drops": 2}
+    run_out, sweep_out = tmp_path / "run.csv", tmp_path / "sweep.csv"
+    overrides = [arg for k, v in settings.items() for arg in ("--set", f"{k}={v}")]
+    code, _ = run_cli(["run", *overrides, "--set", "seed=7", "--out", str(run_out)], capsys)
+    assert code == 0
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps({"base": settings, "seeds": [7]}))
+    code, _ = run_cli(
+        ["sweep", "--config", str(cfg_path), "--out", str(sweep_out), "--jobs", "1"], capsys
+    )
+    assert code == 0
+    run_row = dict(zip(*(line.split(",") for line in run_out.read_text().splitlines())))
+    sweep_row = dict(zip(*(line.split(",") for line in sweep_out.read_text().splitlines())))
+    assert run_row["seed"] == "7"
+    assert sweep_row["seed_count"] == "1"
+    assert run_row["prr_effective"] == sweep_row["prr_mean"]
 
 
 def test_sweep_rejects_negative_seed_before_running(tmp_path, capsys):

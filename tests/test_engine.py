@@ -18,15 +18,20 @@ NOISE_LIMITED = SimConfig(
 )
 
 
+def _results(members, seed):
+    """The RunResults of members run together under seed."""
+    return [result for result, _ in engine.execute_run([replace(m, seed=seed) for m in members])]
+
+
 def _run(cfg, seed):
-    """The RunResult of cfg run alone."""
-    (result,) = engine.execute_run([cfg], seed)
+    """The RunResult of cfg run alone under seed."""
+    (result,) = _results([cfg], seed)
     return result
 
 
 def _drop(cfg, plan, seed):
     """The counts of one drop of cfg under plan."""
-    (counts,) = engine._drop_counts(engine.pass_config(cfg), [plan], seed)
+    (counts,) = engine._drop_counts(engine._pass_config(cfg), [plan], seed)
     return counts
 
 
@@ -193,7 +198,7 @@ def _evaluate(cfg, seed=0):
     dep, plan, sched, rng = _setup(cfg, seed)
     pass_rng = copy.deepcopy(rng)
     links, received = engine._evaluate_links(
-        engine.pass_config(cfg), dep, sched, l2sm.default_bler_table(), rng, [plan],
+        engine._pass_config(cfg), dep, sched, l2sm.default_bler_table(), rng, [plan],
     )
     ratio = _linear_sinr(cfg, dep, plan, sched, links, pass_rng)
     return dep, plan, links, received[engine._decision_key(plan)], ratio
@@ -509,7 +514,7 @@ GROUP_DELTAS = (3.0, 0.0, 7.0, 5.0)
 ], ids=["none", "equal_linear", "equal_db", "nonequal2", "nonequal4",
         "no_receiver", "zero_capacity"])
 def test_grouped_deltas_equal_each_run_alone(cfg):
-    grouped = engine.execute_run([replace(cfg, l2sm_delta_db=d) for d in GROUP_DELTAS], 6)
+    grouped = _results([replace(cfg, l2sm_delta_db=d) for d in GROUP_DELTAS], 6)
     assert len(grouped) == len(GROUP_DELTAS)
     for delta, result in zip(GROUP_DELTAS, grouped):
         _assert_same_result(result, _run(replace(cfg, l2sm_delta_db=delta), 6))
@@ -553,11 +558,18 @@ def _member_sets(draw):
 @given(members=_member_sets(), seed=st.integers(0, 1000))
 def test_grouped_members_equal_each_run_alone(members, seed):
     # runs that differ in numerology, message rate, scheme and shift share
-    # each drop's deployment and, per schedule signature, one SINR pass
-    grouped = engine.execute_run(members, seed)
+    # each drop's deployment and, per schedule signature, one SINR pass;
+    # each member's drops are those of its run alone too
+    members = [replace(m, seed=seed) for m in members]
+    grouped = engine.execute_run(members)
     assert len(grouped) == len(members)
-    for cfg, result in zip(members, grouped):
-        _assert_same_result(result, _run(cfg, seed))
+    for cfg, (result, drops) in zip(members, grouped):
+        ((alone, alone_drops),) = engine.execute_run([cfg])
+        _assert_same_result(result, alone)
+        assert len(drops) == len(alone_drops) == cfg.drops
+        for dc, dc_alone in zip(drops, alone_drops):
+            for name in ("tx_ids", "m", "n"):
+                assert np.array_equal(getattr(dc, name), getattr(dc_alone, name)), name
 
 
 def test_combining_splits_members_of_one_mcs():
@@ -569,7 +581,7 @@ def test_combining_splits_members_of_one_mcs():
     equal, nonequal = (phy.build_resource_plan(replace(SPARSE_PASS, retx_scheme=retx))
                        for retx in ("equal", "nonequal:1"))
     assert equal.phase_mcs == nonequal.phase_mcs
-    grouped = engine.execute_run(members, 6)
+    grouped = _results(members, 6)
     for cfg, result in zip(members, grouped):
         _assert_same_result(result, _run(cfg, 6))
 
@@ -592,7 +604,7 @@ def _signature_passes(members, seed, monkeypatch):
 
     monkeypatch.setattr(engine, "_phase_powers", recording)
     plans = [phy.build_resource_plan(m) for m in members]
-    engine._drop_counts(engine.pass_config(members[0]), plans, engine._drop_seed(seed, 0))
+    engine._drop_counts(engine._pass_config(members[0]), plans, engine._drop_seed(seed, 0))
     monkeypatch.setattr(engine, "_phase_powers", phase_powers)
     return passes
 
@@ -677,7 +689,7 @@ def _decided_passes(members, seed, monkeypatch):
 
     monkeypatch.setattr(engine, "_decide", recording)
     plans = [phy.build_resource_plan(m) for m in members]
-    engine._drop_counts(engine.pass_config(members[0]), plans, engine._drop_seed(seed, 0))
+    engine._drop_counts(engine._pass_config(members[0]), plans, engine._drop_seed(seed, 0))
     monkeypatch.setattr(engine, "_decide", decide)
     return passes
 
@@ -743,7 +755,7 @@ def test_one_uniform_draw_per_decision_and_chunk(retx, decisions, monkeypatch):
     dep, _, sched, rng = _setup(cfg)
     plans = [phy.build_resource_plan(replace(cfg, retx_scheme=r, l2sm_delta_db=delta))
              for r in retx for delta in (3.0, 5.0, 7.0)]
-    links, received = engine._evaluate_links(engine.pass_config(cfg), dep, sched,
+    links, received = engine._evaluate_links(engine._pass_config(cfg), dep, sched,
                                               l2sm.default_bler_table(), rng, plans)
     chunks = -(-links.rx.size // 1000)
     assert chunks > 1
@@ -774,7 +786,7 @@ def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, lookups, monkey
     monkeypatch.setattr(l2sm, "bler_lookup", counting)
     monkeypatch.setattr(engine, "_evaluate_links", recording)
     cfg = replace(NOISE_LIMITED, ivd_m=80.0, retx_scheme=retx, drops=2)
-    engine.execute_run([replace(cfg, l2sm_delta_db=d) for d in deltas], 4)
+    _results([replace(cfg, l2sm_delta_db=d) for d in deltas], 4)
     assert len(passed) == cfg.drops
     assert sum(looked_up) == lookups * sum(passed)
 
@@ -787,10 +799,13 @@ def test_every_sweep_axis_splits_or_shares_the_pass():
         assert (name in pass_axes) != (name in engine.POST_PASS_FIELDS), name
 
 
-def test_execute_run_rejects_members_of_different_passes():
-    members = [NOISE_LIMITED, replace(NOISE_LIMITED, ivd_m=80.0, mu=1)]
-    with pytest.raises(ValueError, match=r"differ in ivd_m$"):
-        engine.execute_run(members, 1)
+@pytest.mark.parametrize("other, mixed", [
+    (replace(NOISE_LIMITED, ivd_m=80.0, mu=1), "ivd_m"),
+    (replace(NOISE_LIMITED, seed=2, l2sm_delta_db=3.0), "seed"),
+], ids=["ivd_m", "seed"])
+def test_execute_run_rejects_members_of_different_passes(other, mixed):
+    with pytest.raises(ValueError, match=rf"differ in {mixed}$"):
+        engine.execute_run([NOISE_LIMITED, other])
 
 
 def test_nonequal_run_reports_phase_prrs():
@@ -847,11 +862,9 @@ def test_equal_retx_beats_single_tx_when_noise_limited():
 
 
 def test_run_sample_table_matches_result():
-    cfg = replace(NOISE_LIMITED, ivd_m=100.0, drops=2)
-    plan = phy.build_resource_plan(cfg)
-    (counts,) = engine.simulate_drops([cfg], [plan], 3)
+    cfg = replace(NOISE_LIMITED, ivd_m=100.0, drops=2, seed=3)
+    ((result, counts),) = engine.execute_run([cfg])
     rows = engine.run_sample_table(counts)
-    result = _run(cfg, 3)
     assert len(rows) == result.samples
     assert {row[0] for row in rows} == {0, 1}
     assert all(0 <= n <= m for _, _, _, m, n in rows)
