@@ -266,9 +266,15 @@ def parse_campaign(text: str) -> CampaignSpec:
 
 
 def expand_campaign(spec: CampaignSpec) -> list[tuple[SimConfig, int]]:
-    """Expand to the ordered (config, seed) list: ivd, mu, tf, retx, delta, seed."""
+    """Expand to the ordered (config, seed) list: ivd, mu, tf, retx, delta, seed.
+    Raises ConfigError if an axis lists one value twice: its runs would be
+    pooled as separate samples."""
     axes = [getattr(spec, key) or (getattr(spec.base, name),)
             for key, name in _SWEEP_AXES.items()]
+    for key, values in zip(_SWEEP_AXES, axes):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{key} lists {value!r} twice")
     runs = []
     for point in itertools.product(*axes):
         cfg = replace(spec.base, **dict(zip(_SWEEP_AXES.values(), point)))

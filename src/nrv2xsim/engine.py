@@ -8,24 +8,25 @@ its two phase SINRs into a single decision SINR, the others decide each
 phase on its own.  Each decision gets its own BLER lookup and Bernoulli
 draw, and the run PRR is the mean of the per-decision PRRs.
 
-Capacity dropping is per cell: the first ``ue_supported`` vehicles of a
-random order transmit, the rest keep listening but lose their transmit
-opportunity.  The overload penalty enters the effective PRR only through
-its ceiling, so dropped vehicles contribute no runtime samples.
+Capacity dropping is per cell: the first ``ue_supported`` vehicles of the
+cell's random order, drawn once per drop, transmit; the rest keep listening
+but lose their transmit opportunity.  The overload penalty enters the
+effective PRR only through its ceiling, so dropped vehicles contribute no
+runtime samples.
 
 execute_run is the one way in, for run and sweep alike.  It takes one
 sinr_groups group, runs whose configs (seed included) differ only in
 POST_PASS_FIELDS, and returns each run's RunResult with its drops.  Such
-runs share each drop's deployment and its geometry: one link search
-over every transmitter any of them keeps, and the pathloss of the phase-0
-interferers.  Runs of one schedule signature also share the schedule and
-every link's signal and interference, and runs of one decision key their
-receptions.  The key is read from each run's resource plan (noise power,
-phase MCS, combining, shift): after deployment the engine reads the pass
-config and the plans, never a member config.  The keys of a pass decide in
-one loop: one uniform draw per (decision, chunk of links) that every key
-reads, one dB SINR per (noise, combining), and one lookup per key, so
-every run's result is the one it gets alone.
+runs share each drop's deployment, its grant orders and its geometry: one
+link search over every transmitter any of them keeps, and the pathloss of
+the phase-0 interferers.  Runs of one schedule signature also share the
+schedule and every link's signal and interference, and runs of one
+decision key their receptions.  The key is read from each run's resource
+plan (noise power, phase MCS, combining, shift): after deployment the
+engine reads the pass config and the plans, never a member config.  The
+keys of a pass decide in one loop: one uniform draw per (decision, chunk
+of links) that every key reads, one dB SINR per (noise, combining), and
+one lookup per key, so every run's result is the one it gets alone.
 """
 
 from __future__ import annotations
@@ -66,55 +67,49 @@ def sinr_groups(configs: Iterable[SimConfig]) -> list[list[SimConfig]]:
 class SlotSchedule:
     """Per-cell grants over one transmission period.
 
-    ``resource[p, v]`` is the linear grant index slot * ue_per_slot + chunk
-    of vehicle v in phase p, or -1 without a grant.  ``occupant[p, c, r]``
-    inverts it per cell (-1 when idle).  The same linear index in two cells
-    means the same time/frequency resource, hence mutual interference.
+    ``resource[p, v]`` is the linear grant index of vehicle v in phase p, its
+    place in its cell's phase-p order, or -1 without a grant.
+    ``occupant[p, c, r]`` inverts it per cell (-1 when idle), r up to the
+    largest kept count.  The same linear index in two cells means the same
+    time/frequency resource, hence mutual interference.
     """
 
     assigned: np.ndarray      # bool per vehicle
     dropped: np.ndarray       # vehicle ids beyond capacity, ascending
     resource: np.ndarray      # (phases, vehicles) int
-    occupant: np.ndarray      # (phases, cells, slots * ue_per_slot) int
+    occupant: np.ndarray      # (phases, cells, largest kept count) int
 
 
-def schedule_slots(dep: scenario.Deployment, plan: phy.ResourcePlan,
-                   rng: np.random.Generator) -> SlotSchedule:
-    """Random-order round-robin grants per cell, capped at ue_supported."""
-    num_cells = len(dep.sites)
-    num_vehicles = dep.num_vehicles
-    num_phases = len(plan.phase_mcs)
-
-    kept: list[np.ndarray] = []
-    dropped_parts: list[np.ndarray] = []
-    for c in range(num_cells):
+def _cell_orders(dep: scenario.Deployment, rng: np.random.Generator) -> list[np.ndarray]:
+    """Each cell's vehicle ids in random order, cell 0 first: the phase-0
+    grant order of every schedule of the drop."""
+    orders = []
+    for c in range(len(dep.sites)):
         ids = np.flatnonzero(dep.serving == c)
-        order = ids[rng.permutation(ids.size)]
-        kept.append(order[: plan.ue_supported])
-        dropped_parts.append(order[plan.ue_supported :])
+        orders.append(ids[rng.permutation(ids.size)])
+    return orders
 
-    # ue_per_slot is 0 only when ue_supported is 0, and then nobody is kept
-    max_assigned = max(k.size for k in kept)
-    num_slots = -(-max_assigned // plan.ue_per_slot) if max_assigned else 0  # ceil
-    grid = num_slots * plan.ue_per_slot
 
-    resource = np.full((num_phases, num_vehicles), -1, dtype=np.int64)
-    occupant = np.full((num_phases, num_cells, grid), -1, dtype=np.int64)
+def schedule_slots(dep: scenario.Deployment, orders: Sequence[np.ndarray],
+                   plan: phy.ResourcePlan, rng: np.random.Generator) -> SlotSchedule:
+    """Round-robin grants per cell in the order of orders, capped at
+    ue_supported; later phases permute each cell's kept vehicles afresh."""
+    num_phases = len(plan.phase_mcs)
+    kept = [order[: plan.ue_supported] for order in orders]
+    resource = np.full((num_phases, dep.num_vehicles), -1, dtype=np.int64)
+    occupant = np.full((num_phases, len(kept), max(k.size for k in kept)), -1, dtype=np.int64)
     for p in range(num_phases):
-        for c in range(num_cells):
-            members = kept[c]
-            if p == 0:
-                order = members
-            else:
-                # fresh permutation: retransmissions face independent interferers
-                order = members[rng.permutation(members.size)]
+        for c, members in enumerate(kept):
+            # later phases permute afresh: retransmissions face independent
+            # interferers
+            order = members if p == 0 else members[rng.permutation(members.size)]
             resource[p, order] = np.arange(order.size)
             occupant[p, c, : order.size] = order
 
-    assigned = np.zeros(num_vehicles, dtype=bool)
+    assigned = np.zeros(dep.num_vehicles, dtype=bool)
     for k in kept:
         assigned[k] = True
-    dropped = np.sort(np.concatenate(dropped_parts))
+    dropped = np.sort(np.concatenate([order[plan.ue_supported :] for order in orders]))
 
     return SlotSchedule(
         assigned=assigned,
@@ -302,50 +297,6 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
             interference_mw[ls][hit_links] += 10.0 ** (power_dbm / 10.0)
 
 
-class _SharedGeometry:
-    """The geometry that the schedule signatures of one drop share: the
-    links of their transmitters and the pathloss of their phase-0
-    interferers, computed once for the first schedule read.
-
-    Every signature schedules from a copy of one post-deployment stream,
-    whose per-cell phase-0 permutations come first.  A signature keeping k
-    vehicles per cell keeps the first k of each cell's order, so the kept
-    sets are nested, and a kept vehicle's phase-0 grant is its place in
-    that order: its interferer in a cell is that cell's vehicle at the same
-    place, whatever k, the phase count or ue_per_slot.  So the first
-    schedule read must keep the most vehicles; every later one then reads
-    its own rows.  Later phases permute the kept vehicles alone, so their
-    interferers are not shared.
-    """
-
-    def __init__(self):
-        self._union = None  # (links, phase-0 interferers, their pathloss)
-
-    def read(self, cfg: SimConfig, dep: scenario.Deployment,
-             sched: SlotSchedule) -> tuple[_LinkBatch, Iterator[np.ndarray]]:
-        """The links of sched's transmitters, and their phase-0 interferer
-        pathloss cell after cell, each cell's taken when asked for.  Raises
-        RuntimeError if sched keeps a vehicle the first schedule did not, or
-        gives one another phase-0 interferer."""
-        tx_ids = np.flatnonzero(sched.assigned)
-        interferers = _interferers(dep, sched, tx_ids, 0)
-        if self._union is None:
-            links = _build_links(dep, tx_ids, cfg)
-            self._union = links, interferers, _interferer_pathloss(cfg, dep, links, interferers)
-        links, union_interferers, union_pl = self._union
-        keep = sched.assigned[links.tx_ids]
-        if (np.count_nonzero(keep) != tx_ids.size
-                or not np.array_equal(union_interferers[:, keep], interferers)):
-            raise RuntimeError("a schedule signature of the drop is not nested in the "
-                               "one that keeps the most vehicles")
-        if keep.all():
-            return links, iter(union_pl)
-        return links.rows(keep), (
-            pl[np.repeat(keep[hit], links.counts[hit])]
-            for pl, hit in zip(union_pl, union_interferers >= 0)
-        )
-
-
 def _decision_key(plan: phy.ResourcePlan) -> tuple:
     """Every input a run's receptions read after the SINR pass."""
     return plan.noise_mw, plan.phase_mcs, plan.combining, plan.shift_db
@@ -401,27 +352,23 @@ def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable, signal: np
 
 def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                     table: l2sm.BlerTable, rng: np.random.Generator,
-                    plans: Sequence[phy.ResourcePlan],
-                    shared: _SharedGeometry | None = None) -> tuple[_LinkBatch, dict]:
-    """One SINR pass over the links of sched's transmitters, decided for
-    every decision key of plans: the links, and the ``(decisions, links)``
-    receptions of each key.
+                    plans: Sequence[phy.ResourcePlan], links: _LinkBatch,
+                    phase0_pl: Iterator[np.ndarray] | None) -> dict:
+    """One SINR pass over links, those of sched's transmitters, decided for
+    every decision key of plans: the ``(decisions, links)`` receptions of
+    each key.
 
     cfg is the pass config; plans share its phase count, so they share the
-    signal and interference of every link.  The links and the phase-0
-    interferer pathloss come from shared when given, else from their own
-    search.  Every key then decides from the post-pass stream (_decide).
+    signal and interference of every link.  phase0_pl, when given, yields
+    the phase-0 interferer pathloss cell after cell (_phase_powers).  Every
+    key then decides from the post-pass stream (_decide).
     """
-    if shared is None:
-        links, phase0_pl = _build_links(dep, np.flatnonzero(sched.assigned), cfg), None
-    else:
-        links, phase0_pl = shared.read(cfg, dep, sched)
     signal = np.empty((len(plans[0].phase_mcs), links.rx.size))
     interference = np.empty_like(signal)
     for p in range(signal.shape[0]):
         _phase_powers(cfg, dep, sched, links, p, rng, signal[p], interference[p],
                       phase0_pl if p == 0 else None)
-    return links, _decide(plans, table, signal, interference, rng)
+    return _decide(plans, table, signal, interference, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,42 +382,67 @@ class _DropCounts:
 def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
                  seed) -> list[_DropCounts]:
     """One drop of every plan under the pass config cfg: one deployment, one
-    geometry, and one schedule and SINR pass per schedule signature.
+    grant order per cell, one link search, and one schedule and SINR pass per
+    schedule signature.
 
-    The signature is (phase count, min(ue_supported, largest cell)): it
-    fixes every vehicle kept by the schedule and every permutation drawn,
-    while ue_per_slot changes only the width of the grant grid.  Each
-    signature starts from a copy of the post-deployment stream, so every
-    plan sees the stream of its run alone.  The signatures run largest cap
-    first, so the first one's links serve them all (_SharedGeometry).
+    The signature is (phase count, min(ue_supported, largest cell)): it fixes
+    every vehicle kept by the schedule and every permutation drawn.  Every
+    signature keeps a prefix of each cell's order (_cell_orders), so a
+    smaller cap keeps a subset of a larger cap's vehicles with the same
+    phase-0 grants, hence the same phase-0 interferers.  The signatures run
+    largest cap first: the first one's transmitters give the links, and with
+    more signatures to come the phase-0 interferer pathloss, of which every
+    signature reads its rows.  Each signature schedules from a copy of the
+    stream after the orders, so every plan sees the stream of its run alone.
     """
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
+    orders = _cell_orders(dep, rng)
     table = l2sm.active_table(cfg)
-    largest = int(np.bincount(dep.serving, minlength=len(dep.sites)).max())
+    largest = max(order.size for order in orders)
     signatures: dict[tuple[int, int], list[int]] = {}
     for i, plan in enumerate(plans):
         key = (len(plan.phase_mcs), min(plan.ue_supported, largest))
         signatures.setdefault(key, []).append(i)
 
-    shared = _SharedGeometry() if len(signatures) > 1 else None
     counts: list[_DropCounts | None] = [None] * len(plans)
+    union = None
     for _, idx in sorted(signatures.items(), key=lambda item: -item[0][1]):
         members = [plans[i] for i in idx]
-        for i, dc in zip(idx, _signature_counts(cfg, dep, table, copy.deepcopy(rng),
-                                                members, shared)):
+        stream = copy.deepcopy(rng)
+        sched = schedule_slots(dep, orders, members[0], stream)
+        if union is None:
+            union, phase0 = _build_links(dep, np.flatnonzero(sched.assigned), cfg), None
+            # a lone signature's pass computes this pathloss block by block,
+            # in less memory
+            if len(signatures) > 1:
+                occ = _interferers(dep, sched, union.tx_ids, 0)
+                phase0 = [(pl, hit, union.counts[hit]) for pl, hit in
+                          zip(_interferer_pathloss(cfg, dep, union, occ), occ >= 0)]
+        for i, dc in zip(idx, _signature_counts(cfg, dep, sched, table, stream, members,
+                                                union, phase0)):
             counts[i] = dc
+        # freed before the next schedule is drawn, as the signature's other
+        # arrays are: held across it, retx_mix peak RSS read 0.5 MB higher
+        del sched
     return counts
 
 
-def _signature_counts(cfg: SimConfig, dep: scenario.Deployment, table: l2sm.BlerTable,
-                      rng: np.random.Generator, plans: Sequence[phy.ResourcePlan],
-                      shared: _SharedGeometry | None) -> list[_DropCounts]:
-    """Counts of plans that share a schedule signature: one schedule and
-    one SINR pass, whose arrays die before the next signature's, and one
-    reduction per decision key."""
-    sched = schedule_slots(dep, plans[0], rng)
-    links, received = _evaluate_links(cfg, dep, sched, table, rng, plans, shared)
+def _signature_counts(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
+                      table: l2sm.BlerTable, rng: np.random.Generator,
+                      plans: Sequence[phy.ResourcePlan], union: _LinkBatch,
+                      phase0: list[tuple[np.ndarray, ...]] | None) -> list[_DropCounts]:
+    """Counts of plans that share the schedule sched: one SINR pass over the
+    links of union that sched keeps, whose arrays die before the next
+    signature's, and one reduction per decision key.  phase0, when given,
+    holds per cell the pathloss of the union links it interferes with in
+    phase 0, the transmitters it interferes with and their link counts."""
+    keep = sched.assigned[union.tx_ids]
+    every = keep.all()
+    links = union if every else union.rows(keep)
+    phase0_pl = None if phase0 is None else (
+        pl if every else pl[np.repeat(keep[hit], n)] for pl, hit, n in phase0)
+    received = _evaluate_links(cfg, dep, sched, table, rng, plans, links, phase0_pl)
     heard = links.counts > 0
     m = links.counts[heard]
     start = np.cumsum(m) - m

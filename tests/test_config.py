@@ -183,6 +183,19 @@ def test_expand_validates_every_point():
         expand_campaign(spec)
 
 
+@pytest.mark.parametrize("axis, values, shown", [
+    ("seeds", [1, 1], "1"),
+    ("sweep_ivd_m", [200, 200.0], "200.0"),
+])
+def test_expand_rejects_duplicate_sweep_values(axis, values, shown):
+    # a repeated value would pool one sample twice into a point's statistics,
+    # whether the campaign was parsed or built in code
+    for spec in (parse_campaign(json.dumps({"base": {}, axis: values})),
+                 CampaignSpec(base=SimConfig(), **{axis: tuple(values)})):
+        with pytest.raises(ConfigError, match=f"^{axis} lists {shown} twice$"):
+            expand_campaign(spec)
+
+
 def test_expand_validates_every_seed():
     spec = CampaignSpec(base=SimConfig(), seeds=(1, -1))
     with pytest.raises(ConfigError, match="seed must be non-negative"):

@@ -39,8 +39,17 @@ def _setup(cfg, seed=0):
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
     plan = phy.build_resource_plan(cfg)
-    sched = engine.schedule_slots(dep, plan, rng)
+    sched = engine.schedule_slots(dep, engine._cell_orders(dep, rng), plan, rng)
     return dep, plan, sched, rng
+
+
+def _evaluate_pass(cfg, dep, sched, rng, plans):
+    """The links of sched's transmitters and their receptions under plans,
+    from one _evaluate_links pass that computes its phase-0 pathloss."""
+    pass_cfg = engine._pass_config(cfg)
+    links = engine._build_links(dep, np.flatnonzero(sched.assigned), pass_cfg)
+    return links, engine._evaluate_links(pass_cfg, dep, sched, l2sm.default_bler_table(),
+                                         rng, plans, links, None)
 
 
 def test_retx_scheme_parse_and_shares():
@@ -197,9 +206,7 @@ def _evaluate(cfg, seed=0):
     pass."""
     dep, plan, sched, rng = _setup(cfg, seed)
     pass_rng = copy.deepcopy(rng)
-    links, received = engine._evaluate_links(
-        engine._pass_config(cfg), dep, sched, l2sm.default_bler_table(), rng, [plan],
-    )
+    links, received = _evaluate_pass(cfg, dep, sched, rng, [plan])
     ratio = _linear_sinr(cfg, dep, plan, sched, links, pass_rng)
     return dep, plan, links, received[engine._decision_key(plan)], ratio
 
@@ -635,44 +642,33 @@ def test_shared_geometry_gives_each_signature_its_own_pass(monkeypatch):
        grids=st.lists(st.tuples(st.integers(0, 140), st.integers(1, 30), st.integers(1, 2)),
                       min_size=2, max_size=4))
 def test_kept_sets_nest_and_phase0_interferers_agree(seed, grids):
-    # schedules drawn from copies of one stream under any caps, grant grid
-    # widths and phase counts: a smaller cap keeps a subset of a larger one,
-    # and a kept vehicle meets the same phase-0 interferer in every cell
+    # schedules from one draw of the cell orders and copies of the stream
+    # after it, under any caps, grant grid widths and phase counts: a smaller
+    # cap keeps a subset of a larger one, a kept vehicle meets the same
+    # phase-0 interferer in every cell, and the grid width changes nothing
     cfg = SimConfig(ivd_m=80.0)  # about 130 vehicles per cell
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
+    orders = engine._cell_orders(dep, rng)
     base = phy.build_resource_plan(cfg)
-    scheds = sorted(
-        ((cap, engine.schedule_slots(
-            dep, replace(base, ue_supported=cap, ue_per_slot=width,
-                         phase_mcs=base.phase_mcs * phases), copy.deepcopy(rng)))
-         for cap, width, phases in grids), key=lambda item: item[0])
+
+    def schedule(cap, width, phases):
+        plan = replace(base, ue_supported=cap, ue_per_slot=width,
+                       phase_mcs=base.phase_mcs * phases)
+        return engine.schedule_slots(dep, orders, plan, copy.deepcopy(rng))
+
+    scheds = sorted(((cap, schedule(cap, width, phases)) for cap, width, phases in grids),
+                    key=lambda item: item[0])
     for (_, small), (_, large) in zip(scheds, scheds[1:]):
         assert not (small.assigned & ~large.assigned).any()
         tx_ids = np.flatnonzero(small.assigned)
         assert np.array_equal(engine._interferers(dep, small, tx_ids, 0),
                               engine._interferers(dep, large, tx_ids, 0))
-
-
-def test_shared_geometry_rejects_a_schedule_it_does_not_nest():
-    cfg = replace(OVERLOADED_PASS, retx_scheme="equal")
-    rng = np.random.default_rng(1)
-    dep = scenario.generate_deployment(cfg, rng)
-    plan = phy.build_resource_plan(cfg)
-
-    def read(first, then):
-        shared = engine._SharedGeometry()
-        shared.read(cfg, dep, first)
-        with pytest.raises(RuntimeError, match="not nested"):
-            shared.read(cfg, dep, then)
-
-    # a schedule keeping more vehicles than the first one read
-    read(engine.schedule_slots(dep, replace(plan, ue_supported=100), copy.deepcopy(rng)),
-         engine.schedule_slots(dep, plan, copy.deepcopy(rng)))
-    # every vehicle in both, but in another phase-0 order
-    every = replace(plan, ue_supported=dep.num_vehicles)
-    read(engine.schedule_slots(dep, every, copy.deepcopy(rng)),
-         engine.schedule_slots(dep, every, np.random.default_rng(2)))
+    for cap, width, phases in grids:
+        one, other = schedule(cap, width, phases), schedule(cap, width % 30 + 1, phases)
+        for name in ("resource", "occupant", "dropped"):
+            a, b = getattr(one, name), getattr(other, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def _decided_passes(members, seed, monkeypatch):
@@ -755,8 +751,7 @@ def test_one_uniform_draw_per_decision_and_chunk(retx, decisions, monkeypatch):
     dep, _, sched, rng = _setup(cfg)
     plans = [phy.build_resource_plan(replace(cfg, retx_scheme=r, l2sm_delta_db=delta))
              for r in retx for delta in (3.0, 5.0, 7.0)]
-    links, received = engine._evaluate_links(engine._pass_config(cfg), dep, sched,
-                                              l2sm.default_bler_table(), rng, plans)
+    links, received = _evaluate_pass(cfg, dep, sched, rng, plans)
     chunks = -(-links.rx.size // 1000)
     assert chunks > 1
     assert len(received) == len(plans)
@@ -778,10 +773,9 @@ def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, lookups, monkey
         looked_up.append(np.size(args[2]))
         return lookup(*args, **kwargs)
 
-    def recording(*args, **kwargs):
-        links, received = evaluate(*args, **kwargs)
+    def recording(cfg, dep, sched, table, rng, plans, links, phase0_pl):
         passed.append(links.rx.size)
-        return links, received
+        return evaluate(cfg, dep, sched, table, rng, plans, links, phase0_pl)
 
     monkeypatch.setattr(l2sm, "bler_lookup", counting)
     monkeypatch.setattr(engine, "_evaluate_links", recording)
