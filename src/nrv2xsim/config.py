@@ -87,6 +87,10 @@ def parse_retx_scheme(value: str) -> tuple[str, int]:
             raise ConfigError(
                 f"retx_scheme split index must be 1..{MAX_NONEQUAL_SPLIT}: {value!r}"
             )
+        # one spelling per scheme: every spelling is its own config, with its
+        # own fingerprint and sweep row
+        if value != f"nonequal:{n}":
+            raise ConfigError(f"retx_scheme must be spelled 'nonequal:{n}': {value!r}")
         return "nonequal", n
     raise ConfigError(
         f"retx_scheme must be 'none', 'equal' or 'nonequal:<n>': {value!r}"

@@ -186,7 +186,12 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
         last[:, k] = a + np.searchsorted(x[a:b], tx_x + reach + _WINDOW_PAD_M, "right")
 
     counts = np.empty(tx_ids.size, dtype=np.int64)
-    rx_parts, pl_parts = [np.empty(0, dtype=np.int32)], [np.empty(0)]
+    # the candidates bound the links from above, as the mask only removes
+    # some.  Each block writes its links into its slice, so the peak is these
+    # two arrays plus one block's temporaries.
+    rx = np.empty(int((last - first).sum()), dtype=np.int32)
+    pathloss_db = np.empty(rx.size)
+    at = 0
     for ts in _tx_blocks(tx_ids.size):
         block = tx_ids[ts]
         width = (last[ts] - first[ts]).ravel()
@@ -200,13 +205,18 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
         d2 = dx * dx + dy * dy
         keep = (d2 <= range_sq) & (cand != src)
         counts[ts] = np.bincount(row[keep], minlength=block.size)
-        rx_parts.append(cand[keep].astype(np.int32))
-        pl_parts.append(channel.pathloss_db(
+        ls = slice(at, at + int(np.count_nonzero(keep)))
+        rx[ls] = cand[keep]
+        pathloss_db[ls] = channel.pathloss_db(
             np.sqrt(d2[keep]), cfg.ue_height_m, cfg.ue_height_m,
             cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
-        ))
-    return _LinkBatch(tx_ids=tx_ids, counts=counts, rx=np.concatenate(rx_parts),
-                      pathloss_db=np.concatenate(pl_parts))
+        )
+        at = ls.stop
+    # trimmed in place, so each array owns exactly its links: a view of the
+    # candidate-sized buffer would keep the whole buffer alive
+    rx.resize(at, refcheck=False)
+    pathloss_db.resize(at, refcheck=False)
+    return _LinkBatch(tx_ids=tx_ids, counts=counts, rx=rx, pathloss_db=pathloss_db)
 
 
 def _interferers(dep: scenario.Deployment, sched: SlotSchedule, tx_ids: np.ndarray,
@@ -248,10 +258,19 @@ def _interferer_pathloss(cfg: SimConfig, dep: scenario.Deployment, links: _LinkB
     """Per cell, the pathloss of every link it interferes with under
     interferers, in link order: what _phase_powers computes block by block."""
     blocks = links.blocks()
-    return [np.concatenate([np.empty(0)] + [
-        _interferer_pathloss_block(cfg, dep, src, per_src, links.rx[ls][hit_links])
-        for ls, hit_links, src, per_src in _interfered(links, blocks, occ)
-    ]) for occ in interferers]
+    per_cell = []
+    for occ in interferers:
+        # sized from the link counts and filled block by block, so the peak is
+        # this array plus one block's temporaries
+        pl = np.empty(int(links.counts[occ >= 0].sum()))
+        at = 0
+        for ls, hit_links, src, per_src in _interfered(links, blocks, occ):
+            n = int(per_src.sum())
+            pl[at:at + n] = _interferer_pathloss_block(cfg, dep, src, per_src,
+                                                       links.rx[ls][hit_links])
+            at += n
+        per_cell.append(pl)
+    return per_cell
 
 
 def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,

@@ -76,10 +76,16 @@ def test_retx_scheme_parse(value, expected):
     assert parse_retx_scheme(value) == expected
 
 
-@pytest.mark.parametrize("value", ["nonequal:0", "nonequal:5", "nonequal:x", "both"])
+@pytest.mark.parametrize("value", ["nonequal:0", "nonequal:5", "nonequal:x", "both",
+                                   "nonequal:02", "nonequal: 2", "nonequal:+2", "nonequal:2 "])
 def test_retx_scheme_rejects(value):
     with pytest.raises(ConfigError):
         parse_retx_scheme(value)
+
+
+def test_retx_scheme_error_names_the_one_spelling():
+    with pytest.raises(ConfigError, match="'nonequal:2'"):
+        parse_config('{"retx_scheme": "nonequal:02"}')
 
 
 @given(

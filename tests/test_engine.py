@@ -331,21 +331,47 @@ def test_phase_ratio_matches_whole_array_pass(cfg, transmitters):
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+# ~1.03M links in one drop
+DENSE_DROP = SimConfig(mu=2, bandwidth_mhz=20.0, ivd_m=10.0, retx_scheme="equal",
+                       l2sm_delta_db=5.0)
+
+
 def test_dense_drop_memory_per_link():
     # a refactor that brings back full-length per-link temporaries fails here
-    # (the whole-array pass peaked at 156 bytes per link on this drop)
-    cfg = SimConfig(mu=2, bandwidth_mhz=20.0, ivd_m=10.0, retx_scheme="equal",
-                    l2sm_delta_db=5.0)
-    plan = phy.build_resource_plan(cfg)
+    # (the whole-array pass peaked at 156 bytes per link on this drop; the
+    # blockwise one peaks near 48, 12 kept plus 16 per phase, and one more
+    # pair of per-phase float64 arrays would read 64)
+    plan = phy.build_resource_plan(DENSE_DROP)
     tracemalloc.start()
     try:
-        counts = _drop(cfg, plan, 0)
+        counts = _drop(DENSE_DROP, plan, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     links = int(counts.m.sum())
     assert links > 1_000_000
-    assert peak <= 96 * links
+    assert peak <= 56 * links
+
+
+def test_dense_drop_links_are_filled_in_place():
+    # the link arrays are sized once from the candidate windows and trimmed:
+    # per-block parts plus their concatenation peaked at 24.3 bytes per link
+    # on this drop, and a view of the candidate-sized buffer owns more bytes
+    # than its links
+    dep, _, sched, _ = _setup(DENSE_DROP, seed=0)
+    tx_ids = np.flatnonzero(sched.assigned)
+    tracemalloc.start()
+    try:
+        links = engine._build_links(dep, tx_ids, engine._pass_config(DENSE_DROP))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    num_links = int(links.counts.sum())
+    assert num_links > 1_000_000
+    assert peak <= 18 * num_links
+    for per_link in (links.rx, links.pathloss_db):
+        assert per_link.base is None
+        assert per_link.nbytes == per_link.itemsize * num_links
 
 
 def test_evaluate_links_isolated_cell_noise_limited():
