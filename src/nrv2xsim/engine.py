@@ -24,9 +24,10 @@ schedule and every link's signal and interference, and runs of one
 decision key their receptions.  The key is read from each run's resource
 plan (noise power, phase MCS, combining, shift): after deployment the
 engine reads the pass config and the plans, never a member config.  The
-keys of a pass decide in one loop: one uniform draw per (decision, chunk
-of links) that every key reads, one dB SINR per (noise, combining), and
-one lookup per key, so every run's result is the one it gets alone.
+pass keeps one linear SINR per (noise, phase), and the keys of a pass
+decide in one loop: one uniform draw per (decision, chunk of links) that
+every key reads, one dB SINR per (noise, combining), and one lookup per
+key, so every run's result is the one it gets alone.
 """
 
 from __future__ import annotations
@@ -279,10 +280,10 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                   interferer_pl: Iterator[np.ndarray] | None = None) -> None:
     """Fill signal_mw and interference_mw with the received signal and summed
     interference, in mW, of every link in phase p: its own transmitter, and
-    the interferers holding its grant in other cells.  Noise is left out;
-    each run adds its own.  interferer_pl, when given, yields the interferer
-    pathloss of each cell in turn, as _interferer_pathloss lists it; else it
-    is computed.
+    the interferers holding its grant in other cells.  Noise is left out:
+    _evaluate_links adds each noise of the pass.  interferer_pl, when given,
+    yields the interferer pathloss of each cell in turn, as
+    _interferer_pathloss lists it; else it is computed.
 
     Works through one block of transmitters at a time.  The interferer on a
     grant depends only on the transmitter, so it is read once per transmitter
@@ -326,24 +327,25 @@ def _decision_key(plan: phy.ResourcePlan) -> tuple:
 _DECIDE_CHUNK = 1 << 14
 
 
-def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable, signal: np.ndarray,
-            interference: np.ndarray, rng: np.random.Generator) -> dict:
+def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable,
+            sinr: dict[float, np.ndarray], rng: np.random.Generator) -> dict:
     """Reception of every link and decision, ``(decisions, links)``, of each
-    decision key of plans, from the pass's ``(phases, links)`` signal and
-    interference plus the key's noise.
+    decision key of plans, from the pass's ``(phases, links)`` linear SINR
+    under each noise of plans (sinr[plan.noise_mw]).
 
     One loop over (decision, chunk of links) serves every key.  The chunk's
     uniforms are drawn once from the post-pass stream and read by every key,
-    its dB SINR is formed once per (noise, combining), and each key adds only
-    its lookup and compare.  That is what each key's runs get alone: every
-    step is elementwise or a mean over the phases of one link, so a chunk
-    holds the bytes of the whole-array arithmetic; consecutive
-    ``rng.random`` calls yield the values of one call over their total size,
-    so decision d of every key reads the same uniforms, a combining key
-    those of decision 0; and nothing reads the stream after the decisions.
+    its dB SINR is formed once per (noise, combining) into a fresh array, so
+    no stored row changes, and each key adds only its lookup and compare.
+    That is what each key's runs get alone: every step is elementwise or a
+    mean over the phases of one link, so a chunk holds the bytes of the
+    whole-array arithmetic; consecutive ``rng.random`` calls yield the
+    values of one call over their total size, so decision d of every key
+    reads the same uniforms, a combining key those of decision 0; and
+    nothing reads the stream after the decisions.
     """
     deciders = {_decision_key(plan): plan for plan in plans}
-    phases, num_links = signal.shape
+    phases, num_links = next(iter(sinr.values())).shape
     received = {key: np.empty((1 if plan.combining else phases, num_links), dtype=bool)
                 for key, plan in deciders.items()}
     for d in range(max(map(len, received.values()))):
@@ -356,14 +358,13 @@ def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable, signal: np
                     continue
                 at = plan.noise_mw, plan.combining
                 if at not in sinr_db:
-                    rows = slice(None) if plan.combining else slice(d, d + 1)
-                    ratio = interference[rows, chunk] + plan.noise_mw
-                    np.divide(signal[rows, chunk], ratio, out=ratio)
+                    stored = sinr[plan.noise_mw]
+                    ratio = stored[:, chunk] if plan.combining else stored[d, chunk]
                     if plan.combining == "linear":
-                        ratio = ratio.mean(axis=0, keepdims=True)
-                    db = np.log10(ratio, out=ratio)
+                        ratio = ratio.mean(axis=0)
+                    db = np.log10(ratio)
                     db *= 10.0
-                    sinr_db[at] = db.mean(axis=0) if plan.combining == "db" else db[0]
+                    sinr_db[at] = db.mean(axis=0) if plan.combining == "db" else db
                 received[key][d, chunk] = l2sm.reception_draw(l2sm.bler_lookup(
                     table, plan.phase_mcs[d], sinr_db[at], plan.shift_db), uniforms)
     return received
@@ -379,15 +380,32 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
 
     cfg is the pass config; plans share its phase count, so they share the
     signal and interference of every link.  phase0_pl, when given, yields
-    the phase-0 interferer pathloss cell after cell (_phase_powers).  Every
-    key then decides from the post-pass stream (_decide).
+    the phase-0 interferer pathloss cell after cell (_phase_powers).  The
+    pass keeps one ``(phases, links)`` linear SINR per distinct noise of
+    plans and one interference buffer that every phase reuses: K noises
+    over P phases hold K*P + 1 per-link arrays.  Each phase's signal is
+    written into the last noise's row, every other noise's row is the
+    signal over the interference plus that noise, and the last noise's is
+    then formed in place, the same two operations in the same order.
+    Every key then decides from the post-pass stream (_decide).
     """
-    signal = np.empty((len(plans[0].phase_mcs), links.rx.size))
-    interference = np.empty_like(signal)
-    for p in range(signal.shape[0]):
-        _phase_powers(cfg, dep, sched, links, p, rng, signal[p], interference[p],
+    noises = list(dict.fromkeys(plan.noise_mw for plan in plans))
+    sinr = {noise: np.empty((len(plans[0].phase_mcs), links.rx.size)) for noise in noises}
+    interference = np.empty(links.rx.size)
+    *others, last = noises
+    for p, signal in enumerate(sinr[last]):
+        _phase_powers(cfg, dep, sched, links, p, rng, signal, interference,
                       phase0_pl if p == 0 else None)
-    return _decide(plans, table, signal, interference, rng)
+        for noise in others:
+            row = sinr[noise][p]
+            np.add(interference, noise, out=row)
+            np.divide(signal, row, out=row)
+        interference += last
+        signal /= interference
+    # freed before the decisions: a light pass peaks there, with every key's
+    # receptions alive
+    del interference
+    return _decide(plans, table, sinr, rng)
 
 
 @dataclass(frozen=True, eq=False)

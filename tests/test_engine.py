@@ -336,21 +336,49 @@ DENSE_DROP = SimConfig(mu=2, bandwidth_mhz=20.0, ivd_m=10.0, retx_scheme="equal"
                        l2sm_delta_db=5.0)
 
 
-def test_dense_drop_memory_per_link():
-    # a refactor that brings back full-length per-link temporaries fails here
-    # (the whole-array pass peaked at 156 bytes per link on this drop; the
-    # blockwise one peaks near 48, 12 kept plus 16 per phase, and one more
-    # pair of per-phase float64 arrays would read 64)
-    plan = phy.build_resource_plan(DENSE_DROP)
+def _traced_drop(members, seed):
+    """The counts of one drop of members run together, and its traced peak
+    in bytes."""
+    plans = [phy.build_resource_plan(m) for m in members]
     tracemalloc.start()
     try:
-        counts = _drop(DENSE_DROP, plan, 0)
+        counts = engine._drop_counts(engine._pass_config(members[0]), plans, seed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return counts, peak
+
+
+def test_dense_drop_memory_per_link():
+    # a refactor that brings back full-length per-link temporaries fails here
+    # (the whole-array pass peaked at 156 bytes per link on this drop, and
+    # signal and interference kept per phase at 48; one linear SINR per
+    # phase peaks near 40: 12 kept + 8 per phase + one 8-byte buffer)
+    (counts,), peak = _traced_drop([DENSE_DROP], 0)
     links = int(counts.m.sum())
     assert links > 1_000_000
-    assert peak <= 56 * links
+    assert peak <= 44 * links
+
+
+def test_three_noise_pass_memory_per_link(monkeypatch):
+    # one light-load pass of three numerologies keeps one linear SINR per
+    # (noise, phase) and peaks near 77.5 bytes per link: 12 kept + 3 * 2 * 8,
+    # plus the receptions and the light drop's fixed arrays.  Signal and
+    # interference per phase read 61.5 here: with three noises the SINR
+    # rows cost 16 bytes per link more, the price of the dense drop's 8 less
+    noises = []
+    evaluate = engine._evaluate_links
+
+    def recording(cfg, dep, sched, table, rng, plans, links, phase0_pl):
+        noises.append(len({plan.noise_mw for plan in plans}))
+        return evaluate(cfg, dep, sched, table, rng, plans, links, phase0_pl)
+
+    monkeypatch.setattr(engine, "_evaluate_links", recording)
+    members = [SimConfig(mu=mu, bandwidth_mhz=20.0, ivd_m=40.0, retx_scheme="nonequal:2")
+               for mu in (0, 1, 2)]
+    counts, peak = _traced_drop(members, 0)
+    assert noises == [3]
+    assert peak <= 84 * int(counts[0].m.sum())
 
 
 def test_dense_drop_links_are_filled_in_place():
@@ -698,20 +726,30 @@ def test_kept_sets_nest_and_phase0_interferers_agree(seed, grids):
 
 
 def _decided_passes(members, seed, monkeypatch):
-    """(plans, signal, interference, post-pass stream, receptions) of each
-    SINR pass in one drop of members, as _decide takes and returns them."""
-    passes = []
-    decide = engine._decide
+    """(plans, (phases, links) signal and interference, linear SINR per
+    noise, post-pass stream, receptions) of each SINR pass in one drop of
+    members.  Signal and interference are copied as _phase_powers fills
+    them; the SINR is the dict _decide reads, as it stands after _decide."""
+    passes, powers = [], []
+    decide, phase_powers = engine._decide, engine._phase_powers
 
-    def recording(plans, table, signal, interference, rng):
+    def recording_powers(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl=None):
+        phase_powers(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl)
+        powers.append((signal.copy(), interference.copy()))
+
+    def recording(plans, table, sinr, rng):
         stream = copy.deepcopy(rng)
-        received = decide(plans, table, signal, interference, rng)
-        passes.append((plans, signal, interference, stream, received))
+        received = decide(plans, table, sinr, rng)
+        signal, interference = (np.array(rows) for rows in zip(*powers))
+        powers.clear()
+        passes.append((plans, signal, interference, sinr, stream, received))
         return received
 
+    monkeypatch.setattr(engine, "_phase_powers", recording_powers)
     monkeypatch.setattr(engine, "_decide", recording)
     plans = [phy.build_resource_plan(m) for m in members]
     engine._drop_counts(engine._pass_config(members[0]), plans, engine._drop_seed(seed, 0))
+    monkeypatch.setattr(engine, "_phase_powers", phase_powers)
     monkeypatch.setattr(engine, "_decide", decide)
     return passes
 
@@ -736,24 +774,35 @@ def _reference_receptions(plan, table, signal, interference, rng):
 @pytest.mark.parametrize("chunk", [engine._DECIDE_CHUNK, 1000])
 @pytest.mark.parametrize("combining", ["linear", "db"])
 def test_decisions_match_whole_array_reference(combining, chunk, monkeypatch):
-    # every key of every pass, whatever chunk size the decision loop steps by
+    # every key of every pass, whatever chunk size the decision loop steps
+    # by, over passes of one, two and three noises.  Each stored SINR row is
+    # signal / (interference + noise) to the byte, and stays so through the
+    # decisions: in the passes with a combining and a non-combining key on
+    # one noise, a dB SINR formed in place on a stored row changes it
     monkeypatch.setattr(engine, "_DECIDE_CHUNK", chunk)
-    members = [replace(OVERLOADED_PASS, mu=mu, retx_scheme=retx, l2sm_delta_db=delta,
-                       retx_sinr_combining=combining)
-               for mu in (0, 1, 2) for retx in ("none", "equal", "nonequal:1", "nonequal:4")
-               for delta in (3.0, 7.0)]
     table = l2sm.default_bler_table()
-    passes = _decided_passes(members, 5, monkeypatch)
-    assert len(passes) == 5
-    assert any(signal.shape[1] > chunk and signal.shape[1] % chunk
-               for _, signal, *_ in passes)
-    for plans, signal, interference, rng, received in passes:
-        assert set(received) == {engine._decision_key(plan) for plan in plans}
-        for plan in plans:
-            got = received[engine._decision_key(plan)]
-            expected = _reference_receptions(plan, table, signal, interference, rng)
-            assert got.shape == expected.shape
-            assert np.array_equal(got, expected)
+    for base, noises in ((OVERLOADED_PASS, [2, 1, 1, 1, 1]), (SHARED_PASS, [3, 2, 1])):
+        members = [replace(base, mu=mu, retx_scheme=retx, l2sm_delta_db=delta,
+                           retx_sinr_combining=combining)
+                   for mu in (0, 1, 2) for retx in ("none", "equal", "nonequal:1", "nonequal:4")
+                   for delta in (3.0, 7.0)]
+        passes = _decided_passes(members, 5, monkeypatch)
+        assert [len(sinr) for _, _, _, sinr, *_ in passes] == noises
+        assert any(signal.shape[1] > chunk and signal.shape[1] % chunk
+                   for _, signal, *_ in passes)
+        assert any({plan.noise_mw for plan in plans if plan.combining}
+                   & {plan.noise_mw for plan in plans if not plan.combining}
+                   for plans, *_ in passes)
+        for plans, signal, interference, sinr, rng, received in passes:
+            assert set(sinr) == {plan.noise_mw for plan in plans}
+            for noise, stored in sinr.items():
+                assert stored.tobytes() == (signal / (interference + noise)).tobytes()
+            assert set(received) == {engine._decision_key(plan) for plan in plans}
+            for plan in plans:
+                got = received[engine._decision_key(plan)]
+                expected = _reference_receptions(plan, table, signal, interference, rng)
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("retx, decisions", [
