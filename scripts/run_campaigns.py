@@ -10,7 +10,8 @@ from nrv2xsim import cli
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=0, help="parallel workers")
+    parser.add_argument("--jobs", type=cli._jobs, default=0, metavar="N",
+                        help="parallel workers (default 0: all cores)")
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
 

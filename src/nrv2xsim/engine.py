@@ -25,9 +25,11 @@ decision key their receptions.  The key is read from each run's resource
 plan (noise power, phase MCS, combining, shift): after deployment the
 engine reads the pass config and the plans, never a member config.  The
 pass keeps one linear SINR per (noise, phase), and the keys of a pass
-decide in one loop: one uniform draw per (decision, chunk of links) that
+decide in one loop: one uniform draw per (decision, block of links) that
 every key reads, one dB SINR per (noise, combining), and one lookup per
-key, so every run's result is the one it gets alone.
+key, so every run's result is the one it gets alone.  One tiling, blocks
+of _TX_BLOCK transmitters, steps the link search, the SINR pass and the
+decisions alike.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -72,13 +75,22 @@ class SlotSchedule:
     place in its cell's phase-p order, or -1 without a grant.
     ``occupant[p, c, r]`` inverts it per cell (-1 when idle), r up to the
     largest kept count.  The same linear index in two cells means the same
-    time/frequency resource, hence mutual interference.
+    time/frequency resource, hence mutual interference.  Every phase grants
+    the same vehicles, so phase 0 tells which are kept and which dropped.
     """
 
-    assigned: np.ndarray      # bool per vehicle
-    dropped: np.ndarray       # vehicle ids beyond capacity, ascending
     resource: np.ndarray      # (phases, vehicles) int
     occupant: np.ndarray      # (phases, cells, largest kept count) int
+
+    @property
+    def assigned(self) -> np.ndarray:
+        """bool per vehicle: True where it holds a grant."""
+        return self.resource[0] >= 0
+
+    @property
+    def dropped(self) -> np.ndarray:
+        """Vehicle ids beyond capacity, ascending."""
+        return np.flatnonzero(self.resource[0] < 0)
 
 
 def _cell_orders(dep: scenario.Deployment, rng: np.random.Generator) -> list[np.ndarray]:
@@ -106,23 +118,13 @@ def schedule_slots(dep: scenario.Deployment, orders: Sequence[np.ndarray],
             order = members if p == 0 else members[rng.permutation(members.size)]
             resource[p, order] = np.arange(order.size)
             occupant[p, c, : order.size] = order
-
-    assigned = np.zeros(dep.num_vehicles, dtype=bool)
-    for k in kept:
-        assigned[k] = True
-    dropped = np.sort(np.concatenate([order[plan.ue_supported :] for order in orders]))
-
-    return SlotSchedule(
-        assigned=assigned,
-        dropped=dropped,
-        resource=resource,
-        occupant=occupant,
-    )
+    return SlotSchedule(resource=resource, occupant=occupant)
 
 
-# Transmitters per pass of the link kernel.  Every per-link temporary of the
-# link search and of the SINR pass spans one block's links, so a dense drop's
-# peak memory stays near its kept arrays while numpy calls stay few.
+# Transmitters per block of a drop's one tiling.  Every per-link temporary of
+# the link search, the SINR pass and the decisions spans one block's links,
+# so a dense drop's peak memory stays near its kept arrays while numpy calls
+# stay few.
 _TX_BLOCK = 64
 # Pads each lane window beyond x +/- range: far above the rounding of those
 # sums on any highway shorter than ~1000 km, so the exact mask still decides.
@@ -148,6 +150,7 @@ class _LinkBatch:
         """Transmitter per link."""
         return np.repeat(self.tx_ids, self.counts)
 
+    @cached_property
     def blocks(self) -> list[tuple[slice, slice]]:
         """(transmitter slice, link slice) of each block of transmitters."""
         bounds = np.concatenate(([0], np.cumsum(self.counts)))
@@ -229,12 +232,12 @@ def _interferers(dep: scenario.Deployment, sched: SlotSchedule, tx_ids: np.ndarr
     return occ
 
 
-def _interfered(links: _LinkBatch, blocks: list[tuple[slice, slice]], occ: np.ndarray):
+def _interfered(links: _LinkBatch, occ: np.ndarray):
     """Per block with an interfered transmitter: its link slice, which of its
     links are interfered, and the interferer and link count of each
     interfered transmitter, from one cell's interferers occ."""
     hit = occ >= 0
-    for ts, ls in blocks:
+    for ts, ls in links.blocks:
         block_hit = hit[ts]
         if not block_hit.any():
             continue
@@ -258,14 +261,13 @@ def _interferer_pathloss(cfg: SimConfig, dep: scenario.Deployment, links: _LinkB
                          interferers: np.ndarray) -> list[np.ndarray]:
     """Per cell, the pathloss of every link it interferes with under
     interferers, in link order: what _phase_powers computes block by block."""
-    blocks = links.blocks()
     per_cell = []
     for occ in interferers:
         # sized from the link counts and filled block by block, so the peak is
         # this array plus one block's temporaries
         pl = np.empty(int(links.counts[occ >= 0].sum()))
         at = 0
-        for ls, hit_links, src, per_src in _interfered(links, blocks, occ):
+        for ls, hit_links, src, per_src in _interfered(links, occ):
             n = int(per_src.sum())
             pl[at:at + n] = _interferer_pathloss_block(cfg, dep, src, per_src,
                                                        links.rx[ls][hit_links])
@@ -292,8 +294,7 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
     links of cell 0, of cell 1, ...), and consecutive ``rng.normal`` calls
     yield the values and end state of one call over their total size.
     """
-    blocks = links.blocks()
-    for _, ls in blocks:
+    for _, ls in links.blocks:
         shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, ls.stop - ls.start)
         signal_dbm = channel.rx_power_dbm(
             cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
@@ -304,7 +305,7 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
     for occ in _interferers(dep, sched, links.tx_ids, p):
         known = None if interferer_pl is None else next(interferer_pl)
         at = 0
-        for ls, hit_links, src, per_src in _interfered(links, blocks, occ):
+        for ls, hit_links, src, per_src in _interfered(links, occ):
             if known is None:
                 pl = _interferer_pathloss_block(cfg, dep, src, per_src, links.rx[ls][hit_links])
             else:
@@ -322,50 +323,46 @@ def _decision_key(plan: phy.ResourcePlan) -> tuple:
     return plan.noise_mw, plan.phase_mcs, plan.combining, plan.shift_db
 
 
-# Links per step of the decision loop: the SINR, lookup and draw
-# temporaries stay this size however many links the pass has.
-_DECIDE_CHUNK = 1 << 14
-
-
 def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable,
-            sinr: dict[float, np.ndarray], rng: np.random.Generator) -> dict:
+            sinr: dict[float, np.ndarray], links: _LinkBatch,
+            rng: np.random.Generator) -> dict:
     """Reception of every link and decision, ``(decisions, links)``, of each
     decision key of plans, from the pass's ``(phases, links)`` linear SINR
     under each noise of plans (sinr[plan.noise_mw]).
 
-    One loop over (decision, chunk of links) serves every key.  The chunk's
-    uniforms are drawn once from the post-pass stream and read by every key,
-    its dB SINR is formed once per (noise, combining) into a fresh array, so
-    no stored row changes, and each key adds only its lookup and compare.
-    That is what each key's runs get alone: every step is elementwise or a
-    mean over the phases of one link, so a chunk holds the bytes of the
-    whole-array arithmetic; consecutive ``rng.random`` calls yield the
-    values of one call over their total size, so decision d of every key
-    reads the same uniforms, a combining key those of decision 0; and
-    nothing reads the stream after the decisions.
+    One loop over (decision, block of links) serves every key, the blocks
+    of transmitters the pass itself steps through.  The block's uniforms are
+    drawn once from the post-pass stream and read by every key, its dB SINR
+    is formed once per (noise, combining) into a fresh array, so no stored
+    row changes, and each key adds only its lookup and compare.  That is
+    what each key's runs get alone: every step is elementwise or a mean over
+    the phases of one link, so a block holds the bytes of the whole-array
+    arithmetic; consecutive ``rng.random`` calls yield the values of one
+    call over their total size, so decision d of every key reads the same
+    uniforms, a combining key those of decision 0; and nothing reads the
+    stream after the decisions.
     """
     deciders = {_decision_key(plan): plan for plan in plans}
-    phases, num_links = next(iter(sinr.values())).shape
-    received = {key: np.empty((1 if plan.combining else phases, num_links), dtype=bool)
+    phases = len(plans[0].phase_mcs)
+    received = {key: np.empty((1 if plan.combining else phases, links.rx.size), dtype=bool)
                 for key, plan in deciders.items()}
     for d in range(max(map(len, received.values()))):
-        for lo in range(0, num_links, _DECIDE_CHUNK):
-            chunk = slice(lo, lo + _DECIDE_CHUNK)
-            uniforms = rng.random(min(_DECIDE_CHUNK, num_links - lo))
-            sinr_db = {}  # (noise, combining) -> the chunk's decision-d SINR in dB
+        for _, ls in links.blocks:
+            uniforms = rng.random(ls.stop - ls.start)
+            sinr_db = {}  # (noise, combining) -> the block's decision-d SINR in dB
             for key, plan in deciders.items():
                 if d >= len(received[key]):
                     continue
                 at = plan.noise_mw, plan.combining
                 if at not in sinr_db:
                     stored = sinr[plan.noise_mw]
-                    ratio = stored[:, chunk] if plan.combining else stored[d, chunk]
+                    ratio = stored[:, ls] if plan.combining else stored[d, ls]
                     if plan.combining == "linear":
                         ratio = ratio.mean(axis=0)
                     db = np.log10(ratio)
                     db *= 10.0
                     sinr_db[at] = db.mean(axis=0) if plan.combining == "db" else db
-                received[key][d, chunk] = l2sm.reception_draw(l2sm.bler_lookup(
+                received[key][d, ls] = l2sm.reception_draw(l2sm.bler_lookup(
                     table, plan.phase_mcs[d], sinr_db[at], plan.shift_db), uniforms)
     return received
 
@@ -405,7 +402,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
     # freed before the decisions: a light pass peaks there, with every key's
     # receptions alive
     del interference
-    return _decide(plans, table, sinr, rng)
+    return _decide(plans, table, sinr, links, rng)
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,15 +138,8 @@ def _validate_curve(mcs: int, snr: np.ndarray, bler: np.ndarray) -> None:
         raise ValueError(f"MCS {mcs}: snr_db steps and bler slopes must be finite")
 
 
-def load_table(source) -> BlerTable:
-    """Load and validate a curve table from a path or open text file."""
-    if hasattr(source, "read"):
-        return _parse_table(source)
-    with open(source, "r", newline="") as handle:
-        return _parse_table(handle)
-
-
-def _parse_table(handle) -> BlerTable:
+def load_table(handle) -> BlerTable:
+    """Load and validate a curve table from an open text file."""
     reader = csv.reader(handle)
     try:
         header = next(reader)
@@ -190,29 +183,25 @@ def dump_table(table: BlerTable, handle) -> None:
 
 
 def read_table_file(path) -> tuple[str, bytes]:
-    """A table file's sha256 and its bytes.  The digest stands for the
-    curves in the run fingerprint and in the loaded-table cache alike."""
+    """A table file's sha256 and its bytes: the digest stands for the curves
+    in the run fingerprint, the bytes key the loaded-table cache."""
     with open(path, "rb") as handle:
         data = handle.read()
     return hashlib.sha256(data).hexdigest(), data
 
 
-# Loaded tables by file digest, oldest first: a file rewritten at one path
-# loads its new curves.
-_LOADED: dict[str, BlerTable] = {}
-_LOADED_MAX = 8
+# Keyed on the file's bytes, so a file rewritten at one path loads its new
+# curves.
+@lru_cache(maxsize=8)
+def _loaded_table(data: bytes) -> BlerTable:
+    return load_table(io.StringIO(data.decode("utf-8"), newline=""))
 
 
 def active_table(cfg) -> BlerTable:
     """The table a run uses: the configured file if set, else the built-in."""
     if cfg.bler_table_path is None:
         return default_bler_table()
-    digest, data = read_table_file(cfg.bler_table_path)
-    if digest not in _LOADED:
-        if len(_LOADED) >= _LOADED_MAX:
-            del _LOADED[next(iter(_LOADED))]
-        _LOADED[digest] = load_table(io.StringIO(data.decode("utf-8"), newline=""))
-    return _LOADED[digest]
+    return _loaded_table(read_table_file(cfg.bler_table_path)[1])
 
 
 def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db: float = 0.0) -> np.ndarray:

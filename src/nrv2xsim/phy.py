@@ -93,12 +93,12 @@ def required_se(packet_size_bytes: float, ue_gnb: int, tf_hz: float,
     return packet_size_bytes * 8.0 * ue_gnb * tf_hz / bandwidth_hz
 
 
-def select_cqi(se: float, table: tuple[CqiEntry, ...] = CQI_TABLE) -> CqiEntry:
-    """Lowest-index entry whose efficiency covers se; clamps to the top entry."""
-    for entry in table:
+def select_cqi(se: float) -> CqiEntry:
+    """Lowest-index CQI_TABLE entry covering se; clamps to the top entry."""
+    for entry in CQI_TABLE:
         if entry.efficiency >= se:
             return entry
-    return table[-1]
+    return CQI_TABLE[-1]
 
 
 def nprb_pssch(packet_size_bytes: int, subcarriers_per_prb: int,

@@ -82,7 +82,8 @@ def test_tables_bler_dump_loads_back(capsys, tmp_path):
     path.write_text(out)
     from nrv2xsim import l2sm
 
-    table = l2sm.load_table(str(path))
+    with open(path, newline="") as handle:
+        table = l2sm.load_table(handle)
     assert table.mcs_indices() == list(range(1, 16))
 
 
@@ -406,3 +407,19 @@ def test_capacity_grid_script_rejects_bad_config(args, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"config error: {message}")
+
+
+def test_run_campaigns_script_rejects_negative_jobs(tmp_path):
+    # rejected by the sweep's own --jobs type before any output directory
+    outdir = tmp_path / "results"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_campaigns.py"),
+         "--jobs", "-1", "--outdir", str(outdir)],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 2
+    assert "must be an integer >= 0" in proc.stderr
+    assert "==" not in proc.stderr
+    assert not outdir.exists()

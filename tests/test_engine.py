@@ -125,6 +125,30 @@ def test_schedule_undersized_grid_supports_nobody():
     assert sched.dropped.size == dep.num_vehicles
 
 
+@pytest.mark.parametrize("cfg", [
+    SimConfig(ivd_m=10.0, retx_scheme="equal"),
+    SimConfig(ivd_m=20.0),
+    SimConfig(bandwidth_mhz=5.0, mu=1, max_mcs_efficiency=0.25, ivd_m=500.0),
+], ids=["overloaded", "under_capacity", "no_grant"])
+def test_schedule_assigned_and_dropped_match_kept_prefixes(cfg):
+    # read from the grants, they equal their construction from the orders:
+    # the bool fill of each cell's kept prefix, and the sorted concatenation
+    # of each order's tail past ue_supported
+    rng = np.random.default_rng(3)
+    dep = scenario.generate_deployment(cfg, rng)
+    plan = phy.build_resource_plan(cfg)
+    orders = engine._cell_orders(dep, rng)
+    sched = engine.schedule_slots(dep, orders, plan, rng)
+    assigned = np.zeros(dep.num_vehicles, dtype=bool)
+    for order in orders:
+        assigned[order[: plan.ue_supported]] = True
+    dropped = np.sort(np.concatenate([order[plan.ue_supported :] for order in orders]))
+    assert sched.assigned.dtype == assigned.dtype
+    assert np.array_equal(sched.assigned, assigned)
+    assert sched.dropped.dtype == dropped.dtype
+    assert np.array_equal(sched.dropped, dropped)
+
+
 def test_interferer_count_bounded_by_other_cells():
     cfg = SimConfig(ivd_m=40.0)
     dep, plan, sched, _ = _setup(cfg, seed=2)
@@ -233,8 +257,7 @@ def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
     for v in (0, *interferers):
         resource[0, v] = 0
         occupant[0, serving[v], 0] = v
-    sched = engine.SlotSchedule(assigned=resource[0] >= 0, dropped=np.empty(0, np.int64),
-                                resource=resource, occupant=occupant)
+    sched = engine.SlotSchedule(resource=resource, occupant=occupant)
     links = engine._build_links(dep, np.array([0]), cfg)
     assert links.tx.tolist() == [0] and links.rx.tolist() == [1]
     ratio = _linear_sinr(cfg, dep, phy.build_resource_plan(cfg), sched, links,
@@ -727,9 +750,10 @@ def test_kept_sets_nest_and_phase0_interferers_agree(seed, grids):
 
 def _decided_passes(members, seed, monkeypatch):
     """(plans, (phases, links) signal and interference, linear SINR per
-    noise, post-pass stream, receptions) of each SINR pass in one drop of
-    members.  Signal and interference are copied as _phase_powers fills
-    them; the SINR is the dict _decide reads, as it stands after _decide."""
+    noise, links, post-pass stream, receptions) of each SINR pass in one
+    drop of members.  Signal and interference are copied as _phase_powers
+    fills them; the SINR is the dict _decide reads, as it stands after
+    _decide."""
     passes, powers = [], []
     decide, phase_powers = engine._decide, engine._phase_powers
 
@@ -737,12 +761,12 @@ def _decided_passes(members, seed, monkeypatch):
         phase_powers(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl)
         powers.append((signal.copy(), interference.copy()))
 
-    def recording(plans, table, sinr, rng):
+    def recording(plans, table, sinr, links, rng):
         stream = copy.deepcopy(rng)
-        received = decide(plans, table, sinr, rng)
+        received = decide(plans, table, sinr, links, rng)
         signal, interference = (np.array(rows) for rows in zip(*powers))
         powers.clear()
-        passes.append((plans, signal, interference, sinr, stream, received))
+        passes.append((plans, signal, interference, sinr, links, stream, received))
         return received
 
     monkeypatch.setattr(engine, "_phase_powers", recording_powers)
@@ -771,15 +795,16 @@ def _reference_receptions(plan, table, signal, interference, rng):
     ])
 
 
-@pytest.mark.parametrize("chunk", [engine._DECIDE_CHUNK, 1000])
+@pytest.mark.parametrize("block", [engine._TX_BLOCK, 5])
 @pytest.mark.parametrize("combining", ["linear", "db"])
-def test_decisions_match_whole_array_reference(combining, chunk, monkeypatch):
-    # every key of every pass, whatever chunk size the decision loop steps
-    # by, over passes of one, two and three noises.  Each stored SINR row is
-    # signal / (interference + noise) to the byte, and stays so through the
-    # decisions: in the passes with a combining and a non-combining key on
-    # one noise, a dB SINR formed in place on a stored row changes it
-    monkeypatch.setattr(engine, "_DECIDE_CHUNK", chunk)
+def test_decisions_match_whole_array_reference(combining, block, monkeypatch):
+    # every key of every pass, whatever block of transmitters the pass and
+    # its decisions step by, over passes of one, two and three noises.  Each
+    # stored SINR row is signal / (interference + noise) to the byte, and
+    # stays so through the decisions: in the passes with a combining and a
+    # non-combining key on one noise, a dB SINR formed in place on a stored
+    # row changes it
+    monkeypatch.setattr(engine, "_TX_BLOCK", block)
     table = l2sm.default_bler_table()
     for base, noises in ((OVERLOADED_PASS, [2, 1, 1, 1, 1]), (SHARED_PASS, [3, 2, 1])):
         members = [replace(base, mu=mu, retx_scheme=retx, l2sm_delta_db=delta,
@@ -788,12 +813,13 @@ def test_decisions_match_whole_array_reference(combining, chunk, monkeypatch):
                    for delta in (3.0, 7.0)]
         passes = _decided_passes(members, 5, monkeypatch)
         assert [len(sinr) for _, _, _, sinr, *_ in passes] == noises
-        assert any(signal.shape[1] > chunk and signal.shape[1] % chunk
-                   for _, signal, *_ in passes)
+        # some pass ends in a partial block
+        assert any(links.tx_ids.size > block and links.tx_ids.size % block
+                   for *_, links, _, _ in passes)
         assert any({plan.noise_mw for plan in plans if plan.combining}
                    & {plan.noise_mw for plan in plans if not plan.combining}
                    for plans, *_ in passes)
-        for plans, signal, interference, sinr, rng, received in passes:
+        for plans, signal, interference, sinr, _, rng, received in passes:
             assert set(sinr) == {plan.noise_mw for plan in plans}
             for noise, stored in sinr.items():
                 assert stored.tobytes() == (signal / (interference + noise)).tobytes()
@@ -812,8 +838,7 @@ def test_decisions_match_whole_array_reference(combining, chunk, monkeypatch):
 ])
 def test_one_uniform_draw_per_decision_and_chunk(retx, decisions, monkeypatch):
     # every key of a pass reads the same uniforms: one draw per (decision,
-    # chunk), however many keys and lookups the pass serves
-    monkeypatch.setattr(engine, "_DECIDE_CHUNK", 1000)
+    # block of transmitters), however many keys and lookups the pass serves
     seen = []
     draw = l2sm.reception_draw
 
@@ -827,11 +852,11 @@ def test_one_uniform_draw_per_decision_and_chunk(retx, decisions, monkeypatch):
     plans = [phy.build_resource_plan(replace(cfg, retx_scheme=r, l2sm_delta_db=delta))
              for r in retx for delta in (3.0, 5.0, 7.0)]
     links, received = _evaluate_pass(cfg, dep, sched, rng, plans)
-    chunks = -(-links.rx.size // 1000)
-    assert chunks > 1
+    blocks = len(links.blocks)
+    assert blocks > 1 and links.tx_ids.size % engine._TX_BLOCK  # the last is partial
     assert len(received) == len(plans)
-    assert len(seen) == sum(r.shape[0] for r in received.values()) * chunks
-    assert len({id(u) for u in seen}) == decisions * chunks
+    assert len(seen) == sum(r.shape[0] for r in received.values()) * blocks
+    assert len({id(u) for u in seen}) == decisions * blocks
 
 
 @pytest.mark.parametrize("retx, deltas, lookups", [
@@ -840,7 +865,7 @@ def test_one_uniform_draw_per_decision_and_chunk(retx, decisions, monkeypatch):
     ("nonequal:2", (3.0, 5.0, 7.0), 6),  # two phase decisions per shift
 ])
 def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, lookups, monkeypatch):
-    # looked-up values per link of each pass: a count no chunk size changes
+    # looked-up values per link of each pass: a count no block size changes
     looked_up, passed = [], []
     lookup, evaluate = l2sm.bler_lookup, engine._evaluate_links
 
