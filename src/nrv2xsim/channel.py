@@ -22,13 +22,20 @@ def breakpoint_distance_m(tx_height_m: float, rx_height_m: float,
 
 
 def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
-                fc_ghz: float = 5.9, min_distance_m: float = 10.0) -> np.ndarray:
+                fc_ghz: float = 5.9, min_distance_m: float = 10.0,
+                out: np.ndarray | None = None) -> np.ndarray:
     """WINNER B1 line-of-sight pathloss in dB of an array of distances.
 
     Below the breakpoint: 22.7 log10(d) + 41.0 + 20 log10(fc/5).
     At and beyond it:     40 log10(d) + 9.45 - 17.3 log10(h'_tx)
                           - 17.3 log10(h'_rx) + 2.7 log10(fc/5).
     Distances under min_distance_m are clamped up to it.
+
+    Written into out when given (it may be distance_m itself), else into a
+    fresh array.  The clamp, the log10 and the far branch run in place over
+    every distance, and the near branch only at the distances below the
+    breakpoint, each term added in the order above: the bytes of evaluating
+    both branches everywhere and selecting.
     """
     h_tx = tx_height_m - EFFECTIVE_HEIGHT_OFFSET_M
     h_rx = rx_height_m - EFFECTIVE_HEIGHT_OFFSET_M
@@ -37,15 +44,23 @@ def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
             "effective antenna height must be positive "
             f"(tx {tx_height_m} m, rx {rx_height_m} m)"
         )
-    d = np.maximum(np.asarray(distance_m, dtype=float), min_distance_m)
-    d_bp = breakpoint_distance_m(tx_height_m, rx_height_m, fc_ghz)
+    d = np.asarray(distance_m, dtype=float)
+    pl = np.maximum(d, min_distance_m, out=np.empty_like(d) if out is None else out)
+    # a mask, not flat indices, so that a scalar or an array of any shape works
+    near = pl < breakpoint_distance_m(tx_height_m, rx_height_m, fc_ghz)
     freq_term = np.log10(fc_ghz / 5.0)
-    log_d = np.log10(d)
-    near = 22.7 * log_d + 41.0 + 20.0 * freq_term
-    far = (40.0 * log_d + 9.45
-           - 17.3 * np.log10(h_tx) - 17.3 * np.log10(h_rx)
-           + 2.7 * freq_term)
-    return np.where(d < d_bp, near, far)
+    np.log10(pl, out=pl)
+    near_pl = pl[near]
+    near_pl *= 22.7
+    near_pl += 41.0
+    near_pl += 20.0 * freq_term
+    pl *= 40.0
+    pl += 9.45
+    pl -= 17.3 * np.log10(h_tx)
+    pl -= 17.3 * np.log10(h_rx)
+    pl += 2.7 * freq_term
+    pl[near] = near_pl
+    return pl
 
 
 def shadowing_db(rng: np.random.Generator, sigma_db: float, size=None):
@@ -55,9 +70,16 @@ def shadowing_db(rng: np.random.Generator, sigma_db: float, size=None):
     return rng.normal(0.0, sigma_db, size)
 
 
-def rx_power_dbm(tx_power_dbm, tx_gain_db, rx_gain_db, pl_db, shadow_db=0.0):
-    """Link budget: transmit power plus gains minus pathloss and shadowing."""
-    return tx_power_dbm + tx_gain_db + rx_gain_db - pl_db - shadow_db
+def rx_power_mw(eirp_dbm: float, pathloss_db: np.ndarray, shadow_db: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Link budget: received power in mW, 10 ** (((eirp - pathloss) - shadow) / 10),
+    written into out.  eirp_dbm is transmit power plus both antenna gains;
+    out may be pathloss_db but not shadow_db, which is read after the first
+    subtraction."""
+    np.subtract(eirp_dbm, pathloss_db, out=out)
+    out -= shadow_db
+    out /= 10.0
+    return np.power(10.0, out, out=out)
 
 
 def noise_power_dbm(noise_density_dbm_hz: float, nprb_pssch: int,

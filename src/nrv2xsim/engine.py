@@ -211,10 +211,9 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
         counts[ts] = np.bincount(row[keep], minlength=block.size)
         ls = slice(at, at + int(np.count_nonzero(keep)))
         rx[ls] = cand[keep]
-        pathloss_db[ls] = channel.pathloss_db(
-            np.sqrt(d2[keep]), cfg.ue_height_m, cfg.ue_height_m,
-            cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
-        )
+        dist = np.sqrt(d2[keep], out=pathloss_db[ls])
+        channel.pathloss_db(dist, cfg.ue_height_m, cfg.ue_height_m,
+                            cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m, out=dist)
         at = ls.stop
     # trimmed in place, so each array owns exactly its links: a view of the
     # candidate-sized buffer would keep the whole buffer alive
@@ -249,12 +248,21 @@ def _interfered(links: _LinkBatch, occ: np.ndarray):
 
 
 def _interferer_pathloss_block(cfg: SimConfig, dep: scenario.Deployment, src: np.ndarray,
-                               per_src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Pathloss from each interferer src to the next per_src receivers of dst."""
+                               per_src: np.ndarray, dst: np.ndarray,
+                               out: np.ndarray | None = None) -> np.ndarray:
+    """Pathloss from each interferer src to the next per_src receivers of dst,
+    written into out when given, else into a fresh array."""
     x, y = dep.x_m, dep.y_m
-    dist = np.hypot(np.repeat(x[src], per_src) - x[dst], np.repeat(y[src], per_src) - y[dst])
+    # receivers are stored as int32; converted once, both gathers index with
+    # intp, which a dense drop ran faster than two int32 gathers
+    dst = dst.astype(np.intp)
+    dx = np.repeat(x.take(src), per_src)
+    dx -= x.take(dst)
+    dy = np.repeat(y.take(src), per_src)
+    dy -= y.take(dst)
+    dist = np.hypot(dx, dy, out=dx if out is None else out)
     return channel.pathloss_db(dist, cfg.ue_height_m, cfg.ue_height_m,
-                               cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m)
+                               cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m, out=dist)
 
 
 def _interferer_pathloss(cfg: SimConfig, dep: scenario.Deployment, links: _LinkBatch,
@@ -263,14 +271,14 @@ def _interferer_pathloss(cfg: SimConfig, dep: scenario.Deployment, links: _LinkB
     interferers, in link order: what _phase_powers computes block by block."""
     per_cell = []
     for occ in interferers:
-        # sized from the link counts and filled block by block, so the peak is
-        # this array plus one block's temporaries
+        # sized from the link counts and each block written straight into its
+        # slice, so the peak is this array plus one block's temporaries
         pl = np.empty(int(links.counts[occ >= 0].sum()))
         at = 0
         for ls, hit_links, src, per_src in _interfered(links, occ):
             n = int(per_src.sum())
-            pl[at:at + n] = _interferer_pathloss_block(cfg, dep, src, per_src,
-                                                       links.rx[ls][hit_links])
+            _interferer_pathloss_block(cfg, dep, src, per_src, links.rx[ls][hit_links],
+                                       out=pl[at:at + n])
             at += n
         per_cell.append(pl)
     return per_cell
@@ -285,22 +293,24 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
     the interferers holding its grant in other cells.  Noise is left out:
     _evaluate_links adds each noise of the pass.  interferer_pl, when given,
     yields the interferer pathloss of each cell in turn, as
-    _interferer_pathloss lists it; else it is computed.
+    _interferer_pathloss lists it; else it is computed.  Those arrays are
+    shared by every signature of the drop, so they are only read.
 
-    Works through one block of transmitters at a time.  The interferer on a
-    grant depends only on the transmitter, so it is read once per transmitter
-    and repeated over that transmitter's links.  Shadowing is drawn pass by
-    pass in whole-drop order (the signal of every link, then the interfered
-    links of cell 0, of cell 1, ...), and consecutive ``rng.normal`` calls
-    yield the values and end state of one call over their total size.
+    Works through one block of transmitters at a time, and each stage of a
+    block writes into an array the block already owns: the signal budget
+    into the block's slice of signal_mw, and an interferer's distances,
+    pathloss and budget into one fresh array per block (a read pathloss's
+    budget into its own).  The interferer on a grant depends only on the
+    transmitter, so it is read once per transmitter and repeated over that
+    transmitter's links.  Shadowing is drawn pass by pass in whole-drop
+    order (the signal of every link, then the interfered links of cell 0,
+    of cell 1, ...), and consecutive ``rng.normal`` calls yield the values
+    and end state of one call over their total size.
     """
+    eirp = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
     for _, ls in links.blocks:
         shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, ls.stop - ls.start)
-        signal_dbm = channel.rx_power_dbm(
-            cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db,
-            links.pathloss_db[ls], shadow,
-        )
-        signal_mw[ls] = 10.0 ** (signal_dbm / 10.0)
+        channel.rx_power_mw(eirp, links.pathloss_db[ls], shadow, out=signal_mw[ls])
     interference_mw[:] = 0.0
     for occ in _interferers(dep, sched, links.tx_ids, p):
         known = None if interferer_pl is None else next(interferer_pl)
@@ -312,10 +322,13 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                 pl = known[at:at + per_src.sum()]
                 at += pl.size
             shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, pl.size)
-            power_dbm = channel.rx_power_dbm(
-                cfg.tx_power_dbm, cfg.tx_gain_db, cfg.rx_gain_db, pl, shadow_i
-            )
-            interference_mw[ls][hit_links] += 10.0 ** (power_dbm / 10.0)
+            power = channel.rx_power_mw(eirp, pl, shadow_i,
+                                        out=pl if known is None else np.empty(pl.size))
+            target = interference_mw[ls]
+            if isinstance(hit_links, slice):
+                target += power
+            else:
+                target[hit_links] += power
 
 
 def _decision_key(plan: phy.ResourcePlan) -> tuple:

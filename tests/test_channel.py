@@ -46,6 +46,57 @@ def test_pathloss_rejects_low_antennas():
         channel.pathloss_db(np.array([100.0]), tx_height_m=1.0)
 
 
+def _pathloss_both_branches(distance_m, tx_height_m=1.5, rx_height_m=1.5, fc_ghz=5.9,
+                            min_distance_m=10.0):
+    """Both WINNER B1 branches at every distance, selected by np.where."""
+    h_tx = tx_height_m - channel.EFFECTIVE_HEIGHT_OFFSET_M
+    h_rx = rx_height_m - channel.EFFECTIVE_HEIGHT_OFFSET_M
+    d = np.maximum(np.asarray(distance_m, dtype=float), min_distance_m)
+    d_bp = channel.breakpoint_distance_m(tx_height_m, rx_height_m, fc_ghz)
+    freq_term = np.log10(fc_ghz / 5.0)
+    log_d = np.log10(d)
+    near = 22.7 * log_d + 41.0 + 20.0 * freq_term
+    far = (40.0 * log_d + 9.45
+           - 17.3 * np.log10(h_tx) - 17.3 * np.log10(h_rx)
+           + 2.7 * freq_term)
+    return np.where(d < d_bp, near, far)
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"tx_height_m": 2.5, "rx_height_m": 1.8},
+    {"fc_ghz": 3.5},
+    {"tx_height_m": 1.6, "rx_height_m": 3.0, "fc_ghz": 28.0, "min_distance_m": 1.0},
+], ids=["default", "heights", "frequency", "all"])
+def test_pathloss_bytes_match_both_branch_select(params):
+    # the near branch evaluated only below the breakpoint gives the bytes of
+    # both branches everywhere and np.where, in a fresh array, in a separate
+    # out and in place over the distances
+    d_bp = channel.breakpoint_distance_m(params.get("tx_height_m", 1.5),
+                                         params.get("rx_height_m", 1.5),
+                                         params.get("fc_ghz", 5.9))
+    clamp = params.get("min_distance_m", 10.0)
+    assert clamp < d_bp  # both branches are reached
+    special = [0.0, clamp / 2, np.nextafter(clamp, 0.0), clamp, np.nextafter(clamp, np.inf),
+               np.nextafter(d_bp, 0.0), d_bp, np.nextafter(d_bp, np.inf), 500.0, 5000.0]
+    rng = np.random.default_rng(11)
+    for d in (np.array(special), rng.uniform(0.0, 3.0 * d_bp, 4096),
+              rng.uniform(0.0, 2000.0, 4096), np.empty(0)):
+        expected = _pathloss_both_branches(d, **params)
+        assert channel.pathloss_db(d, **params).tobytes() == expected.tobytes()
+        out = np.full(d.size, np.nan)
+        assert channel.pathloss_db(d, **params, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        aliased = d.copy()
+        assert channel.pathloss_db(aliased, **params, out=aliased) is aliased
+        assert aliased.tobytes() == expected.tobytes()
+    # a scalar and a 2-D array, as the whole-array select takes them
+    for d in (float(d_bp) / 2, np.array(special).reshape(2, 5)):
+        expected = _pathloss_both_branches(d, **params)
+        got = channel.pathloss_db(d, **params)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def test_shadowing_zero_sigma_is_exact():
     rng = np.random.default_rng(0)
     assert channel.shadowing_db(rng, 0.0) == 0.0
@@ -65,10 +116,29 @@ def test_shadowing_rejects_negative_sigma():
 
 
 def test_rx_power_link_budget():
-    assert channel.rx_power_dbm(24, 0, 3, 87.84, 0) == pytest.approx(-60.84)
-    assert channel.rx_power_dbm(24, 0, 3, 0, 0) == 27
-    base = channel.rx_power_dbm(24, 0, 3, 90, 0)
-    assert channel.rx_power_dbm(24, 0, 3, 90, 3) == base - 3
+    # 24 dBm transmit plus 0 + 3 dB of gains over 87.84 dB and over nothing
+    out = np.empty(2)
+    power = channel.rx_power_mw(24 + 0 + 3, np.array([87.84, 0.0]), np.zeros(2), out)
+    assert power is out
+    assert 10.0 * np.log10(power) == pytest.approx([-60.84, 27.0])
+    # shadowing subtracts in dB
+    base = channel.rx_power_mw(27, np.array([90.0]), np.zeros(1), np.empty(1))
+    shadowed = channel.rx_power_mw(27, np.array([90.0]), np.array([3.0]), np.empty(1))
+    assert 10.0 * np.log10(shadowed) == pytest.approx(10.0 * np.log10(base) - 3.0)
+
+
+def test_rx_power_bytes_in_place():
+    # the whole-array budget, 10 ** ((tx + tx_gain + rx_gain - pl - shadow) / 10),
+    # whether out is the pathloss itself or a separate array
+    rng = np.random.default_rng(5)
+    pl = rng.uniform(40.0, 140.0, 1000)
+    shadow = rng.normal(0.0, 3.0, pl.size)
+    expected = 10.0 ** ((23.0 + 2.0 + 3.0 - pl - shadow) / 10.0)
+    separate = channel.rx_power_mw(23.0 + 2.0 + 3.0, pl, shadow, np.empty(pl.size))
+    assert separate.tobytes() == expected.tobytes()
+    aliased = pl.copy()
+    assert channel.rx_power_mw(28.0, aliased, shadow, aliased) is aliased
+    assert aliased.tobytes() == expected.tobytes()
 
 
 def test_noise_power():
