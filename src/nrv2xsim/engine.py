@@ -300,12 +300,13 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
     block writes into an array the block already owns: the signal budget
     into the block's slice of signal_mw, and an interferer's distances,
     pathloss and budget into one fresh array per block (a read pathloss's
-    budget into its own).  The interferer on a grant depends only on the
-    transmitter, so it is read once per transmitter and repeated over that
-    transmitter's links.  Shadowing is drawn pass by pass in whole-drop
-    order (the signal of every link, then the interfered links of cell 0,
-    of cell 1, ...), and consecutive ``rng.normal`` calls yield the values
-    and end state of one call over their total size.
+    budget into its own), released before the next block.  The interferer
+    on a grant depends only on the transmitter, so it is read once per
+    transmitter and repeated over that transmitter's links.  Shadowing is
+    drawn pass by pass in whole-drop order (the signal of every link, then
+    the interfered links of cell 0, of cell 1, ...), and consecutive
+    ``rng.normal`` calls yield the values and end state of one call over
+    their total size.
     """
     eirp = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
     for _, ls in links.blocks:
@@ -324,11 +325,9 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
             shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, pl.size)
             power = channel.rx_power_mw(eirp, pl, shadow_i,
                                         out=pl if known is None else np.empty(pl.size))
-            target = interference_mw[ls]
-            if isinstance(hit_links, slice):
-                target += power
-            else:
-                target[hit_links] += power
+            interference_mw[ls][hit_links] += power
+            # released before the next block builds its distances
+            del pl, shadow_i, power
 
 
 def _decision_key(plan: phy.ResourcePlan) -> tuple:
