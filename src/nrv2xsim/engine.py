@@ -17,13 +17,12 @@ runtime samples.
 execute_run is the one way in, for run and sweep alike.  It takes one
 sinr_groups group, runs whose configs (seed included) differ only in
 POST_PASS_FIELDS, and returns each run's RunResult with its drops.  Such
-runs share each drop's deployment, its grant orders and its geometry: one
-link search over every transmitter any of them keeps, and the pathloss of
-the phase-0 interferers.  Runs of one schedule signature also share the
-schedule and every link's signal and interference, and runs of one
-decision key their receptions.  The key is read from each run's resource
-plan (noise power, phase MCS, combining, shift): after deployment the
-engine reads the pass config and the plans, never a member config.  The
+runs share each drop's deployment, its grant orders and one link search
+over every transmitter any of them keeps.  Runs of one schedule signature
+also share the schedule and every link's signal and interference, and runs
+of one decision key their receptions.  The key is read from each run's
+resource plan (noise power, phase MCS, combining, shift): after deployment
+the engine reads the pass config and the plans, never a member config.  The
 pass keeps one linear SINR per (noise, phase), and the keys of a pass
 decide in one loop: one uniform draw per (decision, block of links) that
 every key reads, one dB SINR per (noise, combining), and one lookup per
@@ -35,7 +34,7 @@ decisions alike.
 from __future__ import annotations
 
 import copy
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -47,7 +46,7 @@ from .config import SimConfig, config_fingerprint
 
 # Config fields that act only after the SINR pass, all through the resource
 # plan (capacity, phase count, MCS, noise bandwidth, combining, shift).
-# Runs that differ only in these share a drop's deployment and geometry, and
+# Runs that differ only in these share a drop's deployment and link search, and
 # the runs of one schedule signature its interference (_drop_counts).
 POST_PASS_FIELDS = ("mu", "tf_hz", "retx_scheme", "l2sm_delta_db")
 _POST_PASS_DEFAULTS = {name: getattr(SimConfig(), name) for name in POST_PASS_FIELDS}
@@ -248,10 +247,9 @@ def _interfered(links: _LinkBatch, occ: np.ndarray):
 
 
 def _interferer_pathloss_block(cfg: SimConfig, dep: scenario.Deployment, src: np.ndarray,
-                               per_src: np.ndarray, dst: np.ndarray,
-                               out: np.ndarray | None = None) -> np.ndarray:
+                               per_src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Pathloss from each interferer src to the next per_src receivers of dst,
-    written into out when given, else into a fresh array."""
+    in a fresh array."""
     x, y = dep.x_m, dep.y_m
     # receivers are stored as int32; converted once, both gathers index with
     # intp, which a dense drop ran faster than two int32 gathers
@@ -260,53 +258,29 @@ def _interferer_pathloss_block(cfg: SimConfig, dep: scenario.Deployment, src: np
     dx -= x.take(dst)
     dy = np.repeat(y.take(src), per_src)
     dy -= y.take(dst)
-    dist = np.hypot(dx, dy, out=dx if out is None else out)
+    dist = np.hypot(dx, dy, out=dx)
     return channel.pathloss_db(dist, cfg.ue_height_m, cfg.ue_height_m,
                                cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m, out=dist)
 
 
-def _interferer_pathloss(cfg: SimConfig, dep: scenario.Deployment, links: _LinkBatch,
-                         interferers: np.ndarray) -> list[np.ndarray]:
-    """Per cell, the pathloss of every link it interferes with under
-    interferers, in link order: what _phase_powers computes block by block."""
-    per_cell = []
-    for occ in interferers:
-        # sized from the link counts and each block written straight into its
-        # slice, so the peak is this array plus one block's temporaries
-        pl = np.empty(int(links.counts[occ >= 0].sum()))
-        at = 0
-        for ls, hit_links, src, per_src in _interfered(links, occ):
-            n = int(per_src.sum())
-            _interferer_pathloss_block(cfg, dep, src, per_src, links.rx[ls][hit_links],
-                                       out=pl[at:at + n])
-            at += n
-        per_cell.append(pl)
-    return per_cell
-
-
 def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                   links: _LinkBatch, p: int, rng: np.random.Generator,
-                  signal_mw: np.ndarray, interference_mw: np.ndarray,
-                  interferer_pl: Iterator[np.ndarray] | None = None) -> None:
+                  signal_mw: np.ndarray, interference_mw: np.ndarray) -> None:
     """Fill signal_mw and interference_mw with the received signal and summed
     interference, in mW, of every link in phase p: its own transmitter, and
     the interferers holding its grant in other cells.  Noise is left out:
-    _evaluate_links adds each noise of the pass.  interferer_pl, when given,
-    yields the interferer pathloss of each cell in turn, as
-    _interferer_pathloss lists it; else it is computed.  Those arrays are
-    shared by every signature of the drop, so they are only read.
+    _evaluate_links adds each noise of the pass.
 
     Works through one block of transmitters at a time, and each stage of a
     block writes into an array the block already owns: the signal budget
     into the block's slice of signal_mw, and an interferer's distances,
-    pathloss and budget into one fresh array per block (a read pathloss's
-    budget into its own), released before the next block.  The interferer
-    on a grant depends only on the transmitter, so it is read once per
-    transmitter and repeated over that transmitter's links.  Shadowing is
-    drawn pass by pass in whole-drop order (the signal of every link, then
-    the interfered links of cell 0, of cell 1, ...), and consecutive
-    ``rng.normal`` calls yield the values and end state of one call over
-    their total size.
+    pathloss and budget into one fresh array per block, released before the
+    next block.  The interferer on a grant depends only on the transmitter,
+    so it is read once per transmitter and repeated over that transmitter's
+    links.  Shadowing is drawn pass by pass in whole-drop order (the signal
+    of every link, then the interfered links of cell 0, of cell 1, ...), and
+    consecutive ``rng.normal`` calls yield the values and end state of one
+    call over their total size.
     """
     eirp = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
     for _, ls in links.blocks:
@@ -314,17 +288,10 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
         channel.rx_power_mw(eirp, links.pathloss_db[ls], shadow, out=signal_mw[ls])
     interference_mw[:] = 0.0
     for occ in _interferers(dep, sched, links.tx_ids, p):
-        known = None if interferer_pl is None else next(interferer_pl)
-        at = 0
         for ls, hit_links, src, per_src in _interfered(links, occ):
-            if known is None:
-                pl = _interferer_pathloss_block(cfg, dep, src, per_src, links.rx[ls][hit_links])
-            else:
-                pl = known[at:at + per_src.sum()]
-                at += pl.size
+            pl = _interferer_pathloss_block(cfg, dep, src, per_src, links.rx[ls][hit_links])
             shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, pl.size)
-            power = channel.rx_power_mw(eirp, pl, shadow_i,
-                                        out=pl if known is None else np.empty(pl.size))
+            power = channel.rx_power_mw(eirp, pl, shadow_i, out=pl)
             interference_mw[ls][hit_links] += power
             # released before the next block builds its distances
             del pl, shadow_i, power
@@ -381,18 +348,16 @@ def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable,
 
 def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                     table: l2sm.BlerTable, rng: np.random.Generator,
-                    plans: Sequence[phy.ResourcePlan], links: _LinkBatch,
-                    phase0_pl: Iterator[np.ndarray] | None) -> dict:
+                    plans: Sequence[phy.ResourcePlan], links: _LinkBatch) -> dict:
     """One SINR pass over links, those of sched's transmitters, decided for
     every decision key of plans: the ``(decisions, links)`` receptions of
     each key.
 
     cfg is the pass config; plans share its phase count, so they share the
-    signal and interference of every link.  phase0_pl, when given, yields
-    the phase-0 interferer pathloss cell after cell (_phase_powers).  The
-    pass keeps one ``(phases, links)`` linear SINR per distinct noise of
-    plans and one interference buffer that every phase reuses: K noises
-    over P phases hold K*P + 1 per-link arrays.  Each phase's signal is
+    signal and interference of every link (_phase_powers).  The pass keeps
+    one ``(phases, links)`` linear SINR per distinct noise of plans and one
+    interference buffer that every phase reuses: K noises over P phases hold
+    K*P + 1 per-link arrays.  Each phase's signal is
     written into the last noise's row, every other noise's row is the
     signal over the interference plus that noise, and the last noise's is
     then formed in place, the same two operations in the same order.
@@ -403,8 +368,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
     interference = np.empty(links.rx.size)
     *others, last = noises
     for p, signal in enumerate(sinr[last]):
-        _phase_powers(cfg, dep, sched, links, p, rng, signal, interference,
-                      phase0_pl if p == 0 else None)
+        _phase_powers(cfg, dep, sched, links, p, rng, signal, interference)
         for noise in others:
             row = sinr[noise][p]
             np.add(interference, noise, out=row)
@@ -434,12 +398,12 @@ def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
     The signature is (phase count, min(ue_supported, largest cell)): it fixes
     every vehicle kept by the schedule and every permutation drawn.  Every
     signature keeps a prefix of each cell's order (_cell_orders), so a
-    smaller cap keeps a subset of a larger cap's vehicles with the same
-    phase-0 grants, hence the same phase-0 interferers.  The signatures run
-    largest cap first: the first one's transmitters give the links, and with
-    more signatures to come the phase-0 interferer pathloss, of which every
-    signature reads its rows.  Each signature schedules from a copy of the
-    stream after the orders, so every plan sees the stream of its run alone.
+    smaller cap keeps a subset of a larger cap's vehicles.  The signatures
+    run largest cap first: the first one's transmitters give the links, and
+    every later signature's links are their rows.  Each signature's pass
+    computes its own interferers' pathloss, in every phase (_phase_powers).
+    Each signature schedules from a copy of the stream after the orders, so
+    every plan sees the stream of its run alone.
     """
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
@@ -458,15 +422,8 @@ def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
         stream = copy.deepcopy(rng)
         sched = schedule_slots(dep, orders, members[0], stream)
         if union is None:
-            union, phase0 = _build_links(dep, np.flatnonzero(sched.assigned), cfg), None
-            # a lone signature's pass computes this pathloss block by block,
-            # in less memory
-            if len(signatures) > 1:
-                occ = _interferers(dep, sched, union.tx_ids, 0)
-                phase0 = [(pl, hit, union.counts[hit]) for pl, hit in
-                          zip(_interferer_pathloss(cfg, dep, union, occ), occ >= 0)]
-        for i, dc in zip(idx, _signature_counts(cfg, dep, sched, table, stream, members,
-                                                union, phase0)):
+            union = _build_links(dep, np.flatnonzero(sched.assigned), cfg)
+        for i, dc in zip(idx, _signature_counts(cfg, dep, sched, table, stream, members, union)):
             counts[i] = dc
         # freed before the next schedule is drawn, as the signature's other
         # arrays are: held across it, retx_mix peak RSS read 0.5 MB higher
@@ -476,19 +433,14 @@ def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
 
 def _signature_counts(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                       table: l2sm.BlerTable, rng: np.random.Generator,
-                      plans: Sequence[phy.ResourcePlan], union: _LinkBatch,
-                      phase0: list[tuple[np.ndarray, ...]] | None) -> list[_DropCounts]:
+                      plans: Sequence[phy.ResourcePlan],
+                      union: _LinkBatch) -> list[_DropCounts]:
     """Counts of plans that share the schedule sched: one SINR pass over the
     links of union that sched keeps, whose arrays die before the next
-    signature's, and one reduction per decision key.  phase0, when given,
-    holds per cell the pathloss of the union links it interferes with in
-    phase 0, the transmitters it interferes with and their link counts."""
+    signature's, and one reduction per decision key."""
     keep = sched.assigned[union.tx_ids]
-    every = keep.all()
-    links = union if every else union.rows(keep)
-    phase0_pl = None if phase0 is None else (
-        pl if every else pl[np.repeat(keep[hit], n)] for pl, hit, n in phase0)
-    received = _evaluate_links(cfg, dep, sched, table, rng, plans, links, phase0_pl)
+    links = union if keep.all() else union.rows(keep)
+    received = _evaluate_links(cfg, dep, sched, table, rng, plans, links)
     heard = links.counts > 0
     m = links.counts[heard]
     start = np.cumsum(m) - m
@@ -531,8 +483,8 @@ def execute_run(members: Sequence[SimConfig]
     cfg.seed the members share.  Raises ValueError unless they share one pass
     config (one sinr_groups group).  Each member's result and drops equal
     those of its run alone: every drop shares one deployment among the
-    members, and one schedule, link search and interference pass among the
-    members of each schedule signature.
+    members, one link search among them all, and one schedule and
+    interference pass among the members of each schedule signature.
     """
     cfg, *others = (_pass_config(m) for m in members)
     mixed = sorted(f.name for f in fields(SimConfig)

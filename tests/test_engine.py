@@ -45,11 +45,11 @@ def _setup(cfg, seed=0):
 
 def _evaluate_pass(cfg, dep, sched, rng, plans):
     """The links of sched's transmitters and their receptions under plans,
-    from one _evaluate_links pass that computes its phase-0 pathloss."""
+    from one _evaluate_links pass."""
     pass_cfg = engine._pass_config(cfg)
     links = engine._build_links(dep, np.flatnonzero(sched.assigned), pass_cfg)
     return links, engine._evaluate_links(pass_cfg, dep, sched, l2sm.default_bler_table(),
-                                         rng, plans, links, None)
+                                         rng, plans, links)
 
 
 def test_retx_scheme_parse_and_shares():
@@ -329,22 +329,14 @@ def _reference_phase_ratio(cfg, dep, sched, links, p, noise_mw, rng):
 @pytest.mark.parametrize("transmitters", [1, 63, 64, 65, 129, None])
 def test_phase_ratio_matches_whole_array_pass(cfg, transmitters):
     # the same SINR bytes and the same end state of the stream, whatever the
-    # number of transmitters on either side of a block boundary, and whether
-    # phase 0 computes its interferer pathloss or reads it precomputed
+    # number of transmitters on either side of a block boundary
     dep, plan, sched, rng = _setup(cfg, seed=3)
     tx_ids = np.flatnonzero(sched.assigned)[:transmitters]
     links = engine._build_links(dep, tx_ids, cfg)
-    phase0_pl = engine._interferer_pathloss(
-        cfg, dep, links, engine._interferers(dep, sched, tx_ids, 0))
-    reference_rng, read_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    reference_rng = copy.deepcopy(rng)
     for p in range(len(plan.phase_mcs)):
-        signal, interference, read_signal, read_interference = (
-            np.empty(links.rx.size) for _ in range(4))
+        signal, interference = np.empty(links.rx.size), np.empty(links.rx.size)
         engine._phase_powers(cfg, dep, sched, links, p, rng, signal, interference)
-        engine._phase_powers(cfg, dep, sched, links, p, read_rng, read_signal,
-                             read_interference, iter(phase0_pl) if p == 0 else None)
-        assert signal.tobytes() == read_signal.tobytes()
-        assert interference.tobytes() == read_interference.tobytes()
         ratio = signal / (interference + 1e-12)
         expected = _reference_phase_ratio(cfg, dep, sched, links, p, 1e-12, reference_rng)
         assert ratio.tobytes() == expected.tobytes()
@@ -389,9 +381,9 @@ def test_three_noise_pass_memory_per_link(monkeypatch):
     noises = []
     evaluate = engine._evaluate_links
 
-    def recording(cfg, dep, sched, table, rng, plans, links, phase0_pl):
+    def recording(cfg, dep, sched, table, rng, plans, links):
         noises.append(len({plan.noise_mw for plan in plans}))
-        return evaluate(cfg, dep, sched, table, rng, plans, links, phase0_pl)
+        return evaluate(cfg, dep, sched, table, rng, plans, links)
 
     monkeypatch.setattr(engine, "_evaluate_links", recording)
     members = [SimConfig(mu=mu, bandwidth_mhz=20.0, ivd_m=40.0, retx_scheme="nonequal:2")
@@ -399,6 +391,19 @@ def test_three_noise_pass_memory_per_link(monkeypatch):
     counts, peak = _traced_drop(members, 0)
     assert noises == [3]
     assert peak <= 84 * int(counts[0].m.sum())
+
+
+def test_multi_signature_drop_memory_per_link():
+    # a drop of several schedule signatures holds one link search and, at a
+    # time, one signature's pass: it peaks near 40 bytes per link of the
+    # largest signature.  A phase-0 interferer pathloss computed for the
+    # whole drop and kept alive across its signatures read 62
+    members = [SimConfig(bandwidth_mhz=10.0, l2sm_delta_db=5.0, ivd_m=20.0, seed=1,
+                         mu=mu, retx_scheme=retx)
+               for mu in (0, 1, 2) for retx in ("none", "equal", "nonequal:1", "nonequal:4")]
+    counts, peak = _traced_drop(members, engine._drop_seed(1, 0))
+    assert len({(dc.n.shape[0], dc.tx_ids.size) for dc in counts}) > 1
+    assert peak <= 48 * max(int(dc.m.sum()) for dc in counts)
 
 
 def test_dense_drop_links_are_filled_in_place():
@@ -701,8 +706,8 @@ def _signature_passes(members, seed, monkeypatch):
     passes = []
     phase_powers = engine._phase_powers
 
-    def recording(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl=None):
-        phase_powers(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl)
+    def recording(cfg, dep, sched, links, p, rng, signal, interference):
+        phase_powers(cfg, dep, sched, links, p, rng, signal, interference)
         passes.append((links.tx_ids.tobytes(), p, signal.tobytes(), interference.tobytes()))
 
     monkeypatch.setattr(engine, "_phase_powers", recording)
@@ -776,8 +781,8 @@ def _decided_passes(members, seed, monkeypatch):
     passes, powers = [], []
     decide, phase_powers = engine._decide, engine._phase_powers
 
-    def recording_powers(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl=None):
-        phase_powers(cfg, dep, sched, links, p, rng, signal, interference, phase0_pl)
+    def recording_powers(cfg, dep, sched, links, p, rng, signal, interference):
+        phase_powers(cfg, dep, sched, links, p, rng, signal, interference)
         powers.append((signal.copy(), interference.copy()))
 
     def recording(plans, table, sinr, links, rng):
@@ -892,9 +897,9 @@ def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, lookups, monkey
         looked_up.append(np.size(args[2]))
         return lookup(*args, **kwargs)
 
-    def recording(cfg, dep, sched, table, rng, plans, links, phase0_pl):
+    def recording(cfg, dep, sched, table, rng, plans, links):
         passed.append(links.rx.size)
-        return evaluate(cfg, dep, sched, table, rng, plans, links, phase0_pl)
+        return evaluate(cfg, dep, sched, table, rng, plans, links)
 
     monkeypatch.setattr(l2sm, "bler_lookup", counting)
     monkeypatch.setattr(engine, "_evaluate_links", recording)
