@@ -147,6 +147,14 @@ def validate_config(cfg: SimConfig) -> None:
     for name in ("comm_range_m", "shadowing_sigma_db", "seed"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be non-negative, got {getattr(cfg, name)}")
+    # the last site serves the rest of the highway (scenario.cell_populations):
+    # a cell longer than one inter-site distance is no cell of the model
+    last_cell_m = cfg.highway_length_m - (cfg.num_gnb - 1) * cfg.isd_m
+    if last_cell_m > cfg.isd_m:
+        raise ConfigError(
+            f"last cell is {last_cell_m} m, longer than isd_m {cfg.isd_m} m: "
+            "highway_length_m must be at most num_gnb * isd_m"
+        )
     if cfg.mu not in phy.PRB_TABLE_MUS:
         raise ConfigError(f"mu out of FR1 sidelink range: {cfg.mu} (allowed: 0, 1, 2)")
     try:

@@ -54,15 +54,28 @@ def test_capacity_reports_cell_populations(capsys):
     row = dict(zip(header.split(","), values.split(",")))
     assert row["cell_population"] == "1038;1038;1038"
     assert row["prr_max"] == "0.674374"
-    # one site serves the whole 5196 m highway: 700 of 3114 vehicles transmit
+    # a 4330 m highway leaves the last site 866 m: 516 vehicles, all granted
     code, out = run_cli(
-        ["capacity", "--csv", "--set", "num_gnb=1", "--set", "ivd_m=10"], capsys
+        ["capacity", "--csv", "--set", "highway_length_m=4330", "--set", "ivd_m=10"], capsys
     )
     assert code == 0
     header, values = out.splitlines()
     row = dict(zip(header.split(","), values.split(",")))
-    assert row["cell_population"] == "3114"
-    assert row["prr_max"] == "0.224791"
+    assert row["cell_population"] == "1038;1038;516"
+    assert row["prr_max"] == "0.739198"
+
+
+@pytest.mark.parametrize("setting, last_cell, isd", [
+    ("highway_length_m=20000", "16536.0", "1732.0"),
+    ("isd_m=100", "4996.0", "100.0"),
+])
+def test_run_rejects_a_cell_longer_than_isd(tmp_path, capsys, setting, last_cell, isd):
+    out = tmp_path / "run.csv"
+    code = cli.main(["run", "--set", setting, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: last cell is {last_cell} m, longer than isd_m {isd} m")
+    assert not out.exists()
 
 
 def test_tables_prb(capsys):

@@ -61,6 +61,28 @@ def test_bad_delta_rejected():
         parse_config('{"l2sm_delta_db": 4}')
 
 
+@pytest.mark.parametrize("doc", [
+    {},                                                   # 5196 m = 3 * 1732 m
+    {"highway_length_m": 2000},                           # a short last cell
+    {"highway_length_m": 3464, "num_gnb": 2},
+    {"highway_length_m": 100, "num_gnb": 3},              # sites beyond the road
+])
+def test_highway_up_to_num_gnb_cells_accepted(doc):
+    parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc, last_cell, isd", [
+    ({"highway_length_m": 20000}, 16536.0, 1732.0),
+    ({"isd_m": 100}, 4996.0, 100.0),
+    ({"num_gnb": 1}, 5196.0, 1732.0),
+    ({"highway_length_m": 5196.5}, 1732.5, 1732.0),
+])
+def test_cell_longer_than_isd_rejected(doc, last_cell, isd):
+    with pytest.raises(ConfigError, match=rf"^last cell is {last_cell} m, longer than "
+                                          rf"isd_m {isd} m"):
+        parse_config(json.dumps(doc))
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError, match="seed"):
         parse_config('{"seed": -1}')

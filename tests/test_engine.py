@@ -1,7 +1,7 @@
 import copy
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import reference
 from nrv2xsim import channel, config, engine, l2sm, phy, scenario
 from nrv2xsim.config import SimConfig
+from test_reference import assert_matches_reference
 
 # single-cell highway: no cross-cell interference, fast to simulate
 NOISE_LIMITED = SimConfig(
@@ -165,7 +167,7 @@ def test_interferer_count_bounded_by_other_cells():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    highway_length_m=st.floats(300.0, 6000.0),
+    span=st.floats(0.05, 1.0),
     num_gnb=st.integers(1, 4),
     isd_m=st.floats(200.0, 2500.0),
     ivd_m=st.floats(5.0, 100.0),
@@ -173,12 +175,14 @@ def test_interferer_count_bounded_by_other_cells():
     mu=st.sampled_from([0, 1, 2]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_ceiling_matches_scheduled_cells(highway_length_m, num_gnb, isd_m, ivd_m,
+def test_ceiling_matches_scheduled_cells(span, num_gnb, isd_m, ivd_m,
                                          lanes_per_direction, mu, seed):
     # the ceiling describes the simulated cells: each planned population is
-    # within one vehicle per lane of the served count (the random lane phase)
-    cfg = SimConfig(highway_length_m=highway_length_m, num_gnb=num_gnb, isd_m=isd_m,
-                    ivd_m=ivd_m, lanes_per_direction=lanes_per_direction, mu=mu)
+    # within one vehicle per lane of the served count (the random lane phase).
+    # The highway is a share of the sites' span, as validate_config requires
+    cfg = SimConfig(highway_length_m=max(span * num_gnb * isd_m, ivd_m), num_gnb=num_gnb,
+                    isd_m=isd_m, ivd_m=ivd_m, lanes_per_direction=lanes_per_direction, mu=mu)
+    config.validate_config(cfg)
     dep, plan, sched, _ = _setup(cfg, seed)
     lanes = 2 * lanes_per_direction
     served = np.bincount(dep.serving, minlength=num_gnb)
@@ -197,10 +201,11 @@ def test_ceiling_matches_scheduled_cells(highway_length_m, num_gnb, isd_m, ivd_m
 
 
 def test_ceiling_counts_the_whole_highway():
-    # one cell serves all 3114 vehicles of the 5196 m highway; 700 transmit
-    plan = phy.build_resource_plan(SimConfig(num_gnb=1, ivd_m=10.0))
-    assert plan.cell_population == (3114,)
-    assert plan.prr_max == 700 / 3114
+    # the last site serves the 866 m left of a 4330 m highway: 516 vehicles,
+    # every one granted, beside two cells of 1038 that grant 700 each
+    plan = phy.build_resource_plan(SimConfig(highway_length_m=4330.0, ivd_m=10.0))
+    assert plan.cell_population == (1038, 1038, 516)
+    assert plan.prr_max == (700 + 700 + 516) / (1038 + 1038 + 516)
     # a highway equal to the sites' span keeps the per-cell formula
     plan = phy.build_resource_plan(SimConfig(ivd_m=10.0))
     assert plan.cell_population == (1038,) * 3
@@ -289,33 +294,14 @@ def test_sinr_strictly_drops_with_extra_interferer():
 
 
 def _reference_phase_ratio(cfg, dep, sched, links, p, noise_mw, rng):
-    """The whole-array SINR pass: every per-link temporary spans all links,
-    and each cell gathers the grant and its interferer once per link."""
-    n_links = links.tx.size
-    x, y = dep.x_m, dep.y_m
-    tx_cell = dep.serving[links.tx]
-    shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, n_links)
-    signal_dbm = (cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
-                  - links.pathloss_db - shadow)
-    signal_mw = 10.0 ** (signal_dbm / 10.0)
-    interference_mw = np.zeros(n_links)
-    grant = sched.resource[p, links.tx]
-    for c in range(len(dep.sites)):
-        occ = sched.occupant[p, c, grant]
-        hit = np.flatnonzero((occ >= 0) & (tx_cell != c))
-        if hit.size == 0:
-            continue
-        src = occ[hit]
-        dst = links.rx[hit]
-        dist = np.hypot(x[src] - x[dst], y[src] - y[dst])
-        pl = channel.pathloss_db(
-            dist, cfg.ue_height_m, cfg.ue_height_m,
-            cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
-        )
-        shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, hit.size)
-        power_dbm = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db - pl - shadow_i
-        interference_mw[hit] += 10.0 ** (power_dbm / 10.0)
-    return signal_mw / (interference_mw + noise_mw)
+    """The phase-p SINR of the reference run (tests/reference.py) over
+    sched's grants and the links."""
+    tx_ids = links.tx_ids
+    grant = dict(zip(tx_ids.tolist(), sched.resource[p, tx_ids].tolist()))
+    occupant = {(c, r): v for (c, r), v in np.ndenumerate(sched.occupant[p]) if v >= 0}
+    row = np.repeat(np.arange(tx_ids.size), links.counts)
+    return reference.phase_sinr(cfg, dep, grant, occupant, tx_ids, row, links.rx,
+                                links.pathloss_db, noise_mw, rng)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -594,15 +580,6 @@ def test_execute_run_no_receiver_sentinel(base, retx):
         assert result.prr_effective == 0.0
 
 
-def _assert_same_result(grouped, alone):
-    for f in fields(alone):
-        a, b = getattr(grouped, f.name), getattr(alone, f.name)
-        if isinstance(b, float) and math.isnan(b):
-            assert math.isnan(a), f.name
-        else:
-            assert a == b, f.name
-
-
 # two cells, so the shared SINR pass carries cross-cell interference
 TWO_CELLS = SimConfig(
     highway_length_m=3464.0, num_gnb=2, mu=2, bandwidth_mhz=20.0, ivd_m=40.0,
@@ -622,15 +599,14 @@ GROUP_DELTAS = (3.0, 0.0, 7.0, 5.0)
 ], ids=["none", "equal_linear", "equal_db", "nonequal2", "nonequal4",
         "no_receiver", "zero_capacity"])
 def test_grouped_deltas_equal_each_run_alone(cfg):
-    grouped = _results([replace(cfg, l2sm_delta_db=d) for d in GROUP_DELTAS], 6)
-    assert len(grouped) == len(GROUP_DELTAS)
-    for delta, result in zip(GROUP_DELTAS, grouped):
-        _assert_same_result(result, _run(replace(cfg, l2sm_delta_db=delta), 6))
+    # fixed cases of the reference oracle: each delta of a group gets the
+    # result and the samples of its run alone
+    assert_matches_reference([replace(cfg, l2sm_delta_db=d, seed=6) for d in GROUP_DELTAS])
 
 
 # two 1732 m cells of about 258 vehicles: at 10 MHz "none" supports 700/600/400
 # transmitters per cell at mu 0/1/2 and tf 10, the two-phase schemes half of
-# that and tf 20 halves it again, so member sets mix overloaded plans with
+# that and tf 20 halves it again, so a group mixes overloaded plans with
 # plans that keep every vehicle
 SHARED_PASS = SimConfig(
     highway_length_m=3464.0, num_gnb=2, bandwidth_mhz=10.0, ivd_m=40.0,
@@ -639,45 +615,6 @@ SHARED_PASS = SimConfig(
 # at ivd 100 (102 vehicles per cell) "equal" and "nonequal:1" both pick MCS
 # (3, 3) at tf 10, so only the combining tells their decisions apart
 SPARSE_PASS = replace(SHARED_PASS, ivd_m=100.0)
-# pass config -> the numerologies its bandwidth allows
-ORACLE_PASSES = {
-    "linear": (SHARED_PASS, (0, 1, 2)),
-    "sparse": (SPARSE_PASS, (0, 1, 2)),
-    "db": (replace(SHARED_PASS, retx_sinr_combining="db"), (0, 1, 2)),
-    "zero_capacity": (replace(ZERO_CAPACITY, drops=2), (0, 1)),
-    "no_receiver": (replace(NO_RECEIVER, drops=2), (0, 1, 2)),
-}
-
-
-@st.composite
-def _member_sets(draw):
-    base, mus = ORACLE_PASSES[draw(st.sampled_from(sorted(ORACLE_PASSES)))]
-    member = st.builds(
-        lambda mu, tf, retx, delta: replace(base, mu=mu, tf_hz=tf, retx_scheme=retx,
-                                            l2sm_delta_db=delta),
-        st.sampled_from(mus), st.sampled_from((10.0, 20.0)),
-        st.sampled_from(("none", "equal", "nonequal:1", "nonequal:4")),
-        st.sampled_from(config.L2SM_DELTA_VALUES_DB),
-    )
-    return draw(st.lists(member, min_size=1, max_size=6))
-
-
-@settings(max_examples=30, deadline=None)
-@given(members=_member_sets(), seed=st.integers(0, 1000))
-def test_grouped_members_equal_each_run_alone(members, seed):
-    # runs that differ in numerology, message rate, scheme and shift share
-    # each drop's deployment and, per schedule signature, one SINR pass;
-    # each member's drops are those of its run alone too
-    members = [replace(m, seed=seed) for m in members]
-    grouped = engine.execute_run(members)
-    assert len(grouped) == len(members)
-    for cfg, (result, drops) in zip(members, grouped):
-        ((alone, alone_drops),) = engine.execute_run([cfg])
-        _assert_same_result(result, alone)
-        assert len(drops) == len(alone_drops) == cfg.drops
-        for dc, dc_alone in zip(drops, alone_drops):
-            for name in ("tx_ids", "m", "n"):
-                assert np.array_equal(getattr(dc, name), getattr(dc_alone, name)), name
 
 
 def test_combining_splits_members_of_one_mcs():
@@ -689,9 +626,7 @@ def test_combining_splits_members_of_one_mcs():
     equal, nonequal = (phy.build_resource_plan(replace(SPARSE_PASS, retx_scheme=retx))
                        for retx in ("equal", "nonequal:1"))
     assert equal.phase_mcs == nonequal.phase_mcs
-    grouped = _results(members, 6)
-    for cfg, result in zip(members, grouped):
-        _assert_same_result(result, _run(cfg, 6))
+    assert_matches_reference([replace(m, seed=6) for m in members])
 
 
 # SHARED_PASS at ivd 20: about 516 vehicles per cell, so "none" keeps every
@@ -770,89 +705,6 @@ def test_kept_sets_nest_and_phase0_interferers_agree(seed, grids):
         for name in ("resource", "occupant", "dropped"):
             a, b = getattr(one, name), getattr(other, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-
-
-def _decided_passes(members, seed, monkeypatch):
-    """(plans, (phases, links) signal and interference, linear SINR per
-    noise, links, post-pass stream, receptions) of each SINR pass in one
-    drop of members.  Signal and interference are copied as _phase_powers
-    fills them; the SINR is the dict _decide reads, as it stands after
-    _decide."""
-    passes, powers = [], []
-    decide, phase_powers = engine._decide, engine._phase_powers
-
-    def recording_powers(cfg, dep, sched, links, p, rng, signal, interference):
-        phase_powers(cfg, dep, sched, links, p, rng, signal, interference)
-        powers.append((signal.copy(), interference.copy()))
-
-    def recording(plans, table, sinr, links, rng):
-        stream = copy.deepcopy(rng)
-        received = decide(plans, table, sinr, links, rng)
-        signal, interference = (np.array(rows) for rows in zip(*powers))
-        powers.clear()
-        passes.append((plans, signal, interference, sinr, links, stream, received))
-        return received
-
-    monkeypatch.setattr(engine, "_phase_powers", recording_powers)
-    monkeypatch.setattr(engine, "_decide", recording)
-    plans = [phy.build_resource_plan(m) for m in members]
-    engine._drop_counts(engine._pass_config(members[0]), plans, engine._drop_seed(seed, 0))
-    monkeypatch.setattr(engine, "_phase_powers", phase_powers)
-    monkeypatch.setattr(engine, "_decide", decide)
-    return passes
-
-
-def _reference_receptions(plan, table, signal, interference, rng):
-    """plan's receptions by whole-array arithmetic: decision d compares row
-    d of one (decisions, links) uniform draw from the post-pass stream with
-    np.interp at the decision's SINR in dB plus the shift."""
-    ratio = signal / (interference + plan.noise_mw)
-    if plan.combining == "linear":
-        ratio = ratio.mean(axis=0, keepdims=True)
-    sinr_db = 10.0 * np.log10(ratio)
-    if plan.combining == "db":
-        sinr_db = sinr_db.mean(axis=0, keepdims=True)
-    uniforms = copy.deepcopy(rng).random(sinr_db.shape)
-    return np.array([
-        uniforms[d] >= np.interp(sinr_db[d] + plan.shift_db, *table.curves[plan.phase_mcs[d]])
-        for d in range(sinr_db.shape[0])
-    ])
-
-
-@pytest.mark.parametrize("block", [engine._TX_BLOCK, 5])
-@pytest.mark.parametrize("combining", ["linear", "db"])
-def test_decisions_match_whole_array_reference(combining, block, monkeypatch):
-    # every key of every pass, whatever block of transmitters the pass and
-    # its decisions step by, over passes of one, two and three noises.  Each
-    # stored SINR row is signal / (interference + noise) to the byte, and
-    # stays so through the decisions: in the passes with a combining and a
-    # non-combining key on one noise, a dB SINR formed in place on a stored
-    # row changes it
-    monkeypatch.setattr(engine, "_TX_BLOCK", block)
-    table = l2sm.default_bler_table()
-    for base, noises in ((OVERLOADED_PASS, [2, 1, 1, 1, 1]), (SHARED_PASS, [3, 2, 1])):
-        members = [replace(base, mu=mu, retx_scheme=retx, l2sm_delta_db=delta,
-                           retx_sinr_combining=combining)
-                   for mu in (0, 1, 2) for retx in ("none", "equal", "nonequal:1", "nonequal:4")
-                   for delta in (3.0, 7.0)]
-        passes = _decided_passes(members, 5, monkeypatch)
-        assert [len(sinr) for _, _, _, sinr, *_ in passes] == noises
-        # some pass ends in a partial block
-        assert any(links.tx_ids.size > block and links.tx_ids.size % block
-                   for *_, links, _, _ in passes)
-        assert any({plan.noise_mw for plan in plans if plan.combining}
-                   & {plan.noise_mw for plan in plans if not plan.combining}
-                   for plans, *_ in passes)
-        for plans, signal, interference, sinr, _, rng, received in passes:
-            assert set(sinr) == {plan.noise_mw for plan in plans}
-            for noise, stored in sinr.items():
-                assert stored.tobytes() == (signal / (interference + noise)).tobytes()
-            assert set(received) == {engine._decision_key(plan) for plan in plans}
-            for plan in plans:
-                got = received[engine._decision_key(plan)]
-                expected = _reference_receptions(plan, table, signal, interference, rng)
-                assert got.shape == expected.shape
-                assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("retx, decisions", [

@@ -165,13 +165,13 @@ def test_build_resource_plan_phase_mcs():
 
 
 def test_build_resource_plan_phase_mcs_follows_the_largest_cell():
-    # one cell serves all 3114 vehicles of the 5196 m highway: the MCS must
-    # carry that load, not the 1038 of a 1732 m segment the sites span
-    plan = phy.build_resource_plan(SimConfig(num_gnb=1, ivd_m=10.0))
-    assert plan.cell_population == (3114,)
+    # one site serves an 866 m highway, 516 vehicles: the MCS carries that
+    # load, not the 1038 of the 1732 m segment an inter-site distance spans
+    plan = phy.build_resource_plan(SimConfig(highway_length_m=866.0, num_gnb=1, ivd_m=10.0))
+    assert plan.cell_population == (516,)
     assert phy.select_cqi(phy.required_se(300, 1038, 10.0, 10e6)).cqi_index == 7
-    assert phy.select_cqi(phy.required_se(300, 3114, 10.0, 10e6)).cqi_index == 15
-    assert plan.phase_mcs == (15,)
+    assert phy.select_cqi(phy.required_se(300, 516, 10.0, 10e6)).cqi_index == 4
+    assert plan.phase_mcs == (4,)
 
 
 @pytest.mark.parametrize("mu", [0, 1, 2])
