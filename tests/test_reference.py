@@ -91,12 +91,11 @@ SATURATING_GROUP = [replace(TWO_CELLS, ivd_m=40.0, drops=2, seed=3, bler_table_p
                     for mu, retx in ((0, "none"), (0, "nonequal:1"), (0, "equal"),
                                      (2, "equal"), (1, "nonequal:4"))]
 
-# always run: one cell keeps floor(7000 / tf) transmitters at 10 MHz and
-# mu 0, so the group's passes hold 1, 63, 64, 65 and 129 of them, on either
-# side of a 64-transmitter block boundary
-BLOCK_EDGE_GROUP = [SimConfig(highway_length_m=1732.0, num_gnb=1, bandwidth_mhz=10.0,
-                              ivd_m=20.0, comm_range_m=200.0, tf_hz=7000.0 / (k + 0.5))
-                    for k in (1, 63, 64, 65, 129)]
+# always run: each cell keeps floor(7000 / tf) transmitters at 10 MHz and
+# mu 0, so the group's passes hold 2, 62, 64, 66, 128 and 130 of them, on
+# either side of a 64-transmitter block boundary, with interference
+BLOCK_EDGE_GROUP = [replace(TWO_CELLS, ivd_m=20.0, tf_hz=7000.0 / (k + 0.5))
+                    for k in (1, 31, 32, 33, 64, 65)]
 
 
 @settings(max_examples=40, deadline=None)
