@@ -29,7 +29,8 @@ def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
     Below the breakpoint: 22.7 log10(d) + 41.0 + 20 log10(fc/5).
     At and beyond it:     40 log10(d) + 9.45 - 17.3 log10(h'_tx)
                           - 17.3 log10(h'_rx) + 2.7 log10(fc/5).
-    Distances under min_distance_m are clamped up to it.
+    Distances under min_distance_m are clamped up to it.  Both antennas
+    stand above 1 m, as SimConfig requires of ue_height_m.
 
     Written into out when given (it may be distance_m itself), else into a
     fresh array.  The clamp, the log10 and the far branch run in place over
@@ -39,11 +40,6 @@ def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
     """
     h_tx = tx_height_m - EFFECTIVE_HEIGHT_OFFSET_M
     h_rx = rx_height_m - EFFECTIVE_HEIGHT_OFFSET_M
-    if h_tx <= 0 or h_rx <= 0:
-        raise ValueError(
-            "effective antenna height must be positive "
-            f"(tx {tx_height_m} m, rx {rx_height_m} m)"
-        )
     d = np.asarray(distance_m, dtype=float)
     pl = np.maximum(d, min_distance_m, out=np.empty_like(d) if out is None else out)
     # a mask, not flat indices, so that a scalar or an array of any shape works
@@ -65,8 +61,6 @@ def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
 
 def shadowing_db(rng: np.random.Generator, sigma_db: float, size=None):
     """Zero-mean log-normal shadowing draw(s) in dB."""
-    if sigma_db < 0:
-        raise ValueError(f"sigma_db must be non-negative, got {sigma_db}")
     return rng.normal(0.0, sigma_db, size)
 
 
@@ -86,6 +80,4 @@ def noise_power_dbm(noise_density_dbm_hz: float, nprb_pssch: int,
                     scs_hz: float, noise_figure_db: float) -> float:
     """Thermal noise over the message's data bandwidth, plus receiver noise figure."""
     bandwidth_hz = nprb_pssch * 12 * scs_hz
-    if bandwidth_hz <= 0:
-        raise ValueError(f"noise bandwidth must be positive, got {bandwidth_hz} Hz")
     return noise_density_dbm_hz + 10.0 * np.log10(bandwidth_hz) + noise_figure_db

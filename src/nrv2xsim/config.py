@@ -3,7 +3,8 @@
 A run is described by a flat JSON object whose keys match the ``SimConfig``
 field names one-to-one.  A campaign wraps a base config with sweep axes and
 a seed list; ``expand_campaign`` turns it into the ordered cartesian product
-of fully validated per-run configs.
+of per-run configs.  A SimConfig checks its fields when it is built, so
+every config is one the model can simulate.
 """
 
 from __future__ import annotations
@@ -66,6 +67,52 @@ class SimConfig:
     # monte carlo
     seed: int = 1
     drops: int = 1
+
+    def __post_init__(self):
+        """Raise ConfigError on the first violated field constraint, however
+        the config was made: parsed, built in code or by dataclasses.replace."""
+        for name in sorted(n for n, kind in _FIELD_KINDS.items() if kind == "float"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("highway_length_m", "lane_width_m", "isd_m", "ivd_m",
+                     "carrier_freq_ghz", "bandwidth_mhz", "tf_hz",
+                     "min_pathloss_distance_m", "max_mcs_efficiency"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("lanes_per_direction", "num_gnb", "packet_size_bytes", "drops"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("comm_range_m", "shadowing_sigma_db", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        # the last site serves the rest of the highway (scenario.cell_populations):
+        # a cell longer than one inter-site distance is no cell of the model
+        last_cell_m = self.highway_length_m - (self.num_gnb - 1) * self.isd_m
+        if last_cell_m > self.isd_m:
+            raise ConfigError(
+                f"last cell is {last_cell_m} m, longer than isd_m {self.isd_m} m: "
+                "highway_length_m must be at most num_gnb * isd_m"
+            )
+        if self.mu not in phy.PRB_TABLE_MUS:
+            raise ConfigError(f"mu out of FR1 sidelink range: {self.mu} (allowed: 0, 1, 2)")
+        try:
+            phy.prb_count(self.bandwidth_mhz, self.mu)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.l2sm_delta_db not in L2SM_DELTA_VALUES_DB:
+            raise ConfigError(
+                f"l2sm_delta_db must be one of {{0, 3, 5, 7}}, got {self.l2sm_delta_db}"
+            )
+        if self.retx_sinr_combining not in SINR_COMBINING_MODES:
+            raise ConfigError(
+                f"retx_sinr_combining must be 'linear' or 'db', got {self.retx_sinr_combining!r}"
+            )
+        # the pathloss model needs a positive effective antenna height (h - 1 m)
+        if self.ue_height_m <= 1.0:
+            raise ConfigError(f"ue_height_m must exceed 1 m, got {self.ue_height_m}")
+        if self.gnb_height_m <= 0:
+            raise ConfigError(f"gnb_height_m must be positive, got {self.gnb_height_m}")
+        parse_retx_scheme(self.retx_scheme)
 
 
 # field name -> annotation ("int", "float", "str" or "str | None")
@@ -131,52 +178,6 @@ def _coerce(name: str, value):
     return _COERCERS[_FIELD_KINDS[name]](name, value)
 
 
-def validate_config(cfg: SimConfig) -> None:
-    """Raise ConfigError on the first violated field constraint."""
-    for name in sorted(n for n, kind in _FIELD_KINDS.items() if kind == "float"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
-    for name in ("highway_length_m", "lane_width_m", "isd_m", "ivd_m",
-                 "carrier_freq_ghz", "bandwidth_mhz", "tf_hz",
-                 "min_pathloss_distance_m", "max_mcs_efficiency"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)}")
-    for name in ("lanes_per_direction", "num_gnb", "packet_size_bytes", "drops"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    for name in ("comm_range_m", "shadowing_sigma_db", "seed"):
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be non-negative, got {getattr(cfg, name)}")
-    # the last site serves the rest of the highway (scenario.cell_populations):
-    # a cell longer than one inter-site distance is no cell of the model
-    last_cell_m = cfg.highway_length_m - (cfg.num_gnb - 1) * cfg.isd_m
-    if last_cell_m > cfg.isd_m:
-        raise ConfigError(
-            f"last cell is {last_cell_m} m, longer than isd_m {cfg.isd_m} m: "
-            "highway_length_m must be at most num_gnb * isd_m"
-        )
-    if cfg.mu not in phy.PRB_TABLE_MUS:
-        raise ConfigError(f"mu out of FR1 sidelink range: {cfg.mu} (allowed: 0, 1, 2)")
-    try:
-        phy.prb_count(cfg.bandwidth_mhz, cfg.mu)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if cfg.l2sm_delta_db not in L2SM_DELTA_VALUES_DB:
-        raise ConfigError(
-            f"l2sm_delta_db must be one of {{0, 3, 5, 7}}, got {cfg.l2sm_delta_db}"
-        )
-    if cfg.retx_sinr_combining not in SINR_COMBINING_MODES:
-        raise ConfigError(
-            f"retx_sinr_combining must be 'linear' or 'db', got {cfg.retx_sinr_combining!r}"
-        )
-    # the pathloss model needs a positive effective antenna height (h - 1 m)
-    if cfg.ue_height_m <= 1.0:
-        raise ConfigError(f"ue_height_m must exceed 1 m, got {cfg.ue_height_m}")
-    if cfg.gnb_height_m <= 0:
-        raise ConfigError(f"gnb_height_m must be positive, got {cfg.gnb_height_m}")
-    parse_retx_scheme(cfg.retx_scheme)
-
-
 def config_from_dict(doc: dict) -> SimConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -184,9 +185,7 @@ def config_from_dict(doc: dict) -> SimConfig:
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     kwargs = {name: _coerce(name, value) for name, value in doc.items()}
-    cfg = SimConfig(**kwargs)
-    validate_config(cfg)
-    return cfg
+    return SimConfig(**kwargs)
 
 
 def parse_config(text: str) -> SimConfig:
@@ -290,6 +289,5 @@ def expand_campaign(spec: CampaignSpec) -> list[tuple[SimConfig, int]]:
     runs = []
     for point in itertools.product(*axes):
         cfg = replace(spec.base, **dict(zip(_SWEEP_AXES.values(), point)))
-        validate_config(cfg)
         runs.append((cfg, cfg.seed))
     return runs

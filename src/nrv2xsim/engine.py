@@ -54,7 +54,8 @@ _POST_PASS_DEFAULTS = {name: getattr(SimConfig(), name) for name in POST_PASS_FI
 
 def _pass_config(cfg: SimConfig) -> SimConfig:
     """cfg with every post-pass field at its default: runs whose pass
-    configs are equal, the seed included, can share one SINR pass."""
+    configs are equal, the seed included, can share one SINR pass.  Never
+    raises: mu 0 has a PRB entry at every bandwidth a config may hold."""
     return replace(cfg, **_POST_PASS_DEFAULTS)
 
 
@@ -480,8 +481,9 @@ def _drop_seed(seed: int, drop_index: int) -> np.random.SeedSequence:
 def execute_run(members: Sequence[SimConfig]
                 ) -> list[tuple[metrics.RunResult, list[_DropCounts]]]:
     """Per member, its RunResult and the counts of its drops, seeded by the
-    cfg.seed the members share.  Raises ValueError unless they share one pass
-    config (one sinr_groups group).  Each member's result and drops equal
+    cfg.seed the members share.  Each member checked its fields when it was
+    built (SimConfig), so the engine checks only that they share one pass
+    config (one sinr_groups group) and raises ValueError otherwise.  Each member's result and drops equal
     those of its run alone: every drop shares one deployment among the
     members, one link search among them all, and one schedule and
     interference pass among the members of each schedule signature.

@@ -110,18 +110,12 @@ def nprb_pssch(packet_size_bytes: int, subcarriers_per_prb: int,
 
 def ue_per_slot(n_prb: int, nprb_total: int) -> int:
     """How many whole messages fit side by side in the PRB grid of one slot."""
-    if nprb_total <= 0:
-        raise ValueError(f"nprb_total must be positive, got {nprb_total}")
     return n_prb // nprb_total
 
 
 def ue_supported(per_slot: int, slots_per_second: int, tf_hz: float,
                  retx_factor: int = 1) -> int:
     """Transmitters servable per second; retx_factor 2 halves it for blind repeats."""
-    if tf_hz <= 0:
-        raise ValueError(f"tf_hz must be positive, got {tf_hz}")
-    if retx_factor not in (1, 2):
-        raise ValueError(f"retx_factor must be 1 or 2, got {retx_factor}")
     return math.floor(per_slot * slots_per_second / (tf_hz * retx_factor))
 
 
@@ -129,8 +123,6 @@ def prr_max(supported: int, *populations: int) -> float:
     """Overload ceiling on PRR: the share of the vehicles of one or more cells
     that get a grant when each cell grants at most ``supported``; 1 when no
     cell is overloaded or no cell has a vehicle."""
-    if any(n < 0 for n in populations):
-        raise ValueError(f"cell populations must be non-negative, got {populations}")
     total = sum(populations)
     return sum(min(supported, n) for n in populations) / total if total else 1.0
 

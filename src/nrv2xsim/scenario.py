@@ -41,8 +41,6 @@ class Deployment:
 
 def vehicles_per_lane(length_m: float, ivd_m: float) -> int:
     """Vehicles that fit in one lane at the given spacing."""
-    if length_m <= 0 or ivd_m <= 0:
-        raise ValueError("length_m and ivd_m must be positive")
     return math.floor(length_m / ivd_m)
 
 

@@ -41,11 +41,6 @@ def test_breakpoint_continuity():
     assert gap < 0.5
 
 
-def test_pathloss_rejects_low_antennas():
-    with pytest.raises(ValueError, match="effective antenna height"):
-        channel.pathloss_db(np.array([100.0]), tx_height_m=1.0)
-
-
 def _pathloss_both_branches(distance_m, tx_height_m=1.5, rx_height_m=1.5, fc_ghz=5.9,
                             min_distance_m=10.0):
     """Both WINNER B1 branches at every distance, selected by np.where."""
@@ -158,5 +153,3 @@ def test_noise_independent_of_tx_side():
     assert channel.noise_power_dbm(-174, 5, 15000, 9) == channel.noise_power_dbm(
         -174, 5, 15000, 9
     )
-    with pytest.raises(ValueError):
-        channel.noise_power_dbm(-174, 0, 15000, 9)

@@ -23,6 +23,15 @@ from nrv2xsim.config import (
 FLOAT_FIELDS = sorted(f.name for f in fields(SimConfig) if f.type == "float")
 
 
+def _assert_rejected(doc, match):
+    """doc's config raises ConfigError matching match however it is made:
+    parsed, built in code or made by dataclasses.replace."""
+    for make in (lambda: parse_config(json.dumps(doc)), lambda: SimConfig(**doc),
+                 lambda: dataclasses.replace(SimConfig(), **doc)):
+        with pytest.raises(ConfigError, match=match):
+            make()
+
+
 def test_empty_document_gives_defaults():
     cfg = parse_config("{}")
     assert cfg.highway_length_m == 5196
@@ -37,13 +46,11 @@ def test_empty_document_gives_defaults():
 
 
 def test_mu_out_of_range_names_field():
-    with pytest.raises(ConfigError, match="mu out of FR1 sidelink range"):
-        parse_config('{"mu": 3}')
+    _assert_rejected({"mu": 3}, "mu out of FR1 sidelink range")
 
 
 def test_undefined_prb_pair_rejected():
-    with pytest.raises(ConfigError, match="undefined PRB entry"):
-        parse_config('{"bandwidth_mhz": 5, "mu": 2}')
+    _assert_rejected({"bandwidth_mhz": 5.0, "mu": 2}, "undefined PRB entry")
 
 
 def test_unknown_key_rejected():
@@ -57,8 +64,21 @@ def test_malformed_document():
 
 
 def test_bad_delta_rejected():
-    with pytest.raises(ConfigError, match="l2sm_delta_db"):
-        parse_config('{"l2sm_delta_db": 4}')
+    _assert_rejected({"l2sm_delta_db": 4.0}, "l2sm_delta_db")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"ivd_m": 0.0}, "ivd_m must be positive, got 0.0"),
+    ({"highway_length_m": 0.0}, "highway_length_m must be positive, got 0.0"),
+    ({"tf_hz": 0.0}, "tf_hz must be positive, got 0.0"),
+    ({"ue_height_m": 1.0}, "ue_height_m must exceed 1 m, got 1.0"),
+    ({"shadowing_sigma_db": -1.0}, "shadowing_sigma_db must be non-negative, got -1.0"),
+], ids=["ivd_m", "highway_length_m", "tf_hz", "ue_height_m", "shadowing_sigma_db"])
+def test_helper_inputs_checked_by_the_config(doc, message):
+    # vehicles_per_lane takes the highway and the spacing unchecked,
+    # ue_supported the rate, pathloss_db the antenna height and shadowing_db
+    # the sigma: only the config keeps them in range
+    _assert_rejected(doc, f"^{message}$")
 
 
 @pytest.mark.parametrize("doc", [
@@ -72,20 +92,17 @@ def test_highway_up_to_num_gnb_cells_accepted(doc):
 
 
 @pytest.mark.parametrize("doc, last_cell, isd", [
-    ({"highway_length_m": 20000}, 16536.0, 1732.0),
-    ({"isd_m": 100}, 4996.0, 100.0),
+    ({"highway_length_m": 20000.0}, 16536.0, 1732.0),
+    ({"isd_m": 100.0}, 4996.0, 100.0),
     ({"num_gnb": 1}, 5196.0, 1732.0),
     ({"highway_length_m": 5196.5}, 1732.5, 1732.0),
 ])
 def test_cell_longer_than_isd_rejected(doc, last_cell, isd):
-    with pytest.raises(ConfigError, match=rf"^last cell is {last_cell} m, longer than "
-                                          rf"isd_m {isd} m"):
-        parse_config(json.dumps(doc))
+    _assert_rejected(doc, rf"^last cell is {last_cell} m, longer than isd_m {isd} m")
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ConfigError, match="seed"):
-        parse_config('{"seed": -1}')
+    _assert_rejected({"seed": -1}, "seed")
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -106,8 +123,7 @@ def test_retx_scheme_rejects(value):
 
 
 def test_retx_scheme_error_names_the_one_spelling():
-    with pytest.raises(ConfigError, match="'nonequal:2'"):
-        parse_config('{"retx_scheme": "nonequal:02"}')
+    _assert_rejected({"retx_scheme": "nonequal:02"}, "'nonequal:2'")
 
 
 @given(
@@ -295,11 +311,9 @@ def test_campaign_parse_axes():
     value=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 def test_non_finite_float_field_rejected(name, value):
-    text = json.dumps(value)  # NaN, Infinity, -Infinity
+    _assert_rejected({name: value}, f"{name} must be finite")
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
-        parse_config(json.dumps({name: value}))
-    with pytest.raises(ConfigError, match=f"{name} must be finite"):
-        apply_overrides(SimConfig(), [f"{name}={text}"])
+        apply_overrides(SimConfig(), [f"{name}={json.dumps(value)}"])
 
 
 @given(

@@ -12,7 +12,7 @@ from scipy import stats
 import reference
 from nrv2xsim import channel, config, engine, l2sm, phy, scenario
 from nrv2xsim.config import SimConfig
-from test_reference import assert_matches_reference
+from test_reference import NO_RECEIVER, assert_matches_reference
 
 # single-cell highway: no cross-cell interference, fast to simulate
 NOISE_LIMITED = SimConfig(
@@ -179,10 +179,9 @@ def test_ceiling_matches_scheduled_cells(span, num_gnb, isd_m, ivd_m,
                                          lanes_per_direction, mu, seed):
     # the ceiling describes the simulated cells: each planned population is
     # within one vehicle per lane of the served count (the random lane phase).
-    # The highway is a share of the sites' span, as validate_config requires
+    # The highway is a share of the sites' span, as SimConfig requires
     cfg = SimConfig(highway_length_m=max(span * num_gnb * isd_m, ivd_m), num_gnb=num_gnb,
                     isd_m=isd_m, ivd_m=ivd_m, lanes_per_direction=lanes_per_direction, mu=mu)
-    config.validate_config(cfg)
     dep, plan, sched, _ = _setup(cfg, seed)
     lanes = 2 * lanes_per_direction
     served = np.bincount(dep.serving, minlength=num_gnb)
@@ -551,10 +550,6 @@ def test_execute_run_overloaded_applies_ceiling():
     assert result.prr_effective == pytest.approx(result.prr_max * result.prr_runtime)
 
 
-NO_RECEIVER = SimConfig(
-    highway_length_m=100.0, ivd_m=60.0, lanes_per_direction=1, num_gnb=1,
-    comm_range_m=0.0,
-)
 # 5 MHz at mu=1 gives 11 PRBs; a 12-PRB message fits nowhere, nobody transmits
 ZERO_CAPACITY = SimConfig(
     highway_length_m=1732.0, num_gnb=1, bandwidth_mhz=5.0, mu=1,
@@ -578,30 +573,6 @@ def test_execute_run_no_receiver_sentinel(base, retx):
     if base is ZERO_CAPACITY:
         assert result.prr_max == 0.0
         assert result.prr_effective == 0.0
-
-
-# two cells, so the shared SINR pass carries cross-cell interference
-TWO_CELLS = SimConfig(
-    highway_length_m=3464.0, num_gnb=2, mu=2, bandwidth_mhz=20.0, ivd_m=40.0,
-    drops=2,
-)
-GROUP_DELTAS = (3.0, 0.0, 7.0, 5.0)
-
-
-@pytest.mark.parametrize("cfg", [
-    replace(TWO_CELLS, retx_scheme="none"),
-    replace(TWO_CELLS, retx_scheme="equal"),
-    replace(TWO_CELLS, retx_scheme="equal", retx_sinr_combining="db"),
-    replace(TWO_CELLS, retx_scheme="nonequal:2"),
-    replace(TWO_CELLS, retx_scheme="nonequal:4"),
-    replace(NO_RECEIVER, retx_scheme="nonequal:2", drops=2),
-    replace(ZERO_CAPACITY, retx_scheme="equal", drops=2),
-], ids=["none", "equal_linear", "equal_db", "nonequal2", "nonequal4",
-        "no_receiver", "zero_capacity"])
-def test_grouped_deltas_equal_each_run_alone(cfg):
-    # fixed cases of the reference oracle: each delta of a group gets the
-    # result and the samples of its run alone
-    assert_matches_reference([replace(cfg, l2sm_delta_db=d, seed=6) for d in GROUP_DELTAS])
 
 
 # two 1732 m cells of about 258 vehicles: at 10 MHz "none" supports 700/600/400
@@ -635,42 +606,31 @@ def test_combining_splits_members_of_one_mcs():
 OVERLOADED_PASS = replace(SHARED_PASS, ivd_m=20.0, drops=1)
 
 
-def _signature_passes(members, seed, monkeypatch):
-    """Every (transmitters, phase, signal, interference) that _phase_powers
-    fills in one drop of members, as bytes."""
-    passes = []
-    phase_powers = engine._phase_powers
-
-    def recording(cfg, dep, sched, links, p, rng, signal, interference):
-        phase_powers(cfg, dep, sched, links, p, rng, signal, interference)
-        passes.append((links.tx_ids.tobytes(), p, signal.tobytes(), interference.tobytes()))
-
-    monkeypatch.setattr(engine, "_phase_powers", recording)
-    plans = [phy.build_resource_plan(m) for m in members]
-    engine._drop_counts(engine._pass_config(members[0]), plans, engine._drop_seed(seed, 0))
-    monkeypatch.setattr(engine, "_phase_powers", phase_powers)
-    return passes
-
-
 def test_shared_geometry_gives_each_signature_its_own_pass(monkeypatch):
-    # one link search for the drop, and each signature's signal and
-    # interference are the bytes of that signature run alone
+    # one link search for the drop, and one pass per schedule signature: two
+    # one-phase and three two-phase signatures of distinct transmitters.  That
+    # each pass holds the bytes of its signature run alone is the reference
+    # oracle's to check (test_reference.py)
     members = [replace(OVERLOADED_PASS, mu=mu, retx_scheme=retx)
                for mu in (0, 1, 2) for retx in ("none", "equal", "nonequal:4")]
-    searched = []
-    build_links = engine._build_links
+    searched, passes = [], []
+    build_links, phase_powers = engine._build_links, engine._phase_powers
 
     def counting(dep, tx_ids, cfg):
         searched.append(tx_ids.size)
         return build_links(dep, tx_ids, cfg)
 
+    def recording(cfg, dep, sched, links, p, *buffers):
+        passes.append((links.tx_ids.tobytes(), p))
+        phase_powers(cfg, dep, sched, links, p, *buffers)
+
     monkeypatch.setattr(engine, "_build_links", counting)
-    grouped = _signature_passes(members, 8, monkeypatch)
+    monkeypatch.setattr(engine, "_phase_powers", recording)
+    plans = [phy.build_resource_plan(m) for m in members]
+    engine._drop_counts(engine._pass_config(members[0]), plans, engine._drop_seed(8, 0))
     assert len(searched) == 1
-    alone = {record for m in members for record in _signature_passes([m], 8, monkeypatch)}
-    assert len(searched) == 1 + len(members)
-    assert len({tx for tx, *_ in grouped}) == 5
-    assert sorted(grouped) == sorted(alone)
+    assert len({tx for tx, _ in passes}) == 5
+    assert len(set(passes)) == len(passes) == 2 * 1 + 3 * 2
 
 
 @settings(max_examples=30, deadline=None)

@@ -29,7 +29,7 @@ def test_prb_undefined_pair():
 
 def test_scs_formula():
     assert [phy.scs_khz(mu) for mu in range(3)] == [15, 30, 60]
-    # only the numerologies of the PRB table, which validate_config allows
+    # only the numerologies of the PRB table, which SimConfig allows
     for mu in (3, 4, 5, -1):
         with pytest.raises(ValueError, match="mu must be in 0..2"):
             phy.scs_khz(mu)
@@ -89,8 +89,6 @@ def test_ue_supported():
     assert phy.ue_supported(7, 1000, 10) == 700
     assert phy.ue_supported(3, 2000, 10) == 600
     assert phy.ue_supported(3, 4000, 10, retx_factor=2) == 600
-    with pytest.raises(ValueError):
-        phy.ue_supported(7, 1000, 10, retx_factor=3)
 
 
 def test_capacity_strictly_decreasing_in_mu():
@@ -123,8 +121,6 @@ def test_prr_max():
     # no cell has a vehicle: nobody is dropped
     assert phy.prr_max(700, 0) == 1.0
     assert phy.prr_max(0, 0, 0) == 1.0
-    with pytest.raises(ValueError, match="non-negative"):
-        phy.prr_max(700, 5, -1)
 
 
 @given(st.integers(0, 5000), st.integers(1, 5000))
