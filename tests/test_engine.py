@@ -12,7 +12,7 @@ from scipy import stats
 import reference
 from nrv2xsim import channel, config, engine, l2sm, phy, scenario
 from nrv2xsim.config import SimConfig
-from test_reference import NO_RECEIVER, assert_matches_reference
+from test_reference import assert_matches_reference
 
 # single-cell highway: no cross-cell interference, fast to simulate
 NOISE_LIMITED = SimConfig(
@@ -550,6 +550,10 @@ def test_execute_run_overloaded_applies_ceiling():
     assert result.prr_effective == pytest.approx(result.prr_max * result.prr_runtime)
 
 
+NO_RECEIVER = SimConfig(
+    highway_length_m=100.0, ivd_m=60.0, lanes_per_direction=1, num_gnb=1,
+    comm_range_m=0.0,
+)
 # 5 MHz at mu=1 gives 11 PRBs; a 12-PRB message fits nowhere, nobody transmits
 ZERO_CAPACITY = SimConfig(
     highway_length_m=1732.0, num_gnb=1, bandwidth_mhz=5.0, mu=1,
@@ -573,6 +577,30 @@ def test_execute_run_no_receiver_sentinel(base, retx):
     if base is ZERO_CAPACITY:
         assert result.prr_max == 0.0
         assert result.prr_effective == 0.0
+
+
+# two cells, so the shared SINR pass carries cross-cell interference
+TWO_CELLS = SimConfig(
+    highway_length_m=3464.0, num_gnb=2, mu=2, bandwidth_mhz=20.0, ivd_m=40.0,
+    drops=2,
+)
+GROUP_DELTAS = (3.0, 0.0, 7.0, 5.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(TWO_CELLS, retx_scheme="none"),
+    replace(TWO_CELLS, retx_scheme="equal"),
+    replace(TWO_CELLS, retx_scheme="equal", retx_sinr_combining="db"),
+    replace(TWO_CELLS, retx_scheme="nonequal:2"),
+    replace(TWO_CELLS, retx_scheme="nonequal:4"),
+    replace(NO_RECEIVER, retx_scheme="nonequal:2", drops=2),
+    replace(ZERO_CAPACITY, retx_scheme="equal", drops=2),
+], ids=["none", "equal_linear", "equal_db", "nonequal2", "nonequal4",
+        "no_receiver", "zero_capacity"])
+def test_grouped_deltas_equal_each_run_alone(cfg):
+    # fixed cases of the reference oracle: each delta of a group gets the
+    # result and the samples of its run alone
+    assert_matches_reference([replace(cfg, l2sm_delta_db=d, seed=6) for d in GROUP_DELTAS])
 
 
 # two 1732 m cells of about 258 vehicles: at 10 MHz "none" supports 700/600/400
