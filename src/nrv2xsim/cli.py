@@ -76,6 +76,8 @@ def _cmd_sweep(args) -> int:
     if args.overrides:
         campaign = replace(campaign, base=apply_overrides(campaign.base, args.overrides))
     runs = expand_campaign(campaign)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(f"no such directory for --out: {args.out}")
     groups = engine.sinr_groups(cfg for cfg, _ in runs)
     # a worker beyond the group count would only be forked and left idle
     jobs = min(args.jobs or os.cpu_count() or 1, len(groups))

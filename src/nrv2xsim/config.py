@@ -69,11 +69,10 @@ class SimConfig:
     drops: int = 1
 
     def __post_init__(self):
-        """Raise ConfigError on the first violated field constraint, however
-        the config was made: parsed, built in code or by dataclasses.replace."""
-        for name in sorted(n for n, kind in _FIELD_KINDS.items() if kind == "float"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        """Type each field as the parser does, then raise ConfigError on the first
+        violated constraint, whether parsed, built in code or made by replace."""
+        for name, kind in _FIELD_KINDS.items():
+            object.__setattr__(self, name, _COERCERS[kind](name, getattr(self, name)))
         for name in ("highway_length_m", "lane_width_m", "isd_m", "ivd_m",
                      "carrier_freq_ghz", "bandwidth_mhz", "tf_hz",
                      "min_pathloss_distance_m", "max_mcs_efficiency"):
@@ -155,7 +154,10 @@ def _as_int(name: str, value):
 def _as_float(name: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _as_str(name: str, value):
@@ -174,18 +176,13 @@ _COERCERS = {"int": _as_int, "float": _as_float, "str": _as_str,
              "str | None": _as_optional_str}
 
 
-def _coerce(name: str, value):
-    return _COERCERS[_FIELD_KINDS[name]](name, value)
-
-
 def config_from_dict(doc: dict) -> SimConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = sorted(set(doc) - set(_FIELD_KINDS))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = {name: _coerce(name, value) for name, value in doc.items()}
-    return SimConfig(**kwargs)
+    return SimConfig(**doc)
 
 
 def parse_config(text: str) -> SimConfig:
@@ -252,7 +249,8 @@ def _parse_axis(name: str, values) -> tuple:
         raise ConfigError(f"{name} must be a list")
     if not values:
         raise ConfigError(f"empty sweep list: {name}")
-    return tuple(_coerce(_SWEEP_AXES[name], v) for v in values)
+    field = _SWEEP_AXES[name]
+    return tuple(_COERCERS[_FIELD_KINDS[field]](field, v) for v in values)
 
 
 def parse_campaign(text: str) -> CampaignSpec:

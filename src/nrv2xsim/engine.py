@@ -483,11 +483,11 @@ def execute_run(members: Sequence[SimConfig]
     """Per member, its RunResult and the counts of its drops, seeded by the
     cfg.seed the members share.  Each member checked its fields when it was
     built (SimConfig), so the engine checks only that they share one pass
-    config (one sinr_groups group) and raises ValueError otherwise.  Each member's result and drops equal
-    those of its run alone: every drop shares one deployment among the
-    members, one link search among them all, and one schedule and
-    interference pass among the members of each schedule signature.
-    """
+    config (one sinr_groups group) and raises ValueError otherwise.  Each
+    member's result and drops equal those of its run alone: every drop
+    shares one deployment among the members, one link search among them
+    all, and one schedule and interference pass among the members of each
+    schedule signature."""
     cfg, *others = (_pass_config(m) for m in members)
     mixed = sorted(f.name for f in fields(SimConfig)
                    if any(getattr(o, f.name) != getattr(cfg, f.name) for o in others))

@@ -365,6 +365,20 @@ def test_sweep_rejects_negative_seed_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = engine.execute_run
+    monkeypatch.setattr(engine, "execute_run", lambda members: calls.append(1) or real(members))
+    cfg_path = tmp_path / "campaign.json"
+    cfg_path.write_text(json.dumps({"base": {"drops": 1, "ivd_m": 200.0}, "seeds": [1, 2]}))
+    out = tmp_path / "missing_dir" / "o.csv"
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: no such directory for --out" in err
+    assert calls == []
+
+
 def test_sweep_overrides_apply_to_base(tmp_path, capsys):
     campaign = {"base": {"highway_length_m": 1732, "num_gnb": 1}, "seeds": [1]}
     cfg_path = tmp_path / "c.json"

@@ -19,6 +19,7 @@ from nrv2xsim.config import (
     parse_config,
     parse_retx_scheme,
 )
+from nrv2xsim.metrics import RunKey
 
 FLOAT_FIELDS = sorted(f.name for f in fields(SimConfig) if f.type == "float")
 
@@ -103,6 +104,28 @@ def test_cell_longer_than_isd_rejected(doc, last_cell, isd):
 
 def test_negative_seed_rejected():
     _assert_rejected({"seed": -1}, "seed")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"mu": True}, "mu must be an integer, got True"),
+    ({"drops": 1.5}, "drops must be an integer, got 1.5"),
+    ({"ivd_m": "40"}, "ivd_m must be a number, got '40'"),
+    ({"retx_scheme": 3}, "retx_scheme must be a string, got 3"),
+    ({"bler_table_path": 3}, "bler_table_path must be a string or null, got 3"),
+], ids=["mu", "drops", "ivd_m", "retx_scheme", "bler_table_path"])
+def test_wrong_field_type_rejected(doc, message):
+    _assert_rejected(doc, f"^{message}$")
+
+
+def test_code_built_config_typed_like_parsed():
+    # a number is stored as the parser stores it, so the fingerprint and the
+    # sweep key do not depend on how the config was made
+    built, parsed = SimConfig(ivd_m=40), parse_config('{"ivd_m": 40}')
+    assert config_fingerprint(built) == config_fingerprint(parsed) == "e517b5b3a535"
+    assert repr(RunKey.from_config(built)) == repr(RunKey.from_config(parsed))
+    assert repr(dataclasses.replace(SimConfig(), ivd_m=40)) == repr(parsed)
+    seed = SimConfig(seed=2.0).seed
+    assert type(seed) is int and seed == 2
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -247,7 +270,7 @@ def test_expand_validates_every_seed():
 
 
 def test_every_field_kind_has_a_coercer():
-    # a field of a new kind would otherwise reach _coerce without a rule
+    # a field of a new kind would otherwise reach __post_init__ without a rule
     assert {f.type for f in fields(SimConfig)} <= set(config._COERCERS)
 
 
