@@ -86,8 +86,8 @@ class SimConfig:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         # the last site serves the rest of the highway (scenario.cell_populations):
         # a cell longer than one inter-site distance is no cell of the model
-        last_cell_m = self.highway_length_m - (self.num_gnb - 1) * self.isd_m
-        if last_cell_m > self.isd_m:
+        if self.highway_length_m > self.num_gnb * self.isd_m:
+            last_cell_m = self.highway_length_m - (self.num_gnb - 1) * self.isd_m
             raise ConfigError(
                 f"last cell is {last_cell_m} m, longer than isd_m {self.isd_m} m: "
                 "highway_length_m must be at most num_gnb * isd_m"

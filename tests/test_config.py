@@ -87,6 +87,8 @@ def test_helper_inputs_checked_by_the_config(doc, message):
     {"highway_length_m": 2000},                           # a short last cell
     {"highway_length_m": 3464, "num_gnb": 2},
     {"highway_length_m": 100, "num_gnb": 3},              # sites beyond the road
+    # num_gnb * isd_m whose last cell, highway - 2 * isd_m, rounds 1 ulp above isd_m
+    {"highway_length_m": 3 * 341.4158723658394, "isd_m": 341.4158723658394},
 ])
 def test_highway_up_to_num_gnb_cells_accepted(doc):
     parse_config(json.dumps(doc))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import reference
 from nrv2xsim import channel, config, engine, l2sm, phy, scenario
 from nrv2xsim.config import SimConfig
 from test_reference import assert_matches_reference
@@ -289,6 +290,43 @@ def test_sinr_strictly_drops_with_extra_interferer():
     one = _hand_drop_sinr((2,))
     assert one < alone
     assert _hand_drop_sinr((2, 3)) < one
+
+
+def _reference_phase_ratio(cfg, dep, sched, links, p, noise_mw, rng):
+    """The phase-p SINR of the reference run (tests/reference.py) over
+    sched's grants and the links."""
+    tx_ids = links.tx_ids
+    grant = dict(zip(tx_ids.tolist(), sched.resource[p, tx_ids].tolist()))
+    occupant = {(c, r): v for (c, r), v in np.ndenumerate(sched.occupant[p]) if v >= 0}
+    row = np.repeat(np.arange(tx_ids.size), links.counts)
+    return reference.phase_sinr(cfg, dep, grant, occupant, tx_ids, row, links.rx,
+                                links.pathloss_db, noise_mw, rng)
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(ivd_m=40.0),
+    SimConfig(ivd_m=40.0, retx_scheme="equal"),
+    SimConfig(ivd_m=40.0, retx_scheme="nonequal:2", mu=1),
+    SimConfig(ivd_m=40.0, retx_scheme="nonequal:4", mu=2, bandwidth_mhz=20.0),
+    SimConfig(ivd_m=40.0, retx_scheme="equal", comm_range_m=0.0),
+    SimConfig(bandwidth_mhz=5.0, mu=1, max_mcs_efficiency=0.25, retx_scheme="equal"),
+], ids=["none", "equal", "nonequal2", "nonequal4", "zero_range", "zero_capacity"])
+# every granted transmitter of the drop (None); the passes on either side of a
+# block boundary are pinned by the reference oracle's BLOCK_EDGE_GROUP
+@pytest.mark.parametrize("transmitters", [None])
+def test_phase_ratio_matches_whole_array_pass(cfg, transmitters):
+    # the same SINR bytes and the same end state of the stream, phase by phase
+    dep, plan, sched, rng = _setup(cfg, seed=3)
+    tx_ids = np.flatnonzero(sched.assigned)[:transmitters]
+    links = engine._build_links(dep, tx_ids, cfg)
+    reference_rng = copy.deepcopy(rng)
+    for p in range(len(plan.phase_mcs)):
+        signal, interference = np.empty(links.rx.size), np.empty(links.rx.size)
+        engine._phase_powers(cfg, dep, sched, links, p, rng, signal, interference)
+        ratio = signal / (interference + 1e-12)
+        expected = _reference_phase_ratio(cfg, dep, sched, links, p, 1e-12, reference_rng)
+        assert ratio.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 # ~1.03M links in one drop
