@@ -101,13 +101,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_capacity(args) -> int:
     cfg = _resolve_config(args)
     plan = phy.build_resource_plan(cfg)
-    num = phy.Numerology.from_mu(cfg.mu)
     entries = [
         ("bandwidth_mhz", format(cfg.bandwidth_mhz, "g")),
         ("mu", str(cfg.mu)),
-        ("scs_khz", str(num.scs_khz)),
-        ("slots_per_second", str(num.slots_per_second)),
-        ("usable_symbols", str(num.usable_symbols)),
+        ("scs_khz", str(phy.scs_khz(cfg.mu))),
+        ("slots_per_second", str(phy.slots_per_second(cfg.mu))),
+        ("usable_symbols", str(phy.USABLE_SYMBOLS_PER_SLOT)),
         ("n_prb", str(plan.n_prb)),
         ("nprb_pscch", str(plan.nprb_pscch)),
         ("nprb_pssch", str(plan.nprb_pssch)),

@@ -36,7 +36,6 @@ class SimConfig:
     lane_width_m: float = 4.0            # per lane
     isd_m: float = 1732.0                # gNB inter-site distance
     num_gnb: int = 3
-    gnb_height_m: float = 35.0
     ue_height_m: float = 1.5
     ivd_m: float = 20.0                  # inter-vehicle distance
 
@@ -109,8 +108,6 @@ class SimConfig:
         # the pathloss model needs a positive effective antenna height (h - 1 m)
         if self.ue_height_m <= 1.0:
             raise ConfigError(f"ue_height_m must exceed 1 m, got {self.ue_height_m}")
-        if self.gnb_height_m <= 0:
-            raise ConfigError(f"gnb_height_m must be positive, got {self.gnb_height_m}")
         parse_retx_scheme(self.retx_scheme)
 
 

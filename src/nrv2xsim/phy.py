@@ -1,4 +1,4 @@
-"""Numerology and resource-capacity arithmetic for sidelink broadcast.
+"""The numerology and resource-capacity arithmetic of sidelink broadcast.
 
 Everything here is exact integer/closed-form math: subcarrier spacing,
 the PRB grid per (bandwidth, numerology), per-message PRB sizing, how
@@ -38,16 +38,9 @@ def scs_khz(mu: int) -> int:
     return 15 * 2**mu
 
 
-@dataclass(frozen=True)
-class Numerology:
-    mu: int
-    scs_khz: int
-    slots_per_second: int
-    usable_symbols: int = USABLE_SYMBOLS_PER_SLOT
-
-    @classmethod
-    def from_mu(cls, mu: int) -> "Numerology":
-        return cls(mu=mu, scs_khz=scs_khz(mu), slots_per_second=1000 * 2**mu)
+def slots_per_second(mu: int) -> int:
+    """Slots per second for numerology index mu (0..2): 2**mu slots per 1 ms subframe."""
+    return 1000 * 2**mu
 
 
 @dataclass(frozen=True)
@@ -139,8 +132,8 @@ def phase_shares(retx_scheme: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ResourcePlan:
-    """Numerology-derived capacity of one cell, the transmission phases of
-    each message, and every input the reception decisions read."""
+    """The capacity of one cell under its numerology, the transmission phases
+    of each message, and every input the reception decisions read."""
 
     n_prb: int              # PRB grid size of the carrier
     nprb_pscch: int         # control PRBs per message
@@ -157,22 +150,21 @@ class ResourcePlan:
 
 
 def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
-    num = Numerology.from_mu(cfg.mu)
     n_prb = prb_count(cfg.bandwidth_mhz, cfg.mu)
     pssch = nprb_pssch(
-        cfg.packet_size_bytes, SUBCARRIERS_PER_PRB, num.usable_symbols,
+        cfg.packet_size_bytes, SUBCARRIERS_PER_PRB, USABLE_SYMBOLS_PER_SLOT,
         cfg.max_mcs_efficiency,
     )
     total = pssch + NPRB_PSCCH
     per_slot = ue_per_slot(n_prb, total)
     shares = phase_shares(cfg.retx_scheme)
-    supported = ue_supported(per_slot, num.slots_per_second, cfg.tf_hz, len(shares))
+    supported = ue_supported(per_slot, slots_per_second(cfg.mu), cfg.tf_hz, len(shares))
     population = scenario.cell_populations(cfg)
     # a shorter window needs a denser MCS for the same demand
     se_base = required_se(cfg.packet_size_bytes, max(population), cfg.tf_hz,
                           cfg.bandwidth_mhz * 1e6)
     noise_dbm = channel.noise_power_dbm(
-        cfg.noise_density_dbm_hz, pssch, num.scs_khz * 1e3, cfg.noise_figure_db,
+        cfg.noise_density_dbm_hz, pssch, scs_khz(cfg.mu) * 1e3, cfg.noise_figure_db,
     )
     return ResourcePlan(
         n_prb=n_prb,

@@ -98,7 +98,7 @@ def test_criterion_3_capacity_chain(capsys):
     supported = [
         phy.ue_supported(
             phy.ue_per_slot(phy.prb_count(10, mu), total),
-            phy.Numerology.from_mu(mu).slots_per_second,
+            phy.slots_per_second(mu),
             10,
         )
         for mu in (0, 1, 2)

@@ -43,6 +43,9 @@ def test_capacity_csv(capsys):
     assert code == 0
     header, values = out.splitlines()
     row = dict(zip(header.split(","), values.split(",")))
+    assert row["scs_khz"] == "30"
+    assert row["slots_per_second"] == "2000"
+    assert row["usable_symbols"] == "9"
     assert row["n_prb"] == "24"
     assert row["ue_supported"] == "600"
 

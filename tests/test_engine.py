@@ -275,7 +275,7 @@ def test_sinr_db():
     plan = phy.build_resource_plan(cfg)
     signal = (cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
               - channel.pathloss_db(np.array([50.0]))[0])
-    scs_hz = phy.Numerology.from_mu(cfg.mu).scs_khz * 1e3
+    scs_hz = phy.scs_khz(cfg.mu) * 1e3
     noise_bw_db = 10 * math.log10(plan.nprb_pssch * 12 * scs_hz)
     density = signal - 40.0 - noise_bw_db - cfg.noise_figure_db
     assert _hand_drop_sinr((), density) == pytest.approx(40.0)
@@ -440,8 +440,7 @@ def test_evaluate_links_isolated_cell_noise_limited():
     dep, plan, links, _, ratio = _evaluate(cfg)
     assert links.tx.size > 0
     # zero interference: SINR must equal signal minus noise exactly
-    num = phy.Numerology.from_mu(cfg.mu)
-    noise = -174 + 10 * math.log10(plan.nprb_pssch * 12 * num.scs_khz * 1e3) + 9
+    noise = -174 + 10 * math.log10(plan.nprb_pssch * 12 * phy.scs_khz(cfg.mu) * 1e3) + 9
     d = np.hypot(dep.x_m[links.rx] - dep.x_m[links.tx],
                  dep.y_m[links.rx] - dep.y_m[links.tx])
     pl = channel.pathloss_db(

@@ -36,9 +36,9 @@ def test_scs_formula():
 
 
 def test_numerology_slots():
-    assert phy.Numerology.from_mu(0).slots_per_second == 1000
-    assert phy.Numerology.from_mu(2).slots_per_second == 4000
-    assert phy.Numerology.from_mu(1).usable_symbols == 9
+    assert phy.slots_per_second(0) == 1000
+    assert phy.slots_per_second(2) == 4000
+    assert phy.USABLE_SYMBOLS_PER_SLOT == 9
 
 
 def test_required_se():
@@ -95,7 +95,7 @@ def test_capacity_strictly_decreasing_in_mu():
     supported = [
         phy.ue_supported(
             phy.ue_per_slot(phy.prb_count(10, mu), 7),
-            phy.Numerology.from_mu(mu).slots_per_second,
+            phy.slots_per_second(mu),
             10,
         )
         for mu in (0, 1, 2)

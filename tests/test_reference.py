@@ -34,12 +34,18 @@ SATURATING = str(TESTS / "data" / "saturating_bler.csv")
 # ivd 100 "equal" and "nonequal:1" share their MCS
 TWO_CELLS = SimConfig(highway_length_m=3464.0, num_gnb=2, bandwidth_mhz=10.0,
                       comm_range_m=200.0)
+# the same two cells at 20 MHz, the carrier of dense_drop, delta_sweep and
+# two of the shipped campaigns: "none" supports 1500/1400/1200 transmitters
+# per cell at mu 0/1/2 and tf 10, so at ivd 20 only the two-phase schemes at
+# tf 20 overload
+TWO_CELLS_20MHZ = replace(TWO_CELLS, bandwidth_mhz=20.0)
 # 5 MHz at mu=1 gives 11 PRBs and a 12-PRB message fits nowhere: nobody
 # transmits, while mu=0 runs of the group do
 ZERO_CAPACITY = SimConfig(highway_length_m=1732.0, num_gnb=1, bandwidth_mhz=5.0,
                           max_mcs_efficiency=0.25)
 # pass config -> the numerologies its bandwidth allows
-PASSES = {"two_cells": (TWO_CELLS, (0, 1, 2)), "zero_capacity": (ZERO_CAPACITY, (0, 1))}
+PASSES = {"two_cells": (TWO_CELLS, (0, 1, 2)), "two_cells_20mhz": (TWO_CELLS_20MHZ, (0, 1, 2)),
+          "zero_capacity": (ZERO_CAPACITY, (0, 1))}
 
 
 def assert_same_run(got, expected):
