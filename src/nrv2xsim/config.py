@@ -154,7 +154,9 @@ def _as_float(name: str, value):
     value = float(value)
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
-    return value
+    # -0.0 becomes 0.0, so that a signed zero simulates and fingerprints as
+    # 0.0 does
+    return value + 0.0
 
 
 def _as_str(name: str, value):

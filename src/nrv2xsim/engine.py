@@ -259,7 +259,11 @@ def _interferer_pathloss_block(cfg: SimConfig, dep: scenario.Deployment, src: np
     dx -= x.take(dst)
     dy = np.repeat(y.take(src), per_src)
     dy -= y.take(dst)
-    dist = np.hypot(dx, dy, out=dx)
+    # the squared-sum distance of _build_links
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dist = np.sqrt(dx, out=dx)
     return channel.pathloss_db(dist, cfg.ue_height_m, cfg.ue_height_m,
                                cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m, out=dist)
 

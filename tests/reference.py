@@ -11,6 +11,8 @@ resource plan, the table's curves, the fingerprint and the metrics, each
 with unit tests of its own.  It imports nothing from the engine.
 """
 
+import math
+
 import numpy as np
 
 from nrv2xsim import metrics
@@ -30,7 +32,8 @@ def _rx_power_mw(cfg, pathloss, rng):
     """Received power of each link under a fresh shadowing draw."""
     eirp = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
     shadow = rng.normal(0.0, cfg.shadowing_sigma_db, pathloss.size)
-    return 10.0 ** ((eirp - pathloss - shadow) / 10.0)
+    # 10 ** (dBm / 10) as exp, the arithmetic of channel.rx_power_mw
+    return np.exp((eirp - pathloss - shadow) * (math.log(10.0) / 10.0))
 
 
 def schedule(dep, plan, rng):
@@ -84,7 +87,8 @@ def phase_sinr(cfg, dep, grant, occupant, tx_ids, row, rx, pathloss, noise_mw, r
         src = holder[row]
         hit = np.flatnonzero(src >= 0)
         src, dst = src[hit], rx[hit]
-        distance = np.hypot(dep.x_m[src] - dep.x_m[dst], dep.y_m[src] - dep.y_m[dst])
+        dx, dy = dep.x_m[src] - dep.x_m[dst], dep.y_m[src] - dep.y_m[dst]
+        distance = np.sqrt(dx * dx + dy * dy)
         interference[hit] += _rx_power_mw(cfg, _pathloss(cfg, distance), rng)
     return signal / (interference + noise_mw)
 

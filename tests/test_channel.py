@@ -106,8 +106,22 @@ def test_shadowing_moments():
 
 
 def test_shadowing_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        channel.shadowing_db(np.random.default_rng(0), -1.0)
+    # and NaN, which is not >= 0 either
+    for sigma_db in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            channel.shadowing_db(np.random.default_rng(0), sigma_db)
+
+
+@pytest.mark.parametrize("sigma_db", [0.5, 3.0, 8.0])
+def test_shadowing_is_numpy_normal(sigma_db):
+    # numpy draws normal(loc, scale) as loc + scale * standard_normal, so
+    # scaling standard normals in place gives its bytes and its end state
+    rng, expected_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for size in (1000, 1, 0, None):
+        got = channel.shadowing_db(rng, sigma_db, size)
+        expected = expected_rng.normal(0.0, sigma_db, size)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 def test_rx_power_link_budget():
@@ -123,17 +137,40 @@ def test_rx_power_link_budget():
 
 
 def test_rx_power_bytes_in_place():
-    # the whole-array budget, 10 ** ((tx + tx_gain + rx_gain - pl - shadow) / 10),
+    # the whole-array budget, exp((tx + tx_gain + rx_gain - pl - shadow) * ln(10) / 10),
     # whether out is the pathloss itself or a separate array
     rng = np.random.default_rng(5)
     pl = rng.uniform(40.0, 140.0, 1000)
     shadow = rng.normal(0.0, 3.0, pl.size)
-    expected = 10.0 ** ((23.0 + 2.0 + 3.0 - pl - shadow) / 10.0)
+    expected = np.exp((23.0 + 2.0 + 3.0 - pl - shadow) * (math.log(10.0) / 10.0))
     separate = channel.rx_power_mw(23.0 + 2.0 + 3.0, pl, shadow, np.empty(pl.size))
     assert separate.tobytes() == expected.tobytes()
     aliased = pl.copy()
     assert channel.rx_power_mw(28.0, aliased, shadow, aliased) is aliased
     assert aliased.tobytes() == expected.tobytes()
+
+
+def test_rx_power_within_1e13_of_pow():
+    # exp(x * ln(10) / 10) against 10 ** (x / 10) over every budget a link
+    # can have, from far below the noise floor to above the transmit power:
+    # the difference is far below any BLER curve's resolution
+    rng = np.random.default_rng(11)
+    x_dbm = np.concatenate([np.linspace(-200.0, 50.0, 250_001),
+                            rng.uniform(-200.0, 50.0, 250_000)])
+    power = channel.rx_power_mw(0.0, -x_dbm, np.zeros(x_dbm.size), np.empty(x_dbm.size))
+    np.testing.assert_allclose(power, 10.0 ** (x_dbm / 10.0), rtol=1e-13, atol=0.0)
+
+
+def test_squared_sum_distance_within_an_ulp_of_hypot():
+    # the distance formula of the link search and the interferer pathloss,
+    # over offsets up to 10 km along the highway and 48 m across it (twice
+    # the default six lanes' 24 m)
+    rng = np.random.default_rng(12)
+    dx = np.concatenate([rng.uniform(-10_000.0, 10_000.0, 200_000),
+                         rng.uniform(-48.0, 48.0, 200_000), [0.0, 10_000.0, 0.0]])
+    dy = np.concatenate([rng.uniform(-48.0, 48.0, 400_000), [0.0, 48.0, -48.0]])
+    exact = np.hypot(dx, dy)
+    assert np.all(np.abs(np.sqrt(dx * dx + dy * dy) - exact) <= np.spacing(exact))
 
 
 def test_noise_power():

@@ -154,6 +154,17 @@ def test_set_changes_fingerprint(tmp_path, capsys):
     assert fp_a != fp_b
 
 
+def test_set_signed_zero_runs_as_zero(tmp_path, capsys):
+    # a signed zero runs, and writes the bytes of 0.0
+    outs = []
+    for value in ("-0.0", "0.0"):
+        outs.append(tmp_path / f"sigma{value}.csv")
+        code, _ = run_cli(["run", "--set", "ivd_m=400", "--set", f"shadowing_sigma_db={value}",
+                           "--out", str(outs[-1])], capsys)
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"mu": 9}')

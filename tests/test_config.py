@@ -347,6 +347,21 @@ def test_non_finite_float_field_rejected(name, value):
         apply_overrides(SimConfig(), [f"{name}={json.dumps(value)}"])
 
 
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_signed_zero_float_field_is_zero(name):
+    # -0.0 is accepted or rejected as 0.0 is and, when accepted, stored as
+    # 0.0, so it fingerprints like 0.0 too
+    try:
+        zero = SimConfig(**{name: 0.0})
+    except ConfigError as exc:
+        _assert_rejected({name: -0.0}, re.escape(str(exc)))
+        return
+    for cfg in (parse_config(json.dumps({name: -0.0})),
+                apply_overrides(SimConfig(), [f"{name}=-0.0"])):
+        assert math.copysign(1.0, getattr(cfg, name)) == 1.0
+        assert config_fingerprint(cfg) == config_fingerprint(zero)
+
+
 @given(
     axis=st.sampled_from(["sweep_ivd_m", "sweep_tf_hz", "sweep_l2sm_delta_db"]),
     value=st.sampled_from([math.nan, math.inf, -math.inf]),
