@@ -39,8 +39,17 @@ def _resolve_config(args) -> SimConfig:
     return cfg
 
 
+def _check_out_dir(path: str, flag: str) -> None:
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"no such directory for {flag}: {path}")
+
+
 def _cmd_run(args) -> int:
-    ((result, counts),) = engine.execute_run([_resolve_config(args)])
+    cfg = _resolve_config(args)
+    _check_out_dir(args.out, "--out")
+    if args.dump_deployment:
+        _check_out_dir(args.dump_deployment, "--dump-deployment")
+    ((result, counts),) = engine.execute_run([cfg])
     metrics.write_run_csv(result, args.out)
     log.info("wrote %s (fingerprint %s, seed %d)", args.out, result.fingerprint, result.seed)
     if args.dump_samples:
@@ -52,7 +61,7 @@ def _cmd_run(args) -> int:
         log.info("wrote %s", samples_path)
     if args.dump_deployment:
         with open(args.dump_deployment, "w", newline="") as f:
-            scenario.write_deployment_csv(counts[0].dep, f)
+            scenario.write_deployment_csv(counts[0].dep, cfg.lanes_per_direction, f)
         log.info("wrote %s", args.dump_deployment)
     return 0
 
@@ -76,8 +85,7 @@ def _cmd_sweep(args) -> int:
     if args.overrides:
         campaign = replace(campaign, base=apply_overrides(campaign.base, args.overrides))
     runs = expand_campaign(campaign)
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(f"no such directory for --out: {args.out}")
+    _check_out_dir(args.out, "--out")
     groups = engine.sinr_groups(cfg for cfg, _ in runs)
     # a worker beyond the group count would only be forked and left idle
     jobs = min(args.jobs or os.cpu_count() or 1, len(groups))

@@ -83,8 +83,8 @@ class SimConfig:
         for name in ("comm_range_m", "shadowing_sigma_db", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        # the last site serves the rest of the highway (scenario.cell_populations):
-        # a cell longer than one inter-site distance is no cell of the model
+        # cell k is the segment [k, k + 1) * isd_m and the last cell takes the rest
+        # of the highway (scenario): a cell longer than isd_m is no cell of the model
         if self.highway_length_m > self.num_gnb * self.isd_m:
             last_cell_m = self.highway_length_m - (self.num_gnb - 1) * self.isd_m
             raise ConfigError(

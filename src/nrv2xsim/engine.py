@@ -97,7 +97,7 @@ def _cell_orders(dep: scenario.Deployment, rng: np.random.Generator) -> list[np.
     """Each cell's vehicle ids in random order, cell 0 first: the phase-0
     grant order of every schedule of the drop."""
     orders = []
-    for c in range(len(dep.sites)):
+    for c in range(dep.num_cells):
         ids = np.flatnonzero(dep.serving == c)
         orders.append(ids[rng.permutation(ids.size)])
     return orders

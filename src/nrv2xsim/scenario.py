@@ -1,9 +1,13 @@
-"""Highway deployment: vehicle placement, gNB sites, serving cells.
+"""Highway deployment: vehicle placement and serving cells.
 
 Vehicles sit on a regular grid with the configured inter-vehicle spacing;
 each lane gets one uniform random phase offset so Monte Carlo drops differ
 while the spacing stays exact.  The snapshot is static: speed plays no
 role in any reception formula.
+
+Cell k is the highway segment [k, k + 1) * isd_m, the last cell taking the
+rest of the highway.  With the gNBs on the median at (k + 1/2) * isd_m this
+is nearest-site serving, and SimConfig keeps the last cell within isd_m.
 """
 
 from __future__ import annotations
@@ -18,12 +22,6 @@ if TYPE_CHECKING:
     from .config import SimConfig
 
 
-@dataclass(frozen=True)
-class GnbSite:
-    x_m: float
-    y_m: float
-
-
 @dataclass(frozen=True, eq=False)
 class Deployment:
     """One drop's static topology, stored as arrays indexed by vehicle id."""
@@ -31,8 +29,8 @@ class Deployment:
     x_m: np.ndarray
     y_m: np.ndarray
     lane: np.ndarray
-    serving: np.ndarray     # site index per vehicle
-    sites: tuple[GnbSite, ...]
+    serving: np.ndarray     # cell index per vehicle
+    num_cells: int
 
     @property
     def num_vehicles(self) -> int:
@@ -51,15 +49,13 @@ def ue_per_gnb_count(isd_m: float, ivd_m: float, num_lanes: int) -> int:
 
 def cell_populations(cfg: "SimConfig") -> tuple[int, ...]:
     """Vehicles per cell: the spacing formula over each cell's segment of the
-    highway under nearest-site serving.  Site k serves [k, k + 1) * isd_m and
-    the last site takes the remainder, up to highway_length_m."""
+    highway, [k, k + 1) * isd_m cut at highway_length_m."""
     num_lanes = 2 * cfg.lanes_per_direction
-    lengths = [
-        min(cfg.isd_m, max(cfg.highway_length_m - k * cfg.isd_m, 0.0))
-        for k in range(cfg.num_gnb - 1)
-    ]
-    lengths.append(max(cfg.highway_length_m - (cfg.num_gnb - 1) * cfg.isd_m, 0.0))
-    return tuple(ue_per_gnb_count(length, cfg.ivd_m, num_lanes) for length in lengths)
+    return tuple(
+        ue_per_gnb_count(min(cfg.isd_m, max(cfg.highway_length_m - k * cfg.isd_m, 0.0)),
+                         cfg.ivd_m, num_lanes)
+        for k in range(cfg.num_gnb)
+    )
 
 
 def generate_deployment(cfg: "SimConfig", rng: np.random.Generator) -> Deployment:
@@ -72,30 +68,17 @@ def generate_deployment(cfg: "SimConfig", rng: np.random.Generator) -> Deploymen
     x = offsets[lane] + slot * cfg.ivd_m
     y = (lane + 0.5) * cfg.lane_width_m
 
-    median_y = cfg.lanes_per_direction * cfg.lane_width_m
-    sites = tuple(
-        GnbSite(x_m=(k + 0.5) * cfg.isd_m, y_m=median_y) for k in range(cfg.num_gnb)
-    )
-    site_x = np.array([s.x_m for s in sites])
-    site_y = np.array([s.y_m for s in sites])
-    d2 = (x[:, None] - site_x[None, :]) ** 2 + (y[:, None] - site_y[None, :]) ** 2
-    serving = np.argmin(d2, axis=1)
-
-    return Deployment(
-        x_m=x,
-        y_m=y,
-        lane=lane,
-        serving=serving,
-        sites=sites,
-    )
+    # x stays below num_gnb * isd_m: the min keeps a rounding at the far end
+    # in the last cell
+    serving = np.minimum(x // cfg.isd_m, cfg.num_gnb - 1).astype(np.intp)
+    return Deployment(x_m=x, y_m=y, lane=lane, serving=serving, num_cells=cfg.num_gnb)
 
 
-def write_deployment_csv(dep: Deployment, handle) -> None:
-    # every site stands on the median: eastbound lanes lie below it
-    median_y = dep.sites[0].y_m
+def write_deployment_csv(dep: Deployment, lanes_per_direction: int, handle) -> None:
+    # lanes below the median are eastbound
     handle.write("id,lane,direction,x_m,y_m,serving_gnb\n")
     for i in range(dep.num_vehicles):
-        direction = "east" if dep.y_m[i] < median_y else "west"
+        direction = "east" if dep.lane[i] < lanes_per_direction else "west"
         handle.write(
             f"{i},{int(dep.lane[i])},{direction},"
             f"{dep.x_m[i]:.3f},{dep.y_m[i]:.3f},{int(dep.serving[i])}\n"

@@ -43,7 +43,7 @@ def schedule(dep, plan, rng):
     ue_supported of each order are kept and granted in that order in
     phase 0, and in a fresh permutation per cell in every later phase.
     """
-    cells = range(len(dep.sites))
+    cells = range(dep.num_cells)
     orders = []
     for c in cells:
         ids = np.flatnonzero(dep.serving == c)
@@ -81,7 +81,7 @@ def phase_sinr(cfg, dep, grant, occupant, tx_ids, row, rx, pathloss, noise_mw, r
     grant, none in its own cell."""
     signal = _rx_power_mw(cfg, pathloss, rng)
     interference = np.zeros(rx.size)
-    for c in range(len(dep.sites)):
+    for c in range(dep.num_cells):
         holder = np.array([-1 if dep.serving[t] == c else occupant.get((c, grant[t]), -1)
                            for t in tx_ids.tolist()], dtype=np.int64)
         src = holder[row]

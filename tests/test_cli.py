@@ -393,6 +393,25 @@ def test_sweep_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("flag, path", [
+    ("--out", "missing_dir/x.csv"),
+    ("--dump-deployment", "missing_dir/d.csv"),
+])
+def test_run_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypatch,
+                                                     flag, path):
+    calls = []
+    real = engine.execute_run
+    monkeypatch.setattr(engine, "execute_run", lambda members: calls.append(1) or real(members))
+    # a second --out replaces the first
+    code = cli.main(["run", "--set", "drops=1", "--set", "ivd_m=200", "--dump-samples",
+                     "--out", str(tmp_path / "r.csv"), flag, str(tmp_path / path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: no such directory for {flag}" in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_overrides_apply_to_base(tmp_path, capsys):
     campaign = {"base": {"highway_length_m": 1732, "num_gnb": 1}, "seeds": [1]}
     cfg_path = tmp_path / "c.json"

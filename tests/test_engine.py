@@ -78,7 +78,7 @@ def test_schedule_orthogonal_within_cell():
     cfg = SimConfig(ivd_m=40.0)
     dep, plan, sched, _ = _setup(cfg, seed=1)
     for p in range(sched.resource.shape[0]):
-        for c in range(len(dep.sites)):
+        for c in range(dep.num_cells):
             members = np.flatnonzero((dep.serving == c) & sched.assigned)
             grants = sched.resource[p, members]
             assert np.all(grants >= 0)
@@ -154,7 +154,7 @@ def test_schedule_assigned_and_dropped_match_kept_prefixes(cfg):
 def test_interferer_count_bounded_by_other_cells():
     cfg = SimConfig(ivd_m=40.0)
     dep, plan, sched, _ = _setup(cfg, seed=2)
-    num_cells = len(dep.sites)
+    num_cells = dep.num_cells
     for vid in np.flatnonzero(sched.assigned)[:200]:
         grant = sched.resource[0, vid]
         others = [
@@ -253,8 +253,7 @@ def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
     serving = np.array([0, 0, 1, 2])
     dep = scenario.Deployment(
         x_m=np.array([0.0, 50.0, 100.0, 50.0]), y_m=np.array([0.0, 0.0, 0.0, 60.0]),
-        lane=np.array([0, 0, 0, 1]), serving=serving,
-        sites=tuple(scenario.GnbSite(0.0, 0.0) for _ in range(3)),
+        lane=np.array([0, 0, 0, 1]), serving=serving, num_cells=3,
     )
     resource = np.full((1, 4), -1, dtype=np.int64)
     occupant = np.full((1, 3, 1), -1, dtype=np.int64)

@@ -8,11 +8,13 @@ repository root, and log the change in CHANGES.md:
         --config tests/data/golden_campaign.json \
         --out tests/data/golden_sweep.csv --jobs 1
     PYTHONPATH=src python -m nrv2xsim run --config tests/data/golden_run.json \
-        --out tests/data/golden_run.csv --dump-samples
+        --out tests/data/golden_run.csv --dump-samples \
+        --dump-deployment tests/data/golden_run.deployment.csv
     PYTHONPATH=src python -m nrv2xsim run --config tests/data/golden_run_db.json \
         --out tests/data/golden_run_db.csv --dump-samples
 
-``golden_run`` is the nonequal:2 scheme (two decisions per transmission);
+``golden_run`` is the nonequal:2 scheme (two decisions per transmission) on
+two cells, and its deployment dump pins each vehicle's place and cell;
 ``golden_run_db`` is the equal scheme with ``retx_sinr_combining="db"``,
 whose PRR differs from the linear combining on the same config.
 """
@@ -48,3 +50,13 @@ def test_golden_run_and_samples(tmp_path, name):
     assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
     samples = tmp_path / "run.csv.samples.csv"
     assert samples.read_bytes() == (DATA / f"{name}.csv.samples.csv").read_bytes()
+
+
+def test_golden_deployment(tmp_path):
+    out = tmp_path / "dep.csv"
+    code = cli.main([
+        "run", "--config", str(DATA / "golden_run.json"),
+        "--out", str(tmp_path / "run.csv"), "--dump-deployment", str(out),
+    ])
+    assert code == 0
+    assert out.read_bytes() == (DATA / "golden_run.deployment.csv").read_bytes()

@@ -47,7 +47,7 @@ def test_deployment_grid_spacing_and_lanes():
         ys = dep.y_m[dep.lane == lane]
         assert np.all(ys == (lane + 0.5) * cfg.lane_width_m)
     buf = io.StringIO()
-    scenario.write_deployment_csv(dep, buf)
+    scenario.write_deployment_csv(dep, cfg.lanes_per_direction, buf)
     rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
     assert rows[0][2] == "east" and rows[-1][2] == "west"
     assert [r[2] for r in rows] == [
@@ -55,22 +55,43 @@ def test_deployment_grid_spacing_and_lanes():
     ]
 
 
-def test_every_vehicle_served_once():
-    cfg, dep = _deployment(seed=5, ivd_m=20.0)
+SHAPES = {
+    "default": {},
+    "2000m": {"highway_length_m": 2000.0},
+    "2cells": {"highway_length_m": 3464.0, "num_gnb": 2},
+    "9cells_1000m": {"highway_length_m": 9000.0, "num_gnb": 9, "isd_m": 1000.0},
+    "1lane": {"lanes_per_direction": 1},
+    "ivd3": {"ivd_m": 3.0},
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_every_vehicle_served_once(shape):
+    cfg, dep = _deployment(seed=5, **shape)
+    assert dep.num_cells == cfg.num_gnb
     counts = np.bincount(dep.serving, minlength=cfg.num_gnb)
+    assert counts.size == cfg.num_gnb
     assert counts.sum() == dep.num_vehicles
-    # serving site is the closest one
-    site_x = np.array([s.x_m for s in dep.sites])
-    site_y = np.array([s.y_m for s in dep.sites])
+    # the serving cell is the nearest of the sites at (k + 1/2) * isd_m on the
+    # median
+    site_x = (np.arange(cfg.num_gnb) + 0.5) * cfg.isd_m
+    site_y = cfg.lanes_per_direction * cfg.lane_width_m
     d2 = (dep.x_m[:, None] - site_x) ** 2 + (dep.y_m[:, None] - site_y) ** 2
     assert np.array_equal(dep.serving, np.argmin(d2, axis=1))
 
 
-def test_sites_spacing():
-    cfg, dep = _deployment()
-    xs = [s.x_m for s in dep.sites]
-    assert len(xs) == 3
-    assert np.allclose(np.diff(xs), cfg.isd_m)
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_cells_hold_their_planned_population(shape):
+    # the random lane phase moves at most one vehicle per lane into or out
+    # of a cell's segment: at the default ivd_m = 20 the plan counts 516 per
+    # cell, and a drop's cells hold 510 to 522
+    cfg = SimConfig(**shape)
+    population = np.array(phy.build_resource_plan(cfg).cell_population)
+    lanes = 2 * cfg.lanes_per_direction
+    for seed in range(50):
+        dep = scenario.generate_deployment(cfg, np.random.default_rng(seed))
+        served = np.bincount(dep.serving, minlength=cfg.num_gnb)
+        assert np.all(np.abs(served - population) <= lanes)
 
 
 @pytest.mark.parametrize("ivd_m,lanes_per_direction", [(20.0, 3), (7.5, 1), (333.0, 2)])
@@ -117,10 +138,10 @@ def test_neighbors_edge_cases():
 
 
 def test_deployment_csv_dump(tmp_path):
-    _, dep = _deployment(ivd_m=1000.0)
+    cfg, dep = _deployment(ivd_m=1000.0)
     path = tmp_path / "dep.csv"
     with open(path, "w") as f:
-        scenario.write_deployment_csv(dep, f)
+        scenario.write_deployment_csv(dep, cfg.lanes_per_direction, f)
     lines = path.read_text().splitlines()
     assert lines[0] == "id,lane,direction,x_m,y_m,serving_gnb"
     assert len(lines) == 1 + dep.num_vehicles
