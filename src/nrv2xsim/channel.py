@@ -26,9 +26,8 @@ def breakpoint_distance_m(tx_height_m: float, rx_height_m: float,
     return 4.0 * h_tx * h_rx * fc_ghz * 1e9 / SPEED_OF_LIGHT_M_S
 
 
-def pathloss_db(distance_m, tx_height_m: float = 1.5, rx_height_m: float = 1.5,
-                fc_ghz: float = 5.9, min_distance_m: float = 10.0,
-                out: np.ndarray | None = None) -> np.ndarray:
+def pathloss_db(distance_m, tx_height_m: float, rx_height_m: float, fc_ghz: float,
+                min_distance_m: float, out: np.ndarray | None = None) -> np.ndarray:
     """WINNER B1 line-of-sight pathloss in dB of an array of distances.
 
     Below the breakpoint: 22.7 log10(d) + 41.0 + 20 log10(fc/5).

@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields, replace
 from . import l2sm, phy
 
 L2SM_DELTA_VALUES_DB = (0.0, 3.0, 5.0, 7.0)
-SINR_COMBINING_MODES = ("linear", "db")
 MAX_NONEQUAL_SPLIT = 4
 
 
@@ -59,7 +58,6 @@ class SimConfig:
     # link abstraction and retransmission
     retx_scheme: str = "none"            # "none" | "equal" | "nonequal:<n>"
     l2sm_delta_db: float = 0.0           # sensitivity shift applied to retransmissions
-    retx_sinr_combining: str = "linear"  # "linear" | "db"
     max_mcs_efficiency: float = 5.5547   # bits per resource element, sizes the data PRBs
     bler_table_path: str | None = None   # None selects the built-in curves
 
@@ -100,10 +98,6 @@ class SimConfig:
         if self.l2sm_delta_db not in L2SM_DELTA_VALUES_DB:
             raise ConfigError(
                 f"l2sm_delta_db must be one of {{0, 3, 5, 7}}, got {self.l2sm_delta_db}"
-            )
-        if self.retx_sinr_combining not in SINR_COMBINING_MODES:
-            raise ConfigError(
-                f"retx_sinr_combining must be 'linear' or 'db', got {self.retx_sinr_combining!r}"
             )
         # the pathloss model needs a positive effective antenna height (h - 1 m)
         if self.ue_height_m <= 1.0:

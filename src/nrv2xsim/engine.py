@@ -340,12 +340,9 @@ def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable,
                 at = plan.noise_mw, plan.combining
                 if at not in sinr_db:
                     stored = sinr[plan.noise_mw]
-                    ratio = stored[:, ls] if plan.combining else stored[d, ls]
-                    if plan.combining == "linear":
-                        ratio = ratio.mean(axis=0)
-                    db = np.log10(ratio)
+                    ratio = stored[:, ls].mean(axis=0) if plan.combining else stored[d, ls]
+                    sinr_db[at] = db = np.log10(ratio)
                     db *= 10.0
-                    sinr_db[at] = db.mean(axis=0) if plan.combining == "db" else db
                 received[key][d, ls] = l2sm.reception_draw(l2sm.bler_lookup(
                     table, plan.phase_mcs[d], sinr_db[at], plan.shift_db), uniforms)
     return received

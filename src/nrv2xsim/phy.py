@@ -5,8 +5,8 @@ the PRB grid per (bandwidth, numerology), per-message PRB sizing, how
 many transmitters fit into a slot and into a second, the overload
 ceiling on the packet reception ratio, and the share of the period and
 the MCS of each transmission phase.  The resource plan also holds the
-noise power, the combining mode and the sensitivity shift, so every
-input of the reception decisions comes from one plan.
+noise power, whether the phases combine and the sensitivity shift, so
+every input of the reception decisions comes from one plan.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class ResourcePlan:
     prr_max: float          # overload ceiling over those cells; 1 for an empty highway
     phase_mcs: tuple[int, ...]  # CQI index per transmission phase, for the largest cell
     noise_mw: float         # thermal noise over one message's data PRBs
-    combining: str | None   # SINR combining of the equal scheme; None decides each phase
+    combining: bool         # equal: one decision on the phases' mean linear SINR
     shift_db: float         # sensitivity shift of the lookups; 0 with one phase
 
 
@@ -177,6 +177,6 @@ def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
         prr_max=prr_max(supported, *population),
         phase_mcs=tuple(select_cqi(se_base / share).cqi_index for share in shares),
         noise_mw=float(10.0 ** (noise_dbm / 10.0)),
-        combining=cfg.retx_sinr_combining if cfg.retx_scheme == "equal" else None,
+        combining=cfg.retx_scheme == "equal",
         shift_db=cfg.l2sm_delta_db if len(shares) == 2 else 0.0,
     )

@@ -96,17 +96,12 @@ def phase_sinr(cfg, dep, grant, occupant, tx_ids, row, rx, pathloss, noise_mw, r
 def decide(plan, curves, sinr, rng):
     """(decisions, links) receptions from the (phases, links) linear SINR.
 
-    The equal scheme makes one decision from its phases' SINR combined in
-    the linear or the dB domain; the others decide each phase.  Decision d
-    draws one uniform per link and receives where it is at least the BLER
-    of its MCS at its SINR in dB plus the shift.
+    The equal scheme makes one decision from the mean of its phases' linear
+    SINR; the others decide each phase.  Decision d draws one uniform per
+    link and receives where it is at least the BLER of its MCS at its SINR
+    in dB plus the shift.
     """
-    if plan.combining == "linear":
-        sinr_db = 10.0 * np.log10(sinr.mean(axis=0, keepdims=True))
-    elif plan.combining == "db":
-        sinr_db = (10.0 * np.log10(sinr)).mean(axis=0, keepdims=True)
-    else:
-        sinr_db = 10.0 * np.log10(sinr)
+    sinr_db = 10.0 * np.log10(sinr.mean(axis=0, keepdims=True) if plan.combining else sinr)
     received = []
     for d, row in enumerate(sinr_db):
         uniforms = rng.random(row.size)

@@ -4,12 +4,25 @@ import numpy as np
 import pytest
 
 from nrv2xsim import channel
+from nrv2xsim.config import SimConfig
+
+# the antenna heights, carrier and clamp of the default config: 1.5 m,
+# 5.9 GHz and 10 m
+DEFAULT = SimConfig()
+DEFAULT_LINK = {"tx_height_m": DEFAULT.ue_height_m, "rx_height_m": DEFAULT.ue_height_m,
+                "fc_ghz": DEFAULT.carrier_freq_ghz,
+                "min_distance_m": DEFAULT.min_pathloss_distance_m}
+
+
+def _pathloss(distance_m, **params):
+    """pathloss_db under the default link, with params overriding it."""
+    return channel.pathloss_db(distance_m, **{**DEFAULT_LINK, **params})
 
 
 def test_pathloss_near_branch_value():
     # below the breakpoint (~19.7 m at 1.5 m antennas) the 22.7 log10 slope rules
     expected = 22.7 * math.log10(15.0) + 41.0 + 20 * math.log10(1.18)
-    assert channel.pathloss_db(np.array([15.0])) == pytest.approx(expected, abs=1e-9)
+    assert _pathloss(np.array([15.0])) == pytest.approx(expected, abs=1e-9)
 
 
 def test_pathloss_far_branch_value():
@@ -17,32 +30,32 @@ def test_pathloss_far_branch_value():
     expected = (
         40 * 2 + 9.45 - 2 * 17.3 * math.log10(0.5) + 2.7 * math.log10(1.18)
     )
-    assert channel.pathloss_db(np.array([100.0])) == pytest.approx(expected, abs=1e-9)
-    assert channel.pathloss_db(np.array([100.0])) == pytest.approx(100.06, abs=0.01)
+    assert _pathloss(np.array([100.0])) == pytest.approx(expected, abs=1e-9)
+    assert _pathloss(np.array([100.0])) == pytest.approx(100.06, abs=0.01)
 
 
 def test_pathloss_clamps_below_minimum():
-    assert channel.pathloss_db(np.array([3.0])) == channel.pathloss_db(np.array([10.0]))
-    assert channel.pathloss_db(np.array([0.0])) == channel.pathloss_db(np.array([10.0]))
+    assert _pathloss(np.array([3.0])) == _pathloss(np.array([10.0]))
+    assert _pathloss(np.array([0.0])) == _pathloss(np.array([10.0]))
 
 
 def test_pathloss_monotone():
     d = np.linspace(10.0, 5000.0, 2000)
-    pl = channel.pathloss_db(d)
+    pl = _pathloss(d)
     assert np.all(np.diff(pl) > 0)
 
 
 def test_breakpoint_continuity():
-    d_bp = channel.breakpoint_distance_m(1.5, 1.5, 5.9)
+    d_bp = channel.breakpoint_distance_m(DEFAULT.ue_height_m, DEFAULT.ue_height_m,
+                                         DEFAULT.carrier_freq_ghz)
     gap = abs(
-        channel.pathloss_db(np.array([d_bp * (1 - 1e-9)]))
-        - channel.pathloss_db(np.array([d_bp * (1 + 1e-9)]))
+        _pathloss(np.array([d_bp * (1 - 1e-9)]))
+        - _pathloss(np.array([d_bp * (1 + 1e-9)]))
     )
     assert gap < 0.5
 
 
-def _pathloss_both_branches(distance_m, tx_height_m=1.5, rx_height_m=1.5, fc_ghz=5.9,
-                            min_distance_m=10.0):
+def _pathloss_both_branches(distance_m, tx_height_m, rx_height_m, fc_ghz, min_distance_m):
     """Both WINNER B1 branches at every distance, selected by np.where."""
     h_tx = tx_height_m - channel.EFFECTIVE_HEIGHT_OFFSET_M
     h_rx = rx_height_m - channel.EFFECTIVE_HEIGHT_OFFSET_M
@@ -67,10 +80,10 @@ def test_pathloss_bytes_match_both_branch_select(params):
     # the near branch evaluated only below the breakpoint gives the bytes of
     # both branches everywhere and np.where, in a fresh array, in a separate
     # out and in place over the distances
-    d_bp = channel.breakpoint_distance_m(params.get("tx_height_m", 1.5),
-                                         params.get("rx_height_m", 1.5),
-                                         params.get("fc_ghz", 5.9))
-    clamp = params.get("min_distance_m", 10.0)
+    params = {**DEFAULT_LINK, **params}
+    d_bp = channel.breakpoint_distance_m(params["tx_height_m"], params["rx_height_m"],
+                                         params["fc_ghz"])
+    clamp = params["min_distance_m"]
     assert clamp < d_bp  # both branches are reached
     special = [0.0, clamp / 2, np.nextafter(clamp, 0.0), clamp, np.nextafter(clamp, np.inf),
                np.nextafter(d_bp, 0.0), d_bp, np.nextafter(d_bp, np.inf), 500.0, 5000.0]

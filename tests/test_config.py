@@ -56,13 +56,15 @@ def test_undefined_prb_pair_rejected():
 
 
 def test_unknown_key_rejected():
-    # no formula of the sidelink-only model reads a gNB height, so none is a field
-    for key in ("speed_kmh", "gnb_height_m"):
+    # no formula of the sidelink-only model reads a gNB height, so none is a
+    # field, and the equal scheme always combines its phases' linear SINR
+    for key, value in (("speed_kmh", "120"), ("gnb_height_m", "120"),
+                       ("retx_sinr_combining", '"db"')):
         message = re.escape(f"unknown config key(s): {key}")
         with pytest.raises(ConfigError, match=message):
-            parse_config(f'{{"{key}": 120}}')
+            parse_config(f'{{"{key}": {value}}}')
         with pytest.raises(ConfigError, match=message):
-            apply_overrides(SimConfig(), [f"{key}=120"])
+            apply_overrides(SimConfig(), [f"{key}={value}"])
 
 
 def test_malformed_document():
@@ -129,7 +131,7 @@ def test_code_built_config_typed_like_parsed():
     # a number is stored as the parser stores it, so the fingerprint and the
     # sweep key do not depend on how the config was made
     built, parsed = SimConfig(ivd_m=40), parse_config('{"ivd_m": 40}')
-    assert config_fingerprint(built) == config_fingerprint(parsed) == "ce0aaa91c296"
+    assert config_fingerprint(built) == config_fingerprint(parsed) == "1df2d58fea0a"
     assert repr(RunKey.from_config(built)) == repr(RunKey.from_config(parsed))
     assert repr(dataclasses.replace(SimConfig(), ivd_m=40)) == repr(parsed)
     seed = SimConfig(seed=2.0).seed

@@ -273,7 +273,8 @@ def test_sinr_db():
     cfg = SimConfig()
     plan = phy.build_resource_plan(cfg)
     signal = (cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
-              - channel.pathloss_db(np.array([50.0]))[0])
+              - channel.pathloss_db(np.array([50.0]), cfg.ue_height_m, cfg.ue_height_m,
+                                    cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m)[0])
     scs_hz = phy.scs_khz(cfg.mu) * 1e3
     noise_bw_db = 10 * math.log10(plan.nprb_pssch * 12 * scs_hz)
     density = signal - 40.0 - noise_bw_db - cfg.noise_figure_db
@@ -589,12 +590,11 @@ GROUP_DELTAS = (3.0, 0.0, 7.0, 5.0)
 @pytest.mark.parametrize("cfg", [
     replace(TWO_CELLS, retx_scheme="none"),
     replace(TWO_CELLS, retx_scheme="equal"),
-    replace(TWO_CELLS, retx_scheme="equal", retx_sinr_combining="db"),
     replace(TWO_CELLS, retx_scheme="nonequal:2"),
     replace(TWO_CELLS, retx_scheme="nonequal:4"),
     replace(NO_RECEIVER, retx_scheme="nonequal:2", drops=2),
     replace(ZERO_CAPACITY, retx_scheme="equal", drops=2),
-], ids=["none", "equal_linear", "equal_db", "nonequal2", "nonequal4",
+], ids=["none", "equal_linear", "nonequal2", "nonequal4",
         "no_receiver", "zero_capacity"])
 def test_grouped_deltas_equal_each_run_alone(cfg):
     # fixed cases of the reference oracle: each delta of a group gets the

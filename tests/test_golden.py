@@ -10,13 +10,13 @@ repository root, and log the change in CHANGES.md:
     PYTHONPATH=src python -m nrv2xsim run --config tests/data/golden_run.json \
         --out tests/data/golden_run.csv --dump-samples \
         --dump-deployment tests/data/golden_run.deployment.csv
-    PYTHONPATH=src python -m nrv2xsim run --config tests/data/golden_run_db.json \
-        --out tests/data/golden_run_db.csv --dump-samples
+    PYTHONPATH=src python -m nrv2xsim run --config tests/data/golden_run_equal.json \
+        --out tests/data/golden_run_equal.csv --dump-samples
 
 ``golden_run`` is the nonequal:2 scheme (two decisions per transmission) on
 two cells, and its deployment dump pins each vehicle's place and cell;
-``golden_run_db`` is the equal scheme with ``retx_sinr_combining="db"``,
-whose PRR differs from the linear combining on the same config.
+``golden_run_equal`` is the equal scheme on the same config, one decision
+per transmission on the mean of its two phases' linear SINR.
 """
 
 from pathlib import Path
@@ -39,7 +39,7 @@ def test_golden_sweep(tmp_path, jobs):
     assert out.read_bytes() == (DATA / "golden_sweep.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["golden_run", "golden_run_db"])
+@pytest.mark.parametrize("name", ["golden_run", "golden_run_equal"])
 def test_golden_run_and_samples(tmp_path, name):
     out = tmp_path / "run.csv"
     code = cli.main([

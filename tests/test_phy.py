@@ -171,23 +171,21 @@ def test_build_resource_plan_phase_mcs_follows_the_largest_cell():
 
 
 @pytest.mark.parametrize("mu", [0, 1, 2])
-@pytest.mark.parametrize("retx, mode, combining, phases", [
-    ("none", "linear", None, 1),
-    ("equal", "linear", "linear", 2),
-    ("equal", "db", "db", 2),
-    ("nonequal:2", "linear", None, 2),
-    ("nonequal:4", "db", None, 2),
-], ids=["none", "equal_linear", "equal_db", "nonequal_linear", "nonequal_db"])
-def test_build_resource_plan_decision_inputs(mu, retx, mode, combining, phases):
-    cfg = SimConfig(mu=mu, bandwidth_mhz=20.0, retx_scheme=retx,
-                    retx_sinr_combining=mode, l2sm_delta_db=5.0)
+@pytest.mark.parametrize("retx, combining, phases", [
+    ("none", False, 1),
+    ("equal", True, 2),
+    ("nonequal:2", False, 2),
+    ("nonequal:4", False, 2),
+], ids=["none", "equal_linear", "nonequal_linear", "nonequal4"])
+def test_build_resource_plan_decision_inputs(mu, retx, combining, phases):
+    cfg = SimConfig(mu=mu, bandwidth_mhz=20.0, retx_scheme=retx, l2sm_delta_db=5.0)
     plan = phy.build_resource_plan(cfg)
     # thermal noise over the data subcarriers of one message at 15*2^mu kHz
     bandwidth_hz = plan.nprb_pssch * 12 * 15e3 * 2**mu
     noise_dbm = cfg.noise_density_dbm_hz + 10 * math.log10(bandwidth_hz) + cfg.noise_figure_db
     assert plan.noise_mw == pytest.approx(10 ** (noise_dbm / 10), rel=1e-12)
     # only the equal scheme combines its phases; the shift needs two phases
-    assert plan.combining == combining
+    assert plan.combining is combining
     assert len(plan.phase_mcs) == phases
     assert plan.shift_db == (5.0 if phases == 2 else 0.0)
 

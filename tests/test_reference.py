@@ -75,7 +75,6 @@ def _groups(draw):
         base,
         ivd_m=draw(st.sampled_from((20.0, 40.0, 100.0))),
         drops=draw(st.integers(1, 2)),
-        retx_sinr_combining=draw(st.sampled_from(config.SINR_COMBINING_MODES)),
         comm_range_m=draw(st.sampled_from((base.comm_range_m, 0.0))),
         bler_table_path=draw(st.sampled_from((None, SATURATING))),
         seed=draw(st.integers(0, 1000)),
