@@ -92,8 +92,7 @@ def rx_power_mw(eirp_dbm: float, pathloss_db: np.ndarray, shadow_db: np.ndarray,
     return np.exp(out, out=out)
 
 
-def noise_power_dbm(noise_density_dbm_hz: float, nprb_pssch: int,
-                    scs_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise over the message's data bandwidth, plus receiver noise figure."""
-    bandwidth_hz = nprb_pssch * 12 * scs_hz
+def noise_power_dbm(noise_density_dbm_hz: float, bandwidth_hz: float,
+                    noise_figure_db: float) -> float:
+    """Thermal noise over a bandwidth, plus receiver noise figure."""
     return noise_density_dbm_hz + 10.0 * np.log10(bandwidth_hz) + noise_figure_db

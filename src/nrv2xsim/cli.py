@@ -116,7 +116,7 @@ def _cmd_capacity(args) -> int:
         ("slots_per_second", str(phy.slots_per_second(cfg.mu))),
         ("usable_symbols", str(phy.USABLE_SYMBOLS_PER_SLOT)),
         ("n_prb", str(plan.n_prb)),
-        ("nprb_pscch", str(plan.nprb_pscch)),
+        ("nprb_pscch", str(phy.NPRB_PSCCH)),
         ("nprb_pssch", str(plan.nprb_pssch)),
         ("nprb_total", str(plan.nprb_total)),
         ("ue_per_slot", str(plan.ue_per_slot)),

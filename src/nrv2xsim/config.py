@@ -192,7 +192,9 @@ def config_fingerprint(cfg: SimConfig) -> str:
     table file's contents when ``bler_table_path`` is set."""
     doc = {name: getattr(cfg, name) for name in _FIELD_KINDS if name != "seed"}
     if cfg.bler_table_path is not None:
-        doc["bler_table_sha256"] = l2sm.read_table_file(cfg.bler_table_path)[0]
+        doc["bler_table_sha256"] = hashlib.sha256(
+            l2sm.read_table_file(cfg.bler_table_path)
+        ).hexdigest()
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

@@ -10,7 +10,6 @@ applied at lookup time.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field
@@ -182,12 +181,11 @@ def dump_table(table: BlerTable, handle) -> None:
             handle.write(f"{mcs},{float(s)!r},{float(b)!r}\n")
 
 
-def read_table_file(path) -> tuple[str, bytes]:
-    """A table file's sha256 and its bytes: the digest stands for the curves
-    in the run fingerprint, the bytes key the loaded-table cache."""
+def read_table_file(path) -> bytes:
+    """A table file's bytes: their digest stands for the curves in the run
+    fingerprint, and they key the loaded-table cache."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    return hashlib.sha256(data).hexdigest(), data
+        return handle.read()
 
 
 # Keyed on the file's bytes, so a file rewritten at one path loads its new
@@ -201,7 +199,7 @@ def active_table(cfg) -> BlerTable:
     """The table a run uses: the configured file if set, else the built-in."""
     if cfg.bler_table_path is None:
         return default_bler_table()
-    return _loaded_table(read_table_file(cfg.bler_table_path)[1])
+    return _loaded_table(read_table_file(cfg.bler_table_path))
 
 
 def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db: float = 0.0) -> np.ndarray:

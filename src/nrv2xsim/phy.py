@@ -43,30 +43,12 @@ def slots_per_second(mu: int) -> int:
     return 1000 * 2**mu
 
 
-@dataclass(frozen=True)
-class CqiEntry:
-    cqi_index: int
-    efficiency: float       # bits per resource element
-
-
-# 4-bit CQI table with 256QAM entries (the variant used for sidelink MCS
-# selection here).  Efficiency is strictly increasing in the index.
+# Spectral efficiency in bits per resource element of CQI indices 1..15:
+# the 4-bit CQI table with 256QAM entries (the variant used for sidelink
+# MCS selection here).  Strictly increasing in the index.
 CQI_TABLE = (
-    CqiEntry(1, 0.1523),
-    CqiEntry(2, 0.3770),
-    CqiEntry(3, 0.8770),
-    CqiEntry(4, 1.4766),
-    CqiEntry(5, 1.9141),
-    CqiEntry(6, 2.4063),
-    CqiEntry(7, 2.7305),
-    CqiEntry(8, 3.3223),
-    CqiEntry(9, 3.9023),
-    CqiEntry(10, 4.5234),
-    CqiEntry(11, 5.1152),
-    CqiEntry(12, 5.5547),
-    CqiEntry(13, 6.2266),
-    CqiEntry(14, 6.9141),
-    CqiEntry(15, 7.4063),
+    0.1523, 0.3770, 0.8770, 1.4766, 1.9141, 2.4063, 2.7305, 3.3223,
+    3.9023, 4.5234, 5.1152, 5.5547, 6.2266, 6.9141, 7.4063,
 )
 
 
@@ -86,19 +68,20 @@ def required_se(packet_size_bytes: float, ue_gnb: int, tf_hz: float,
     return packet_size_bytes * 8.0 * ue_gnb * tf_hz / bandwidth_hz
 
 
-def select_cqi(se: float) -> CqiEntry:
-    """Lowest-index CQI_TABLE entry covering se; clamps to the top entry."""
-    for entry in CQI_TABLE:
-        if entry.efficiency >= se:
-            return entry
-    return CQI_TABLE[-1]
+def select_cqi(se: float) -> int:
+    """Lowest CQI index whose efficiency covers se; clamps to the top index."""
+    for index, efficiency in enumerate(CQI_TABLE, start=1):
+        if efficiency >= se:
+            return index
+    return len(CQI_TABLE)
 
 
-def nprb_pssch(packet_size_bytes: int, subcarriers_per_prb: int,
-               usable_symbols: int, max_mcs_efficiency: float) -> int:
+def nprb_pssch(packet_size_bytes: int, max_mcs_efficiency: float) -> int:
     """Data-channel PRBs needed to carry one packet at the peak efficiency."""
     bits = packet_size_bytes * 8
-    return math.ceil(bits / (subcarriers_per_prb * usable_symbols * max_mcs_efficiency))
+    return math.ceil(
+        bits / (SUBCARRIERS_PER_PRB * USABLE_SYMBOLS_PER_SLOT * max_mcs_efficiency)
+    )
 
 
 def ue_per_slot(n_prb: int, nprb_total: int) -> int:
@@ -107,7 +90,7 @@ def ue_per_slot(n_prb: int, nprb_total: int) -> int:
 
 
 def ue_supported(per_slot: int, slots_per_second: int, tf_hz: float,
-                 retx_factor: int = 1) -> int:
+                 retx_factor: int) -> int:
     """Transmitters servable per second; retx_factor 2 halves it for blind repeats."""
     return math.floor(per_slot * slots_per_second / (tf_hz * retx_factor))
 
@@ -136,9 +119,8 @@ class ResourcePlan:
     of each message, and every input the reception decisions read."""
 
     n_prb: int              # PRB grid size of the carrier
-    nprb_pscch: int         # control PRBs per message
     nprb_pssch: int         # data PRBs per message
-    nprb_total: int
+    nprb_total: int         # data plus NPRB_PSCCH control PRBs per message
     ue_per_slot: int
     ue_supported: int       # per second, after the retransmission factor
     cell_population: tuple[int, ...]  # vehicles per cell over its highway segment
@@ -151,10 +133,7 @@ class ResourcePlan:
 
 def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
     n_prb = prb_count(cfg.bandwidth_mhz, cfg.mu)
-    pssch = nprb_pssch(
-        cfg.packet_size_bytes, SUBCARRIERS_PER_PRB, USABLE_SYMBOLS_PER_SLOT,
-        cfg.max_mcs_efficiency,
-    )
+    pssch = nprb_pssch(cfg.packet_size_bytes, cfg.max_mcs_efficiency)
     total = pssch + NPRB_PSCCH
     per_slot = ue_per_slot(n_prb, total)
     shares = phase_shares(cfg.retx_scheme)
@@ -164,18 +143,18 @@ def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
     se_base = required_se(cfg.packet_size_bytes, max(population), cfg.tf_hz,
                           cfg.bandwidth_mhz * 1e6)
     noise_dbm = channel.noise_power_dbm(
-        cfg.noise_density_dbm_hz, pssch, scs_khz(cfg.mu) * 1e3, cfg.noise_figure_db,
+        cfg.noise_density_dbm_hz, pssch * SUBCARRIERS_PER_PRB * (scs_khz(cfg.mu) * 1e3),
+        cfg.noise_figure_db,
     )
     return ResourcePlan(
         n_prb=n_prb,
-        nprb_pscch=NPRB_PSCCH,
         nprb_pssch=pssch,
         nprb_total=total,
         ue_per_slot=per_slot,
         ue_supported=supported,
         cell_population=population,
         prr_max=prr_max(supported, *population),
-        phase_mcs=tuple(select_cqi(se_base / share).cqi_index for share in shares),
+        phase_mcs=tuple(select_cqi(se_base / share) for share in shares),
         noise_mw=float(10.0 ** (noise_dbm / 10.0)),
         combining=cfg.retx_scheme == "equal",
         shift_db=cfg.l2sm_delta_db if len(shares) == 2 else 0.0,

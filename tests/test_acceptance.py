@@ -93,13 +93,14 @@ def test_criterion_2_scs_formula(capsys):
 
 def test_criterion_3_capacity_chain(capsys):
     start = time.monotonic()
-    pssch = phy.nprb_pssch(300, 12, 9, 5.5547)
+    pssch = phy.nprb_pssch(300, 5.5547)
     total = pssch + phy.NPRB_PSCCH
     supported = [
         phy.ue_supported(
             phy.ue_per_slot(phy.prb_count(10, mu), total),
             phy.slots_per_second(mu),
             10,
+            1,
         )
         for mu in (0, 1, 2)
     ]

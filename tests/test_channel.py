@@ -188,18 +188,18 @@ def test_squared_sum_distance_within_an_ulp_of_hypot():
 
 def test_noise_power():
     expected = -174 + 10 * math.log10(5 * 12 * 15000) + 9
-    assert channel.noise_power_dbm(-174, 5, 15000, 9) == pytest.approx(expected)
-    assert channel.noise_power_dbm(-174, 5, 15000, 9) == pytest.approx(-105.46, abs=0.01)
-    # density identity: 1 Hz equivalent, no noise figure
-    assert channel.noise_power_dbm(-174, 1, 1 / 12, 0) == pytest.approx(-174)
-    # doubling the subcarrier spacing adds 3.01 dB
-    narrow = channel.noise_power_dbm(-174, 5, 15000, 9)
-    wide = channel.noise_power_dbm(-174, 5, 30000, 9)
+    assert channel.noise_power_dbm(-174, 5 * 12 * 15000, 9) == pytest.approx(expected)
+    assert channel.noise_power_dbm(-174, 5 * 12 * 15000, 9) == pytest.approx(-105.46, abs=0.01)
+    # density identity: 1 Hz, no noise figure
+    assert channel.noise_power_dbm(-174, 1.0, 0) == pytest.approx(-174)
+    # doubling the bandwidth adds 3.01 dB
+    narrow = channel.noise_power_dbm(-174, 5 * 12 * 15000, 9)
+    wide = channel.noise_power_dbm(-174, 5 * 12 * 30000, 9)
     assert wide - narrow == pytest.approx(10 * math.log10(2), abs=1e-9)
 
 
 def test_noise_independent_of_tx_side():
     # only bandwidth terms and the figure matter
-    assert channel.noise_power_dbm(-174, 5, 15000, 9) == channel.noise_power_dbm(
-        -174, 5, 15000, 9
+    assert channel.noise_power_dbm(-174, 5 * 12 * 15000, 9) == channel.noise_power_dbm(
+        -174, 5 * 12 * 15000, 9
     )

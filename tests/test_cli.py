@@ -438,37 +438,6 @@ def test_module_invocation_smoke():
     assert proc.stderr == ""  # tables go to stdout, logs only on run/sweep
 
 
-def test_capacity_grid_script_empty_cell():
-    # vehicles wider apart than the sites: no one per cell, ceiling 1
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "capacity_grid.py"), "--ivd", "2000"],
-        capture_output=True,
-        text=True,
-        env=_subprocess_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].startswith("ivd=2000 m -> 0 vehicles per cell")
-    assert all(line.endswith(",1.0000") for line in lines[2:])
-
-
-@pytest.mark.parametrize("args,message", [
-    (["--ivd", "-5"], "ivd_m must be positive"),
-    (["--ivd", "nan"], "ivd_m must be finite"),
-    (["--retx", "bogus"], "retx_scheme must be"),
-])
-def test_capacity_grid_script_rejects_bad_config(args, message):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "capacity_grid.py"), *args],
-        capture_output=True,
-        text=True,
-        env=_subprocess_env(),
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"config error: {message}")
-
-
 def test_run_campaigns_script_rejects_negative_jobs(tmp_path):
     # rejected by the sweep's own --jobs type before any output directory
     outdir = tmp_path / "results"

@@ -3,6 +3,7 @@ import json
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -186,7 +187,11 @@ def test_fingerprint_ignores_seed_only():
     assert config_fingerprint(a) != config_fingerprint(c)
 
 
-def test_fingerprint_covers_table_contents(tmp_path):
+def test_fingerprint_covers_table_contents(tmp_path, monkeypatch):
+    # a shipped table under a fixed relative path has a fixed fingerprint
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    shipped = SimConfig(bler_table_path="tests/data/saturating_bler.csv")
+    assert config_fingerprint(shipped) == "5a18c1e49bcf"
     # two different tables written in turn at one path fingerprint apart;
     # rewriting the first brings its fingerprint back
     path = tmp_path / "curves.csv"

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,33 +51,37 @@ def test_required_se():
 
 
 def test_cqi_table_strictly_increasing():
-    effs = [e.efficiency for e in phy.CQI_TABLE]
+    effs = list(phy.CQI_TABLE)
     assert effs == sorted(effs)
     assert len(set(effs)) == 15
-    assert [e.cqi_index for e in phy.CQI_TABLE] == list(range(1, 16))
 
 
 def test_select_cqi():
-    assert phy.select_cqi(0.0).cqi_index == 1
-    assert phy.select_cqi(100.0).cqi_index == 15
+    assert phy.select_cqi(0.0) == 1
+    assert phy.select_cqi(100.0) == 15
     # oracle: linear scan over the embedded table
     se = 1.2384
-    expected = next(e for e in phy.CQI_TABLE if e.efficiency >= se)
-    assert phy.select_cqi(se) is expected
-    assert expected.cqi_index == 4
+    assert phy.select_cqi(se) == next(
+        i for i, eff in enumerate(phy.CQI_TABLE, start=1) if eff >= se
+    ) == 4
+    # an efficiency is covered by its own index, and the next float above
+    # it needs the next index, capped at the top one
+    for index, eff in enumerate(phy.CQI_TABLE, start=1):
+        assert phy.select_cqi(eff) == index
+        assert phy.select_cqi(np.nextafter(eff, np.inf)) == min(index + 1, 15)
 
 
 def test_nprb_pssch():
-    assert phy.nprb_pssch(300, 12, 9, 5.5547) == 5
-    assert phy.nprb_pssch(300, 12, 9, 7.4063) == 4
+    assert phy.nprb_pssch(300, 5.5547) == 5
+    assert phy.nprb_pssch(300, 7.4063) == 4
     # packet sized to exactly one PRB
-    assert phy.nprb_pssch(12 * 9 * 8 // 8, 12, 9, 8.0) == 1
+    assert phy.nprb_pssch(12 * 9 * 8 // 8, 8.0) == 1
 
 
 @given(st.floats(0.5, 8.0), st.floats(0.5, 8.0))
 def test_nprb_pssch_non_increasing_in_efficiency(a, b):
     lo, hi = sorted((a, b))
-    assert phy.nprb_pssch(300, 12, 9, hi) <= phy.nprb_pssch(300, 12, 9, lo)
+    assert phy.nprb_pssch(300, hi) <= phy.nprb_pssch(300, lo)
 
 
 def test_ue_per_slot():
@@ -86,9 +91,9 @@ def test_ue_per_slot():
 
 
 def test_ue_supported():
-    assert phy.ue_supported(7, 1000, 10) == 700
-    assert phy.ue_supported(3, 2000, 10) == 600
-    assert phy.ue_supported(3, 4000, 10, retx_factor=2) == 600
+    assert phy.ue_supported(7, 1000, 10, 1) == 700
+    assert phy.ue_supported(3, 2000, 10, 1) == 600
+    assert phy.ue_supported(3, 4000, 10, 2) == 600
 
 
 def test_capacity_strictly_decreasing_in_mu():
@@ -97,6 +102,7 @@ def test_capacity_strictly_decreasing_in_mu():
             phy.ue_per_slot(phy.prb_count(10, mu), 7),
             phy.slots_per_second(mu),
             10,
+            1,
         )
         for mu in (0, 1, 2)
     ]
@@ -132,7 +138,6 @@ def test_prr_max_bounded(supported, ue_gnb):
 def test_build_resource_plan_defaults():
     plan = phy.build_resource_plan(SimConfig())
     assert plan.n_prb == 52
-    assert plan.nprb_pscch == 2
     assert plan.nprb_pssch == 5
     assert plan.nprb_total == 7
     assert plan.ue_per_slot == 7
@@ -152,11 +157,11 @@ def test_build_resource_plan_phase_mcs():
     # the base demand divided by each phase's share, equal included
     cfg = SimConfig(ivd_m=10.0)
     se = phy.required_se(300, 1038, 10.0, 10e6)
-    assert phy.build_resource_plan(cfg).phase_mcs == (phy.select_cqi(se).cqi_index,)
+    assert phy.build_resource_plan(cfg).phase_mcs == (phy.select_cqi(se),)
     equal = phy.build_resource_plan(replace(cfg, retx_scheme="equal")).phase_mcs
-    assert equal == (phy.select_cqi(2 * se).cqi_index,) * 2
+    assert equal == (phy.select_cqi(2 * se),) * 2
     nonequal = phy.build_resource_plan(replace(cfg, retx_scheme="nonequal:3")).phase_mcs
-    assert nonequal == tuple(phy.select_cqi(se / s).cqi_index for s in (0.8, 0.2))
+    assert nonequal == tuple(phy.select_cqi(se / s) for s in (0.8, 0.2))
     assert nonequal[0] < equal[0] < nonequal[1]
 
 
@@ -165,8 +170,8 @@ def test_build_resource_plan_phase_mcs_follows_the_largest_cell():
     # load, not the 1038 of the 1732 m segment an inter-site distance spans
     plan = phy.build_resource_plan(SimConfig(highway_length_m=866.0, num_gnb=1, ivd_m=10.0))
     assert plan.cell_population == (516,)
-    assert phy.select_cqi(phy.required_se(300, 1038, 10.0, 10e6)).cqi_index == 7
-    assert phy.select_cqi(phy.required_se(300, 516, 10.0, 10e6)).cqi_index == 4
+    assert phy.select_cqi(phy.required_se(300, 1038, 10.0, 10e6)) == 7
+    assert phy.select_cqi(phy.required_se(300, 516, 10.0, 10e6)) == 4
     assert plan.phase_mcs == (4,)
 
 
