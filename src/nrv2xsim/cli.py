@@ -40,20 +40,25 @@ def _resolve_config(args) -> SimConfig:
 
 
 def _check_out_dir(path: str, flag: str) -> None:
+    """Fail before any run if path cannot be written as a file."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(f"no such directory for {flag}: {path}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{flag} names a directory: {path}")
 
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
+    samples_path = args.out + ".samples.csv"
     _check_out_dir(args.out, "--out")
+    if args.dump_samples:
+        _check_out_dir(samples_path, "--dump-samples")
     if args.dump_deployment:
         _check_out_dir(args.dump_deployment, "--dump-deployment")
     ((result, counts),) = engine.execute_run([cfg])
     metrics.write_run_csv(result, args.out)
     log.info("wrote %s (fingerprint %s, seed %d)", args.out, result.fingerprint, result.seed)
     if args.dump_samples:
-        samples_path = args.out + ".samples.csv"
         with open(samples_path, "w", newline="") as f:
             f.write("drop,tx_id,phase,receivers_in_range,received_count\n")
             for row in engine.run_sample_table(counts):

@@ -21,12 +21,13 @@ runs share each drop's deployment, its grant orders and one link search
 over every transmitter any of them keeps.  Runs of one schedule signature
 also share the schedule and every link's signal and interference, and runs
 of one decision key their receptions.  The key is read from each run's
-resource plan (noise power, phase MCS, combining, shift): after deployment
-the engine reads the pass config and the plans, never a member config.  The
-pass keeps one linear SINR per (noise, phase), and the keys of a pass
-decide in one loop: one uniform draw per (decision, block of links) that
-every key reads, one dB SINR per (noise, combining), and one lookup per
-key, so every run's result is the one it gets alone.  One tiling, blocks
+resource plan (noise power, phase MCS, combining, shift, BLER table):
+after deployment the engine reads the pass config and the plans, never a
+member config, so runs under two tables share one pass.  The pass keeps
+one linear SINR per (noise, phase), and the keys of a pass decide in one
+loop: one uniform draw per (decision, block of links) that every key
+reads, one dB SINR per (noise, combining), and one lookup per key, so
+every run's result is the one it gets alone.  One tiling, blocks
 of _TX_BLOCK transmitters, steps the link search, the SINR pass and the
 decisions alike.
 """
@@ -45,10 +46,11 @@ from .config import SimConfig, config_fingerprint
 
 
 # Config fields that act only after the SINR pass, all through the resource
-# plan (capacity, phase count, MCS, noise bandwidth, combining, shift).
-# Runs that differ only in these share a drop's deployment and link search, and
-# the runs of one schedule signature its interference (_drop_counts).
-POST_PASS_FIELDS = ("mu", "tf_hz", "retx_scheme", "l2sm_delta_db")
+# plan (capacity, phase count, MCS, noise bandwidth, combining, shift, BLER
+# table).  Runs that differ only in these share a drop's deployment and link
+# search, and the runs of one schedule signature its interference
+# (_drop_counts).
+POST_PASS_FIELDS = ("mu", "tf_hz", "retx_scheme", "l2sm_delta_db", "bler_table_path")
 _POST_PASS_DEFAULTS = {name: getattr(SimConfig(), name) for name in POST_PASS_FIELDS}
 
 
@@ -304,12 +306,11 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
 
 def _decision_key(plan: phy.ResourcePlan) -> tuple:
     """Every input a run's receptions read after the SINR pass."""
-    return plan.noise_mw, plan.phase_mcs, plan.combining, plan.shift_db
+    return plan.noise_mw, plan.phase_mcs, plan.combining, plan.shift_db, plan.table
 
 
-def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable,
-            sinr: dict[float, np.ndarray], links: _LinkBatch,
-            rng: np.random.Generator) -> dict:
+def _decide(plans: Sequence[phy.ResourcePlan], sinr: dict[float, np.ndarray],
+            links: _LinkBatch, rng: np.random.Generator) -> dict:
     """Reception of every link and decision, ``(decisions, links)``, of each
     decision key of plans, from the pass's ``(phases, links)`` linear SINR
     under each noise of plans (sinr[plan.noise_mw]).
@@ -318,13 +319,13 @@ def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable,
     of transmitters the pass itself steps through.  The block's uniforms are
     drawn once from the post-pass stream and read by every key, its dB SINR
     is formed once per (noise, combining) into a fresh array, so no stored
-    row changes, and each key adds only its lookup and compare.  That is
-    what each key's runs get alone: every step is elementwise or a mean over
-    the phases of one link, so a block holds the bytes of the whole-array
-    arithmetic; consecutive ``rng.random`` calls yield the values of one
-    call over their total size, so decision d of every key reads the same
-    uniforms, a combining key those of decision 0; and nothing reads the
-    stream after the decisions.
+    row changes, and each key adds only its lookup, in its own plan's table,
+    and its compare.  That is what each key's runs get alone: every step is
+    elementwise or a mean over the phases of one link, so a block holds the
+    bytes of the whole-array arithmetic; consecutive ``rng.random`` calls
+    yield the values of one call over their total size, so decision d of
+    every key reads the same uniforms, a combining key those of decision 0;
+    and nothing reads the stream after the decisions.
     """
     deciders = {_decision_key(plan): plan for plan in plans}
     phases = len(plans[0].phase_mcs)
@@ -344,13 +345,13 @@ def _decide(plans: Sequence[phy.ResourcePlan], table: l2sm.BlerTable,
                     sinr_db[at] = db = np.log10(ratio)
                     db *= 10.0
                 received[key][d, ls] = l2sm.reception_draw(l2sm.bler_lookup(
-                    table, plan.phase_mcs[d], sinr_db[at], plan.shift_db), uniforms)
+                    plan.table, plan.phase_mcs[d], sinr_db[at], plan.shift_db), uniforms)
     return received
 
 
 def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
-                    table: l2sm.BlerTable, rng: np.random.Generator,
-                    plans: Sequence[phy.ResourcePlan], links: _LinkBatch) -> dict:
+                    rng: np.random.Generator, plans: Sequence[phy.ResourcePlan],
+                    links: _LinkBatch) -> dict:
     """One SINR pass over links, those of sched's transmitters, decided for
     every decision key of plans: the ``(decisions, links)`` receptions of
     each key.
@@ -380,7 +381,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
     # freed before the decisions: a light pass peaks there, with every key's
     # receptions alive
     del interference
-    return _decide(plans, table, sinr, links, rng)
+    return _decide(plans, sinr, links, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +411,6 @@ def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
     rng = np.random.default_rng(seed)
     dep = scenario.generate_deployment(cfg, rng)
     orders = _cell_orders(dep, rng)
-    table = l2sm.active_table(cfg)
     largest = max(order.size for order in orders)
     signatures: dict[tuple[int, int], list[int]] = {}
     for i, plan in enumerate(plans):
@@ -425,7 +425,7 @@ def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
         sched = schedule_slots(dep, orders, members[0], stream)
         if union is None:
             union = _build_links(dep, np.flatnonzero(sched.assigned), cfg)
-        for i, dc in zip(idx, _signature_counts(cfg, dep, sched, table, stream, members, union)):
+        for i, dc in zip(idx, _signature_counts(cfg, dep, sched, stream, members, union)):
             counts[i] = dc
         # freed before the next schedule is drawn, as the signature's other
         # arrays are: held across it, retx_mix peak RSS read 0.5 MB higher
@@ -434,15 +434,14 @@ def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
 
 
 def _signature_counts(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
-                      table: l2sm.BlerTable, rng: np.random.Generator,
-                      plans: Sequence[phy.ResourcePlan],
+                      rng: np.random.Generator, plans: Sequence[phy.ResourcePlan],
                       union: _LinkBatch) -> list[_DropCounts]:
     """Counts of plans that share the schedule sched: one SINR pass over the
     links of union that sched keeps, whose arrays die before the next
     signature's, and one reduction per decision key."""
     keep = sched.assigned[union.tx_ids]
     links = union if keep.all() else union.rows(keep)
-    received = _evaluate_links(cfg, dep, sched, table, rng, plans, links)
+    received = _evaluate_links(cfg, dep, sched, rng, plans, links)
     heard = links.counts > 0
     m = links.counts[heard]
     start = np.cumsum(m) - m

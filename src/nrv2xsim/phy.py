@@ -5,8 +5,8 @@ the PRB grid per (bandwidth, numerology), per-message PRB sizing, how
 many transmitters fit into a slot and into a second, the overload
 ceiling on the packet reception ratio, and the share of the period and
 the MCS of each transmission phase.  The resource plan also holds the
-noise power, whether the phases combine and the sensitivity shift, so
-every input of the reception decisions comes from one plan.
+noise power, whether the phases combine, the sensitivity shift and the
+BLER table, so every input of the reception decisions comes from one plan.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import channel, config, scenario
+from . import channel, config, l2sm, scenario
 
 SUBCARRIERS_PER_PRB = 12
 USABLE_SYMBOLS_PER_SLOT = 9
@@ -129,6 +129,7 @@ class ResourcePlan:
     noise_mw: float         # thermal noise over one message's data PRBs
     combining: bool         # equal: one decision on the phases' mean linear SINR
     shift_db: float         # sensitivity shift of the lookups; 0 with one phase
+    table: l2sm.BlerTable   # the BLER curves of the lookups
 
 
 def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
@@ -158,4 +159,5 @@ def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
         noise_mw=float(10.0 ** (noise_dbm / 10.0)),
         combining=cfg.retx_scheme == "equal",
         shift_db=cfg.l2sm_delta_db if len(shares) == 2 else 0.0,
+        table=l2sm.active_table(cfg),
     )

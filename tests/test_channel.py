@@ -196,10 +196,3 @@ def test_noise_power():
     narrow = channel.noise_power_dbm(-174, 5 * 12 * 15000, 9)
     wide = channel.noise_power_dbm(-174, 5 * 12 * 30000, 9)
     assert wide - narrow == pytest.approx(10 * math.log10(2), abs=1e-9)
-
-
-def test_noise_independent_of_tx_side():
-    # only bandwidth terms and the figure matter
-    assert channel.noise_power_dbm(-174, 5 * 12 * 15000, 9) == channel.noise_power_dbm(
-        -174, 5 * 12 * 15000, 9
-    )

@@ -68,6 +68,17 @@ def test_capacity_reports_cell_populations(capsys):
     assert row["prr_max"] == "0.739198"
 
 
+def test_capacity_loads_the_bler_table(tmp_path, capsys):
+    # the plan carries the table, so a table that does not load fails the
+    # plan as it fails a run
+    missing = tmp_path / "missing.csv"
+    code = cli.main(["capacity", "--set", f"bler_table_path={missing}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(missing) in captured.err
+
+
 @pytest.mark.parametrize("setting, last_cell, isd", [
     ("highway_length_m=20000", "16536.0", "1732.0"),
     ("isd_m=100", "4996.0", "100.0"),
@@ -385,31 +396,43 @@ def test_sweep_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypa
     monkeypatch.setattr(engine, "execute_run", lambda members: calls.append(1) or real(members))
     cfg_path = tmp_path / "campaign.json"
     cfg_path.write_text(json.dumps({"base": {"drops": 1, "ivd_m": 200.0}, "seeds": [1, 2]}))
-    out = tmp_path / "missing_dir" / "o.csv"
-    code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error: no such directory for --out" in err
-    assert calls == []
+    (tmp_path / "taken").mkdir()
+    for out, message in (("missing_dir/o.csv", "no such directory for --out"),
+                         ("taken", "--out names a directory")):
+        code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / out),
+                         "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {message}" in err
+        assert calls == []
 
 
-@pytest.mark.parametrize("flag, path", [
-    ("--out", "missing_dir/x.csv"),
-    ("--dump-deployment", "missing_dir/d.csv"),
+@pytest.mark.parametrize("flag, path, message", [
+    pytest.param("--out", "missing_dir/x.csv", "no such directory for --out",
+                 id="--out-missing_dir/x.csv"),
+    pytest.param("--dump-deployment", "missing_dir/d.csv",
+                 "no such directory for --dump-deployment",
+                 id="--dump-deployment-missing_dir/d.csv"),
+    pytest.param("--out", "taken", "--out names a directory", id="--out-taken"),
+    pytest.param("--out", "taken/s.csv", "--dump-samples names a directory",
+                 id="--out-taken/s.csv"),
 ])
 def test_run_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypatch,
-                                                     flag, path):
+                                                     flag, path, message):
     calls = []
     real = engine.execute_run
     monkeypatch.setattr(engine, "execute_run", lambda members: calls.append(1) or real(members))
+    taken = tmp_path / "taken"
+    (taken / "s.csv.samples.csv").mkdir(parents=True)
     # a second --out replaces the first
     code = cli.main(["run", "--set", "drops=1", "--set", "ivd_m=200", "--dump-samples",
                      "--out", str(tmp_path / "r.csv"), flag, str(tmp_path / path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert f"error: no such directory for {flag}" in err
+    assert f"error: {message}" in err
     assert calls == []
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [taken]
+    assert list(taken.iterdir()) == [taken / "s.csv.samples.csv"]
 
 
 def test_sweep_overrides_apply_to_base(tmp_path, capsys):

@@ -12,7 +12,7 @@ from scipy import stats
 import reference
 from nrv2xsim import channel, config, engine, l2sm, phy, scenario
 from nrv2xsim.config import SimConfig
-from test_reference import assert_matches_reference
+from test_reference import SATURATING, assert_matches_reference
 
 # single-cell highway: no cross-cell interference, fast to simulate
 NOISE_LIMITED = SimConfig(
@@ -50,8 +50,7 @@ def _evaluate_pass(cfg, dep, sched, rng, plans):
     from one _evaluate_links pass."""
     pass_cfg = engine._pass_config(cfg)
     links = engine._build_links(dep, np.flatnonzero(sched.assigned), pass_cfg)
-    return links, engine._evaluate_links(pass_cfg, dep, sched, l2sm.default_bler_table(),
-                                         rng, plans, links)
+    return links, engine._evaluate_links(pass_cfg, dep, sched, rng, plans, links)
 
 
 def test_retx_scheme_parse_and_shares():
@@ -367,9 +366,9 @@ def test_three_noise_pass_memory_per_link(monkeypatch):
     noises = []
     evaluate = engine._evaluate_links
 
-    def recording(cfg, dep, sched, table, rng, plans, links):
+    def recording(cfg, dep, sched, rng, plans, links):
         noises.append(len({plan.noise_mw for plan in plans}))
-        return evaluate(cfg, dep, sched, table, rng, plans, links)
+        return evaluate(cfg, dep, sched, rng, plans, links)
 
     monkeypatch.setattr(engine, "_evaluate_links", recording)
     members = [SimConfig(mu=mu, bandwidth_mhz=20.0, ivd_m=40.0, retx_scheme="nonequal:2")
@@ -722,12 +721,14 @@ def test_one_uniform_draw_per_decision_and_chunk(retx, decisions, monkeypatch):
     assert len({id(u) for u in seen}) == decisions * blocks
 
 
-@pytest.mark.parametrize("retx, deltas, lookups", [
-    ("none", (0.0, 3.0, 5.0, 7.0), 1),   # one phase ignores the shift
-    ("equal", (3.0, 5.0, 7.0), 3),       # one combined decision per shift
-    ("nonequal:2", (3.0, 5.0, 7.0), 6),  # two phase decisions per shift
-])
-def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, lookups, monkeypatch):
+@pytest.mark.parametrize("retx, deltas, tables, lookups", [
+    ("none", (0.0, 3.0, 5.0, 7.0), (None,), 1),   # one phase ignores the shift
+    ("equal", (3.0, 5.0, 7.0), (None,), 3),       # one combined decision per shift
+    ("nonequal:2", (3.0, 5.0, 7.0), (None,), 6),  # two phase decisions per shift
+    ("equal", (3.0, 5.0, 7.0), (None, SATURATING), 6),  # one pass, a key per table
+], ids=["none-deltas0-1", "equal-deltas1-3", "nonequal:2-deltas2-6", "equal-two-tables-6"])
+def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, tables, lookups,
+                                                   monkeypatch):
     # looked-up values per link of each pass: a count no block size changes
     looked_up, passed = [], []
     lookup, evaluate = l2sm.bler_lookup, engine._evaluate_links
@@ -736,14 +737,15 @@ def test_lookups_per_drop_follow_the_decision_keys(retx, deltas, lookups, monkey
         looked_up.append(np.size(args[2]))
         return lookup(*args, **kwargs)
 
-    def recording(cfg, dep, sched, table, rng, plans, links):
+    def recording(cfg, dep, sched, rng, plans, links):
         passed.append(links.rx.size)
-        return evaluate(cfg, dep, sched, table, rng, plans, links)
+        return evaluate(cfg, dep, sched, rng, plans, links)
 
     monkeypatch.setattr(l2sm, "bler_lookup", counting)
     monkeypatch.setattr(engine, "_evaluate_links", recording)
     cfg = replace(NOISE_LIMITED, ivd_m=80.0, retx_scheme=retx, drops=2)
-    _results([replace(cfg, l2sm_delta_db=d) for d in deltas], 4)
+    _results([replace(cfg, l2sm_delta_db=d, bler_table_path=t)
+              for t in tables for d in deltas], 4)
     assert len(passed) == cfg.drops
     assert sum(looked_up) == lookups * sum(passed)
 

@@ -4,8 +4,9 @@ Every member of a group that execute_run simulates together must get what
 reference.ref_run gets for it alone: every RunResult field and every
 run_sample_table row.  That covers the one tiling of the link search, the
 SINR pass and the decisions, the stream order, the sharing of the
-deployment, the link search, the schedule signature and the decision key,
-and the lookup index.  Memory peaks and work counts are not results; the
+deployment, the link search, the schedule signature and the decision key
+(the BLER table included: members draw their tables one by one), and the
+lookup index.  Memory peaks and work counts are not results; the
 tracemalloc and count tests in test_engine.py and test_cli.py guard those.
 """
 
@@ -76,15 +77,15 @@ def _groups(draw):
         ivd_m=draw(st.sampled_from((20.0, 40.0, 100.0))),
         drops=draw(st.integers(1, 2)),
         comm_range_m=draw(st.sampled_from((base.comm_range_m, 0.0))),
-        bler_table_path=draw(st.sampled_from((None, SATURATING))),
         seed=draw(st.integers(0, 1000)),
     )
     member = st.builds(
-        lambda mu, tf, retx, delta: replace(base, mu=mu, tf_hz=tf, retx_scheme=retx,
-                                            l2sm_delta_db=delta),
+        lambda mu, tf, retx, delta, table: replace(base, mu=mu, tf_hz=tf, retx_scheme=retx,
+                                                   l2sm_delta_db=delta, bler_table_path=table),
         st.sampled_from(mus), st.sampled_from((10.0, 20.0)),
         st.sampled_from(("none", "equal", "nonequal:1", "nonequal:4")),
         st.sampled_from(config.L2SM_DELTA_VALUES_DB),
+        st.sampled_from((None, SATURATING)),
     )
     return draw(st.lists(member, min_size=1, max_size=6))
 
@@ -96,6 +97,12 @@ SATURATING_GROUP = [replace(TWO_CELLS, ivd_m=40.0, drops=2, seed=3, bler_table_p
                     for mu, retx in ((0, "none"), (0, "nonequal:1"), (0, "equal"),
                                      (2, "equal"), (1, "nonequal:4"))]
 
+# always run: one pass under both tables, each scheme's keys differing only
+# in the table
+TWO_TABLE_GROUP = [replace(TWO_CELLS, ivd_m=40.0, seed=3, bler_table_path=table,
+                           retx_scheme=retx, l2sm_delta_db=5.0)
+                   for retx in ("none", "equal") for table in (None, SATURATING)]
+
 # always run: each cell keeps floor(7000 / tf) transmitters at 10 MHz and
 # mu 0, so the group's passes hold 2, 62, 64, 66, 128 and 130 of them, on
 # either side of a 64-transmitter block boundary, with interference
@@ -106,6 +113,7 @@ BLOCK_EDGE_GROUP = [replace(TWO_CELLS, ivd_m=20.0, tf_hz=7000.0 / (k + 0.5))
 @settings(max_examples=40, deadline=None)
 @given(members=_groups())
 @example(members=SATURATING_GROUP)
+@example(members=TWO_TABLE_GROUP)
 @example(members=BLOCK_EDGE_GROUP)
 def test_execute_run_matches_reference(members):
     assert_matches_reference(members)
