@@ -41,6 +41,8 @@ def _resolve_config(args) -> SimConfig:
 
 def _check_out_dir(path: str, flag: str) -> None:
     """Fail before any run if path cannot be written as a file."""
+    if not path:
+        raise FileNotFoundError(f"empty path for {flag}")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(f"no such directory for {flag}: {path}")
     if os.path.isdir(path):
@@ -53,7 +55,7 @@ def _cmd_run(args) -> int:
     _check_out_dir(args.out, "--out")
     if args.dump_samples:
         _check_out_dir(samples_path, "--dump-samples")
-    if args.dump_deployment:
+    if args.dump_deployment is not None:
         _check_out_dir(args.dump_deployment, "--dump-deployment")
     ((result, counts),) = engine.execute_run([cfg])
     metrics.write_run_csv(result, args.out)
@@ -64,7 +66,7 @@ def _cmd_run(args) -> int:
             for row in engine.run_sample_table(counts):
                 f.write(",".join(map(str, row)) + "\n")
         log.info("wrote %s", samples_path)
-    if args.dump_deployment:
+    if args.dump_deployment is not None:
         with open(args.dump_deployment, "w", newline="") as f:
             scenario.write_deployment_csv(counts[0].dep, cfg.lanes_per_direction, f)
         log.info("wrote %s", args.dump_deployment)

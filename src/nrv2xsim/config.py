@@ -13,12 +13,11 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import l2sm, phy
 
 L2SM_DELTA_VALUES_DB = (0.0, 3.0, 5.0, 7.0)
-MAX_NONEQUAL_SPLIT = 4
 
 
 class ConfigError(ValueError):
@@ -102,36 +101,14 @@ class SimConfig:
         # the pathloss model needs a positive effective antenna height (h - 1 m)
         if self.ue_height_m <= 1.0:
             raise ConfigError(f"ue_height_m must exceed 1 m, got {self.ue_height_m}")
-        parse_retx_scheme(self.retx_scheme)
+        try:
+            phy.phase_shares(self.retx_scheme)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # field name -> annotation ("int", "float", "str" or "str | None")
 _FIELD_KINDS = {f.name: f.type for f in fields(SimConfig)}
-
-
-def parse_retx_scheme(value: str) -> tuple[str, int]:
-    """Split a retx_scheme string into (kind, split index n)."""
-    if value == "none":
-        return "none", 0
-    if value == "equal":
-        return "equal", 0
-    if value.startswith("nonequal:"):
-        try:
-            n = int(value.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"retx_scheme has malformed split index: {value!r}") from None
-        if not 1 <= n <= MAX_NONEQUAL_SPLIT:
-            raise ConfigError(
-                f"retx_scheme split index must be 1..{MAX_NONEQUAL_SPLIT}: {value!r}"
-            )
-        # one spelling per scheme: every spelling is its own config, with its
-        # own fingerprint and sweep row
-        if value != f"nonequal:{n}":
-            raise ConfigError(f"retx_scheme must be spelled 'nonequal:{n}': {value!r}")
-        return "nonequal", n
-    raise ConfigError(
-        f"retx_scheme must be 'none', 'equal' or 'nonequal:<n>': {value!r}"
-    )
 
 
 def _as_int(name: str, value):
@@ -178,13 +155,26 @@ def config_from_dict(doc: dict) -> SimConfig:
     return SimConfig(**doc)
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} appears twice in one object")
+        doc[key] = value
+    return doc
+
+
+def _load(text: str, kind: str):
+    """Decode JSON, rejecting a key repeated within an object: json keeps the last."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed {kind} document: {exc}") from None
+
+
 def parse_config(text: str) -> SimConfig:
     """Parse a flat JSON config document, applying defaults for absent keys."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config document: {exc}") from None
-    return config_from_dict(doc)
+    return config_from_dict(_load(text, "config"))
 
 
 def config_fingerprint(cfg: SimConfig) -> str:
@@ -216,15 +206,11 @@ def apply_overrides(cfg: SimConfig, pairs: list[str]) -> SimConfig:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A base config plus sweep axes; None means the axis stays at the base value."""
+    """A base config plus sweep axes: campaign key -> values, each key one of
+    ``_SWEEP_AXES``.  An absent axis stays at the base value."""
 
     base: SimConfig
-    sweep_ivd_m: tuple[float, ...] | None = None
-    sweep_mu: tuple[int, ...] | None = None
-    sweep_tf_hz: tuple[float, ...] | None = None
-    sweep_retx: tuple[str, ...] | None = None
-    sweep_l2sm_delta_db: tuple[float, ...] | None = None
-    seeds: tuple[int, ...] | None = None
+    axes: dict[str, tuple] = field(default_factory=dict)
 
 
 # campaign key -> the SimConfig field it sweeps, outermost axis first
@@ -244,16 +230,13 @@ def _parse_axis(name: str, values) -> tuple:
         raise ConfigError(f"{name} must be a list")
     if not values:
         raise ConfigError(f"empty sweep list: {name}")
-    field = _SWEEP_AXES[name]
-    return tuple(_COERCERS[_FIELD_KINDS[field]](field, v) for v in values)
+    target = _SWEEP_AXES[name]
+    return tuple(_COERCERS[_FIELD_KINDS[target]](target, v) for v in values)
 
 
 def parse_campaign(text: str) -> CampaignSpec:
     """Parse a campaign document; a plain flat config becomes a single point."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed campaign document: {exc}") from None
+    doc = _load(text, "campaign")
     if not isinstance(doc, dict):
         raise ConfigError("campaign document must be a JSON object")
     if not any(key in doc for key in _CAMPAIGN_KEYS):
@@ -266,14 +249,14 @@ def parse_campaign(text: str) -> CampaignSpec:
         )
     base = config_from_dict(doc.get("base", {}))
     axes = {name: _parse_axis(name, doc[name]) for name in _SWEEP_AXES if name in doc}
-    return CampaignSpec(base=base, **axes)
+    return CampaignSpec(base=base, axes=axes)
 
 
 def expand_campaign(spec: CampaignSpec) -> list[tuple[SimConfig, int]]:
     """Expand to the ordered (config, seed) list: ivd, mu, tf, retx, delta, seed.
     Raises ConfigError if an axis lists one value twice: its runs would be
     pooled as separate samples."""
-    axes = [getattr(spec, key) or (getattr(spec.base, name),)
+    axes = [spec.axes.get(key) or (getattr(spec.base, name),)
             for key, name in _SWEEP_AXES.items()]
     for key, values in zip(_SWEEP_AXES, axes):
         for i, value in enumerate(values):

@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import channel, config, l2sm, scenario
+from . import channel, l2sm, scenario
+
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 SUBCARRIERS_PER_PRB = 12
 USABLE_SYMBOLS_PER_SLOT = 9
 NPRB_PSCCH = 2  # control channel cost per message, fixed
+MAX_NONEQUAL_SPLIT = 4  # largest n of the "nonequal:<n>" scheme
 
 # PRB grid sizes by (bandwidth in MHz, numerology index).  60 kHz spacing
 # does not fit a 5 MHz carrier, so (5, 2) is deliberately absent.
@@ -103,13 +108,25 @@ def prr_max(supported: int, *populations: int) -> float:
     return sum(min(supported, n) for n in populations) / total if total else 1.0
 
 
-def phase_shares(retx_scheme: str) -> tuple[float, ...]:
-    """Fraction of the transmission period owned by each phase."""
-    kind, n = config.parse_retx_scheme(retx_scheme)
-    if kind == "none":
+def phase_shares(scheme: str) -> tuple[float, ...]:
+    """Fraction of the transmission period owned by each phase of a retx_scheme:
+    "none", "equal" or "nonequal:<n>"; raises ValueError for any other spelling."""
+    if scheme == "none":
         return (1.0,)
-    if kind == "equal":
+    if scheme == "equal":
         return (0.5, 0.5)
+    if not scheme.startswith("nonequal:"):
+        raise ValueError(f"retx_scheme must be 'none', 'equal' or 'nonequal:<n>': {scheme!r}")
+    try:
+        n = int(scheme.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"retx_scheme has malformed split index: {scheme!r}") from None
+    if not 1 <= n <= MAX_NONEQUAL_SPLIT:
+        raise ValueError(f"retx_scheme split index must be 1..{MAX_NONEQUAL_SPLIT}: {scheme!r}")
+    # one spelling per scheme: every spelling is its own config, with its
+    # own fingerprint and sweep row
+    if scheme != f"nonequal:{n}":
+        raise ValueError(f"retx_scheme must be spelled 'nonequal:{n}': {scheme!r}")
     return ((50 + 10 * n) / 100.0, (50 - 10 * n) / 100.0)
 
 
@@ -132,7 +149,7 @@ class ResourcePlan:
     table: l2sm.BlerTable   # the BLER curves of the lookups
 
 
-def build_resource_plan(cfg: config.SimConfig) -> ResourcePlan:
+def build_resource_plan(cfg: "SimConfig") -> ResourcePlan:
     n_prb = prb_count(cfg.bandwidth_mhz, cfg.mu)
     pssch = nprb_pssch(cfg.packet_size_bytes, cfg.max_mcs_efficiency)
     total = pssch + NPRB_PSCCH

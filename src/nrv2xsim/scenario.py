@@ -38,13 +38,8 @@ class Deployment:
 
 
 def vehicles_per_lane(length_m: float, ivd_m: float) -> int:
-    """Vehicles that fit in one lane at the given spacing."""
+    """Vehicles that fit in one lane of length_m at the given spacing."""
     return math.floor(length_m / ivd_m)
-
-
-def ue_per_gnb_count(isd_m: float, ivd_m: float, num_lanes: int) -> int:
-    """Per-cell vehicle population implied by the site and vehicle spacing."""
-    return math.floor(isd_m / ivd_m) * num_lanes
 
 
 def cell_populations(cfg: "SimConfig") -> tuple[int, ...]:
@@ -52,8 +47,8 @@ def cell_populations(cfg: "SimConfig") -> tuple[int, ...]:
     highway, [k, k + 1) * isd_m cut at highway_length_m."""
     num_lanes = 2 * cfg.lanes_per_direction
     return tuple(
-        ue_per_gnb_count(min(cfg.isd_m, max(cfg.highway_length_m - k * cfg.isd_m, 0.0)),
-                         cfg.ivd_m, num_lanes)
+        vehicles_per_lane(min(cfg.isd_m, max(cfg.highway_length_m - k * cfg.isd_m, 0.0)),
+                          cfg.ivd_m) * num_lanes
         for k in range(cfg.num_gnb)
     )
 

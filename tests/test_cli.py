@@ -398,13 +398,15 @@ def test_sweep_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypa
     cfg_path.write_text(json.dumps({"base": {"drops": 1, "ivd_m": 200.0}, "seeds": [1, 2]}))
     (tmp_path / "taken").mkdir()
     for out, message in (("missing_dir/o.csv", "no such directory for --out"),
-                         ("taken", "--out names a directory")):
-        code = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / out),
-                         "--jobs", "1"])
+                         ("taken", "--out names a directory"),
+                         ("", "empty path for --out")):
+        code = cli.main(["sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path / out) if out else "", "--jobs", "1"])
         err = capsys.readouterr().err
         assert code == 1
         assert f"error: {message}" in err
         assert calls == []
+        assert sorted(tmp_path.iterdir()) == [cfg_path, tmp_path / "taken"]
 
 
 @pytest.mark.parametrize("flag, path, message", [
@@ -416,6 +418,9 @@ def test_sweep_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypa
     pytest.param("--out", "taken", "--out names a directory", id="--out-taken"),
     pytest.param("--out", "taken/s.csv", "--dump-samples names a directory",
                  id="--out-taken/s.csv"),
+    pytest.param("--out", "", "empty path for --out", id="--out-empty"),
+    pytest.param("--dump-deployment", "", "empty path for --dump-deployment",
+                 id="--dump-deployment-empty"),
 ])
 def test_run_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypatch,
                                                      flag, path, message):
@@ -426,7 +431,8 @@ def test_run_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypatc
     (taken / "s.csv.samples.csv").mkdir(parents=True)
     # a second --out replaces the first
     code = cli.main(["run", "--set", "drops=1", "--set", "ivd_m=200", "--dump-samples",
-                     "--out", str(tmp_path / "r.csv"), flag, str(tmp_path / path)])
+                     "--out", str(tmp_path / "r.csv"), flag,
+                     str(tmp_path / path) if path else ""])
     err = capsys.readouterr().err
     assert code == 1
     assert f"error: {message}" in err

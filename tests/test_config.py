@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrv2xsim import config
+from nrv2xsim import config, phy
 from nrv2xsim.config import (
     CampaignSpec,
     ConfigError,
@@ -19,7 +19,6 @@ from nrv2xsim.config import (
     expand_campaign,
     parse_campaign,
     parse_config,
-    parse_retx_scheme,
 )
 from nrv2xsim.metrics import RunKey
 
@@ -140,20 +139,39 @@ def test_code_built_config_typed_like_parsed():
 
 
 @pytest.mark.parametrize("value,expected", [
-    ("none", ("none", 0)),
-    ("equal", ("equal", 0)),
-    ("nonequal:1", ("nonequal", 1)),
-    ("nonequal:4", ("nonequal", 4)),
+    ("none", (1.0,)),
+    ("equal", (0.5, 0.5)),
+    ("nonequal:1", (0.6, 0.4)),
+    ("nonequal:4", (0.9, 0.1)),
+    ("nonequal:2", (0.7, 0.3)),
+    ("nonequal:3", (0.8, 0.2)),
 ])
 def test_retx_scheme_parse(value, expected):
-    assert parse_retx_scheme(value) == expected
+    # every accepted spelling, with the share of the period of each phase
+    assert phy.phase_shares(value) == expected
+    assert SimConfig(retx_scheme=value).retx_scheme == value
 
 
-@pytest.mark.parametrize("value", ["nonequal:0", "nonequal:5", "nonequal:x", "both",
-                                   "nonequal:02", "nonequal: 2", "nonequal:+2", "nonequal:2 "])
+RETX_REJECTIONS = {
+    "nonequal:0": "retx_scheme split index must be 1..4: 'nonequal:0'",
+    "nonequal:5": "retx_scheme split index must be 1..4: 'nonequal:5'",
+    "nonequal:x": "retx_scheme has malformed split index: 'nonequal:x'",
+    "both": "retx_scheme must be 'none', 'equal' or 'nonequal:<n>': 'both'",
+    "nonequal:02": "retx_scheme must be spelled 'nonequal:2': 'nonequal:02'",
+    "nonequal: 2": "retx_scheme must be spelled 'nonequal:2': 'nonequal: 2'",
+    "nonequal:+2": "retx_scheme must be spelled 'nonequal:2': 'nonequal:+2'",
+    "nonequal:2 ": "retx_scheme must be spelled 'nonequal:2': 'nonequal:2 '",
+}
+
+
+@pytest.mark.parametrize("value", list(RETX_REJECTIONS))
 def test_retx_scheme_rejects(value):
-    with pytest.raises(ConfigError):
-        parse_retx_scheme(value)
+    # phy owns the grammar; the config reports its message as a ConfigError
+    message = f"^{re.escape(RETX_REJECTIONS[value])}$"
+    with pytest.raises(ValueError, match=message) as raised:
+        phy.phase_shares(value)
+    assert not isinstance(raised.value, ConfigError)
+    _assert_rejected({"retx_scheme": value}, message)
 
 
 def test_retx_scheme_error_names_the_one_spelling():
@@ -228,23 +246,20 @@ def test_overrides_apply_and_validate():
 def test_expand_ordering_ivd_outer_then_mu():
     spec = CampaignSpec(
         base=SimConfig(),
-        sweep_ivd_m=(10.0, 20.0),
-        sweep_mu=(0, 1),
-        seeds=(1,),
+        axes={"sweep_ivd_m": (10.0, 20.0), "sweep_mu": (0, 1), "seeds": (1,)},
     )
     runs = expand_campaign(spec)
     assert [(c.ivd_m, c.mu) for c, _ in runs] == [(10, 0), (10, 1), (20, 0), (20, 1)]
 
 
 def test_expand_full_cartesian_count():
-    spec = CampaignSpec(
-        base=SimConfig(),
-        sweep_ivd_m=(3.0, 5.0, 10.0, 20.0, 40.0, 80.0, 100.0),
-        sweep_mu=(0, 1, 2),
-        sweep_tf_hz=(10.0,),
-        sweep_retx=("none", "equal"),
-        seeds=tuple(range(1, 21)),
-    )
+    spec = CampaignSpec(base=SimConfig(), axes={
+        "sweep_ivd_m": (3.0, 5.0, 10.0, 20.0, 40.0, 80.0, 100.0),
+        "sweep_mu": (0, 1, 2),
+        "sweep_tf_hz": (10.0,),
+        "sweep_retx": ("none", "equal"),
+        "seeds": tuple(range(1, 21)),
+    })
     assert len(expand_campaign(spec)) == 7 * 3 * 1 * 2 * 20
 
 
@@ -255,12 +270,12 @@ def test_expand_single_point_identity():
 
 
 def test_expand_is_pure():
-    spec = CampaignSpec(base=SimConfig(), sweep_ivd_m=(10.0, 20.0), seeds=(1, 2))
+    spec = CampaignSpec(base=SimConfig(), axes={"sweep_ivd_m": (10.0, 20.0), "seeds": (1, 2)})
     assert expand_campaign(spec) == expand_campaign(spec)
 
 
 def test_expand_validates_every_point():
-    spec = CampaignSpec(base=SimConfig(bandwidth_mhz=5.0), sweep_mu=(0, 2))
+    spec = CampaignSpec(base=SimConfig(bandwidth_mhz=5.0), axes={"sweep_mu": (0, 2)})
     with pytest.raises(ConfigError, match="undefined PRB entry"):
         expand_campaign(spec)
 
@@ -273,13 +288,13 @@ def test_expand_rejects_duplicate_sweep_values(axis, values, shown):
     # a repeated value would pool one sample twice into a point's statistics,
     # whether the campaign was parsed or built in code
     for spec in (parse_campaign(json.dumps({"base": {}, axis: values})),
-                 CampaignSpec(base=SimConfig(), **{axis: tuple(values)})):
+                 CampaignSpec(base=SimConfig(), axes={axis: tuple(values)})):
         with pytest.raises(ConfigError, match=f"^{axis} lists {shown} twice$"):
             expand_campaign(spec)
 
 
 def test_expand_validates_every_seed():
-    spec = CampaignSpec(base=SimConfig(), seeds=(1, -1))
+    spec = CampaignSpec(base=SimConfig(), axes={"seeds": (1, -1)})
     with pytest.raises(ConfigError, match="seed must be non-negative"):
         expand_campaign(spec)
 
@@ -290,16 +305,30 @@ def test_every_field_kind_has_a_coercer():
 
 
 def test_campaign_axes_match_the_axis_table():
-    # CampaignSpec's axis fields, in expansion order, are the table's keys
-    axis_fields = [f.name for f in fields(CampaignSpec) if f.name != "base"]
-    assert axis_fields == list(config._SWEEP_AXES)
+    # every axis of the table sweeps a config field
     assert set(config._SWEEP_AXES.values()) <= {f.name for f in fields(SimConfig)}
 
 
 def test_campaign_parse_flat_config_is_single_point():
     spec = parse_campaign('{"ivd_m": 40}')
     assert spec.base.ivd_m == 40.0
-    assert spec.sweep_ivd_m is None
+    assert spec.axes == {}
+
+
+@pytest.mark.parametrize("parse, text, key", [
+    (parse_config, '{"ivd_m": 400, "ivd_m": 40}', "ivd_m"),
+    (parse_campaign, '{"ivd_m": 400, "ivd_m": 40}', "ivd_m"),
+    (parse_campaign, '{"sweep_mu": [0], "sweep_mu": [1, 2]}', "sweep_mu"),
+    (parse_campaign, '{"base": {"mu": 1, "mu": 2}, "seeds": [1]}', "mu"),
+], ids=["config", "flat-campaign", "axis", "base"])
+def test_repeated_key_rejected(parse, text, key):
+    # json keeps the last of a repeated key: a typo would run another config
+    with pytest.raises(ConfigError, match=f"^key '{key}' appears twice in one object$"):
+        parse(text)
+
+
+def test_repeated_override_is_last_wins():
+    assert apply_overrides(SimConfig(), ["ivd_m=400", "ivd_m=40"]).ivd_m == 40.0
 
 
 def test_campaign_parse_rejects_empty_sweep():

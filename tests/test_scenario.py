@@ -15,8 +15,9 @@ def test_vehicles_per_lane():
 
 
 def test_ue_per_gnb_formula():
-    assert scenario.ue_per_gnb_count(1732, 20, 6) == 86 * 6
-    assert scenario.ue_per_gnb_count(1732, 10, 6) == 173 * 6
+    # a cell holds the lane formula over its segment, times the six lanes
+    assert scenario.cell_populations(SimConfig(ivd_m=20.0)) == (86 * 6,) * 3
+    assert scenario.cell_populations(SimConfig(ivd_m=10.0)) == (173 * 6,) * 3
 
 
 def _deployment(seed=0, **kwargs):
