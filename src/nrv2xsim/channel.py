@@ -64,16 +64,13 @@ def pathloss_db(distance_m, tx_height_m: float, rx_height_m: float, fc_ghz: floa
 
 
 def shadowing_db(rng: np.random.Generator, sigma_db: float, size=None):
-    """Zero-mean log-normal shadowing draw(s) in dB.
+    """Zero-mean log-normal shadowing draw(s) in dB of a finite sigma_db >= 0.
 
     Standard normal draws scaled in place: the values and end state of
     ``rng.normal(0.0, sigma_db, size)``, which numpy computes as
-    0.0 + sigma_db * z.  At sigma_db 0 a
-    draw may be -0.0, which the link budget's subtraction does not tell from
-    0.0.  A negative or NaN sigma_db raises ValueError.
+    0.0 + sigma_db * z.  At sigma_db 0 a draw may be -0.0, which the link
+    budget's subtraction does not tell from 0.0.
     """
-    if not sigma_db >= 0.0:
-        raise ValueError(f"shadowing sigma must be >= 0 dB, got {sigma_db}")
     draws = rng.standard_normal(size)
     draws *= sigma_db
     return draws

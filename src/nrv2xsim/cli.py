@@ -117,7 +117,7 @@ def _cmd_capacity(args) -> int:
     cfg = _resolve_config(args)
     plan = phy.build_resource_plan(cfg)
     entries = [
-        ("bandwidth_mhz", format(cfg.bandwidth_mhz, "g")),
+        ("bandwidth_mhz", metrics._decimal(cfg.bandwidth_mhz)),
         ("mu", str(cfg.mu)),
         ("scs_khz", str(phy.scs_khz(cfg.mu))),
         ("slots_per_second", str(phy.slots_per_second(cfg.mu))),

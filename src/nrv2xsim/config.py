@@ -3,8 +3,9 @@
 A run is described by a flat JSON object whose keys match the ``SimConfig``
 field names one-to-one.  A campaign wraps a base config with sweep axes and
 a seed list; ``expand_campaign`` turns it into the ordered cartesian product
-of per-run configs.  A SimConfig checks its fields when it is built, so
-every config is one the model can simulate.
+of per-run configs.  A SimConfig checks its fields and a CampaignSpec its
+axes when it is built, whether parsed, built in code or made by replace,
+so every config is one the model can simulate.
 """
 
 from __future__ import annotations
@@ -88,9 +89,8 @@ class SimConfig:
                 f"last cell is {last_cell_m} m, longer than isd_m {self.isd_m} m: "
                 "highway_length_m must be at most num_gnb * isd_m"
             )
-        if self.mu not in phy.PRB_TABLE_MUS:
-            raise ConfigError(f"mu out of FR1 sidelink range: {self.mu} (allowed: 0, 1, 2)")
         try:
+            phy.scs_khz(self.mu)
             phy.prb_count(self.bandwidth_mhz, self.mu)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -122,7 +122,10 @@ def _as_int(name: str, value):
 def _as_float(name: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     # -0.0 becomes 0.0, so that a signed zero simulates and fingerprints as
@@ -204,15 +207,6 @@ def apply_overrides(cfg: SimConfig, pairs: list[str]) -> SimConfig:
     return config_from_dict(doc)
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    """A base config plus sweep axes: campaign key -> values, each key one of
-    ``_SWEEP_AXES``.  An absent axis stays at the base value."""
-
-    base: SimConfig
-    axes: dict[str, tuple] = field(default_factory=dict)
-
-
 # campaign key -> the SimConfig field it sweeps, outermost axis first
 _SWEEP_AXES = {
     "sweep_ivd_m": "ivd_m",
@@ -222,16 +216,34 @@ _SWEEP_AXES = {
     "sweep_l2sm_delta_db": "l2sm_delta_db",
     "seeds": "seed",
 }
-_CAMPAIGN_KEYS = ("base", *_SWEEP_AXES)
 
 
-def _parse_axis(name: str, values) -> tuple:
-    if not isinstance(values, list):
-        raise ConfigError(f"{name} must be a list")
-    if not values:
-        raise ConfigError(f"empty sweep list: {name}")
-    target = _SWEEP_AXES[name]
-    return tuple(_COERCERS[_FIELD_KINDS[target]](target, v) for v in values)
+@dataclass(frozen=True)
+class CampaignSpec:
+    """A base config plus sweep axes: campaign key -> values, each key one of
+    ``_SWEEP_AXES``.  An absent axis stays at the base value."""
+
+    base: SimConfig
+    axes: dict[str, tuple] = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Type each axis like its field; raise ConfigError on an unknown key, an
+        empty axis or a value listed twice (it would pool one sample twice)."""
+        unknown = sorted(set(self.axes) - set(_SWEEP_AXES))
+        if unknown:
+            raise ConfigError(f"unknown campaign key(s): {', '.join(unknown)} "
+                              "(flat config keys belong under 'base')")
+        axes = {}
+        for key, values in self.axes.items():
+            name = _SWEEP_AXES[key]
+            values = tuple(_COERCERS[_FIELD_KINDS[name]](name, v) for v in values)
+            if not values:
+                raise ConfigError(f"empty sweep list: {key}")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{key} lists {value!r} twice")
+            axes[key] = values
+        object.__setattr__(self, "axes", axes)
 
 
 def parse_campaign(text: str) -> CampaignSpec:
@@ -239,31 +251,20 @@ def parse_campaign(text: str) -> CampaignSpec:
     doc = _load(text, "campaign")
     if not isinstance(doc, dict):
         raise ConfigError("campaign document must be a JSON object")
-    if not any(key in doc for key in _CAMPAIGN_KEYS):
+    if set(doc).isdisjoint({"base", *_SWEEP_AXES}):
         return CampaignSpec(base=config_from_dict(doc))
-    unknown = sorted(set(doc) - set(_CAMPAIGN_KEYS))
-    if unknown:
-        raise ConfigError(
-            f"unknown campaign key(s): {', '.join(unknown)} "
-            "(flat config keys belong under 'base')"
-        )
     base = config_from_dict(doc.get("base", {}))
-    axes = {name: _parse_axis(name, doc[name]) for name in _SWEEP_AXES if name in doc}
+    axes = {key: values for key, values in doc.items() if key != "base"}
+    for key, values in axes.items():
+        if key in _SWEEP_AXES and not isinstance(values, list):
+            raise ConfigError(f"{key} must be a list")
     return CampaignSpec(base=base, axes=axes)
 
 
 def expand_campaign(spec: CampaignSpec) -> list[tuple[SimConfig, int]]:
-    """Expand to the ordered (config, seed) list: ivd, mu, tf, retx, delta, seed.
-    Raises ConfigError if an axis lists one value twice: its runs would be
-    pooled as separate samples."""
-    axes = [spec.axes.get(key) or (getattr(spec.base, name),)
+    """Expand to the ordered (config, seed) list: ivd, mu, tf, retx, delta, seed."""
+    axes = [spec.axes.get(key, (getattr(spec.base, name),))
             for key, name in _SWEEP_AXES.items()]
-    for key, values in zip(_SWEEP_AXES, axes):
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ConfigError(f"{key} lists {value!r} twice")
-    runs = []
-    for point in itertools.product(*axes):
-        cfg = replace(spec.base, **dict(zip(_SWEEP_AXES.values(), point)))
-        runs.append((cfg, cfg.seed))
-    return runs
+    configs = [replace(spec.base, **dict(zip(_SWEEP_AXES.values(), point)))
+               for point in itertools.product(*axes)]
+    return [(cfg, cfg.seed) for cfg in configs]

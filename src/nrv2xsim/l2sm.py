@@ -83,12 +83,21 @@ class _CurveIndex:
 
 @dataclass(frozen=True, eq=False)
 class BlerTable:
-    """Per-MCS (snr_db, bler) curves, validated, each with its lookup index."""
+    """Per-MCS (snr_db, bler) curves of exactly MCS 1..15, validated, each with
+    its lookup index."""
 
     curves: dict[int, tuple[np.ndarray, np.ndarray]]
     _index: dict[int, _CurveIndex] = field(init=False, repr=False)
 
     def __post_init__(self):
+        extra = sorted(set(self.curves) - set(range(MCS_MIN, MCS_MAX + 1)))
+        if extra:
+            raise ValueError(f"mcs out of range 1..15: {', '.join(map(str, extra))}")
+        missing = [m for m in range(MCS_MIN, MCS_MAX + 1) if m not in self.curves]
+        if len(missing) == MCS_MAX:
+            raise ValueError("missing MCS 1..15 (empty table)")
+        if missing:
+            raise ValueError(f"missing MCS: {', '.join(map(str, missing))}")
         curves = {}
         for mcs, (snr, bler) in self.curves.items():
             # + 0.0 reads a -0.0 BLER as 0.0, the one value whose sign the
@@ -98,9 +107,6 @@ class BlerTable:
             curves[mcs] = (snr, bler)
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "_index", {m: _CurveIndex(*c) for m, c in curves.items()})
-
-    def mcs_indices(self) -> list[int]:
-        return sorted(self.curves)
 
 
 def _logistic_bler(snr_db: np.ndarray, mcs: int) -> np.ndarray:
@@ -140,10 +146,7 @@ def _validate_curve(mcs: int, snr: np.ndarray, bler: np.ndarray) -> None:
 def load_table(handle) -> BlerTable:
     """Load and validate a curve table from an open text file."""
     reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("missing MCS 1..15 (empty table)") from None
+    header = next(reader, CSV_HEADER)  # an empty file is a table of no rows
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise ValueError(f"expected header 'mcs,snr_db,bler', got {header!r}")
     points: dict[int, list[tuple[float, float]]] = {}
@@ -161,11 +164,6 @@ def load_table(handle) -> BlerTable:
         if not MCS_MIN <= mcs <= MCS_MAX:
             raise ValueError(f"line {lineno}: mcs out of range 1..15: {mcs}")
         points.setdefault(mcs, []).append((snr, bler))
-    missing = [m for m in range(MCS_MIN, MCS_MAX + 1) if m not in points]
-    if len(missing) == MCS_MAX:
-        raise ValueError("missing MCS 1..15 (empty table)")
-    if missing:
-        raise ValueError(f"missing MCS: {', '.join(map(str, missing))}")
     return BlerTable(curves={
         mcs: (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
         for mcs, rows in points.items()
@@ -175,7 +173,7 @@ def load_table(handle) -> BlerTable:
 def dump_table(table: BlerTable, handle) -> None:
     """Write a table in the loadable CSV format, sorted by (mcs, snr_db)."""
     handle.write("mcs,snr_db,bler\n")
-    for mcs in table.mcs_indices():
+    for mcs in range(MCS_MIN, MCS_MAX + 1):
         snr, bler = table.curves[mcs]
         for s, b in zip(snr, bler):
             handle.write(f"{mcs},{float(s)!r},{float(b)!r}\n")
@@ -207,9 +205,7 @@ def bler_lookup(table: BlerTable, mcs: int, sinr_db, delta_db: float = 0.0) -> n
 
     Raises ValueError on a NaN sum rather than returning a BLER for it.
     """
-    index = table._index.get(int(mcs))
-    if index is None:
-        raise ValueError(f"unknown mcs: {mcs}")
+    index = table._index[mcs]
     values = np.asarray(sinr_db, dtype=float)
     return index.lookup(values.reshape(-1), delta_db).reshape(values.shape)
 

@@ -122,8 +122,13 @@ RUN_CSV_HEADER = (
 )
 
 
+def _decimal(value: float) -> str:
+    """The shortest decimal that reads back as value, without a trailing ".0"."""
+    return repr(value).removesuffix(".0")
+
+
 def _key_cells(key: RunKey) -> str:
-    return ",".join(format(v, "g") if isinstance(v, float) else str(v)
+    return ",".join(_decimal(v) if isinstance(v, float) else str(v)
                     for v in astuple(key))
 
 

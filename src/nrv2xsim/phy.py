@@ -37,9 +37,9 @@ PRB_TABLE_MUS = (0, 1, 2)
 
 
 def scs_khz(mu: int) -> int:
-    """Subcarrier spacing in kHz for numerology index mu (0..2)."""
+    """Subcarrier spacing in kHz for numerology index mu; raises unless mu is 0..2."""
     if mu not in PRB_TABLE_MUS:
-        raise ValueError(f"mu must be in 0..2, got {mu}")
+        raise ValueError(f"mu out of FR1 sidelink range: {mu} (allowed: 0, 1, 2)")
     return 15 * 2**mu
 
 

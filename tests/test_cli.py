@@ -111,7 +111,7 @@ def test_tables_bler_dump_loads_back(capsys, tmp_path):
 
     with open(path, newline="") as handle:
         table = l2sm.load_table(handle)
-    assert table.mcs_indices() == list(range(1, 16))
+    assert sorted(table.curves) == list(range(1, 16))
 
 
 def test_run_writes_csv_and_dumps(tmp_path, capsys):
@@ -183,6 +183,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "mu" in err
+    # an integer beyond the float range is a config error, not a traceback
+    code = cli.main(["capacity", "--set", "ivd_m=" + "9" * 400])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: ivd_m must be finite")
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):

@@ -13,8 +13,8 @@ from nrv2xsim.config import SimConfig, config_fingerprint
 
 def test_default_table_covers_all_mcs():
     table = l2sm.default_bler_table()
-    assert table.mcs_indices() == list(range(1, 16))
-    for mcs in table.mcs_indices():
+    assert sorted(table.curves) == list(range(1, 16))
+    for mcs in table.curves:
         snr, bler = table.curves[mcs]
         assert np.all(np.diff(snr) > 0)
         assert np.all(np.diff(bler) <= 0)
@@ -48,8 +48,17 @@ def test_load_rejects_empty():
 
 def test_load_rejects_partial():
     rows = ["mcs,snr_db,bler", "1,0.0,0.5", "1,1.0,0.4"]
-    with pytest.raises(ValueError, match="missing MCS"):
+    with pytest.raises(ValueError, match="^missing MCS: 2, 3, 4, 5, 6, 7, 8, 9, 10"):
         l2sm.load_table(io.StringIO("\n".join(rows)))
+    # a table built in code holds exactly MCS 1..15 too: bler_lookup has no
+    # curve for any other index
+    curve = (np.array([0.0, 1.0]), np.array([0.5, 0.4]))
+    with pytest.raises(ValueError, match="^missing MCS: 15$"):
+        l2sm.BlerTable(curves={m: curve for m in range(1, 15)})
+    with pytest.raises(ValueError, match="^missing MCS 1..15 \\(empty table\\)$"):
+        l2sm.BlerTable(curves={})
+    with pytest.raises(ValueError, match="^mcs out of range 1..15: 16$"):
+        l2sm.BlerTable(curves={m: curve for m in range(1, 17)})
 
 
 def test_load_rejects_bad_header():
@@ -214,7 +223,7 @@ def test_lookup_index_built_once_per_table(monkeypatch):
     assert len(built) == 15
     x = np.linspace(-20.0, 40.0, 1001)
     for _ in range(3):
-        for mcs in table.mcs_indices():
+        for mcs in table.curves:
             l2sm.bler_lookup(table, mcs, x, 3.0)
     assert len(built) == 15
 
@@ -226,11 +235,6 @@ def test_lookup_constant_extrapolation():
     assert l2sm.bler_lookup(table, 5, np.array([snr[-1] + 100.0])) == bler[-1]
     assert bler[0] > 0.99
     assert bler[-1] < 1e-6
-
-
-def test_lookup_unknown_mcs():
-    with pytest.raises(ValueError, match="unknown mcs"):
-        l2sm.bler_lookup(l2sm.default_bler_table(), 16, np.array([0.0]))
 
 
 @given(
@@ -305,7 +309,7 @@ def test_active_table_uses_file(tmp_path):
         bler_table_path = str(path)
 
     loaded = l2sm.active_table(Cfg())
-    assert loaded.mcs_indices() == list(range(1, 16))
+    assert sorted(loaded.curves) == list(range(1, 16))
 
 
 def _three_point_table(mid_bler):

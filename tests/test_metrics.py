@@ -126,6 +126,21 @@ def test_sweep_csv_format(tmp_path):
     assert fields[9] == f"{700 / 1038:.6f}"
 
 
+@pytest.mark.parametrize("ivd_m, cell", [
+    (250.0000001, "250.0000001"), (123.4567891, "123.4567891"), (1234567.0, "1234567"),
+    (1e-05, "1e-05"), (2.5e16, "2.5e+16"),
+])
+def test_key_cells_read_back(tmp_path, ivd_m, cell):
+    # each float key cell is the shortest decimal that reads back as its
+    # value, so two sweep points never share a row's key
+    points = [SimConfig(ivd_m=ivd_m), SimConfig(ivd_m=math.nextafter(ivd_m, math.inf))]
+    path = tmp_path / "sweep.csv"
+    metrics.write_sweep_csv(metrics.aggregate(_result(c, 1, 0.5) for c in points), path)
+    cells = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert [float(cell) for cell in cells] == [c.ivd_m for c in points]
+    assert cells[0] == cell
+
+
 def test_run_csv_format(tmp_path):
     cfg = SimConfig(retx_scheme="nonequal:2", mu=2, bandwidth_mhz=20.0)
     result = RunResult(
