@@ -1,11 +1,25 @@
 #!/usr/bin/env python3
-"""Run every example campaign in campaigns/ and collect the CSVs in results/."""
+"""Run the example campaigns in campaigns/ as one pooled sweep; write each CSV to results/."""
 
 import argparse
 import pathlib
-import sys
 
-from nrv2xsim import cli
+from nrv2xsim import cli, metrics
+from nrv2xsim.config import expand_campaign, parse_campaign
+
+
+def _sweep_all(args) -> int:
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = sorted((root / "campaigns").glob("*.json"))
+    # every file is checked before any run starts or any CSV is written
+    campaigns = [expand_campaign(parse_campaign(path.read_text())) for path in paths]
+    outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for path, rows in zip(paths, cli.sweep_campaigns(campaigns, args.jobs)):
+        out = outdir / f"{path.stem}.csv"
+        metrics.write_sweep_csv(rows, out)
+        cli.log.info("wrote %s (%d sweep points)", out, len(rows))
+    return 0
 
 
 def main() -> int:
@@ -13,21 +27,7 @@ def main() -> int:
     parser.add_argument("--jobs", type=cli._jobs, default=0, metavar="N",
                         help="parallel workers (default 0: all cores)")
     parser.add_argument("--outdir", default="results")
-    args = parser.parse_args()
-
-    root = pathlib.Path(__file__).resolve().parent.parent
-    outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for campaign in sorted((root / "campaigns").glob("*.json")):
-        out = outdir / f"{campaign.stem}.csv"
-        argv = ["sweep", "--config", str(campaign), "--out", str(out)]
-        if args.jobs:
-            argv += ["--jobs", str(args.jobs)]
-        print(f"== {campaign.name} -> {out}", file=sys.stderr)
-        code = cli.main(argv)
-        if code != 0:
-            return code
-    return 0
+    return cli.run_command(_sweep_all, parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 from . import engine, l2sm, metrics, phy, scenario
 from .config import (
@@ -27,13 +28,8 @@ from .config import (
 log = logging.getLogger("nrv2xsim")
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r") as f:
-        return f.read()
-
-
 def _resolve_config(args) -> SimConfig:
-    cfg = parse_config(_read_text(args.config)) if args.config else SimConfig()
+    cfg = parse_config(Path(args.config).read_text()) if args.config else SimConfig()
     if args.overrides:
         cfg = apply_overrides(cfg, args.overrides)
     return cfg
@@ -82,32 +78,37 @@ def _run_groups(groups, jobs: int):
     if jobs == 1:
         yield from map(_sweep_worker, groups)
         return
-    chunk = max(1, len(groups) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_sweep_worker, groups, chunksize=chunk)
+        yield from pool.map(_sweep_worker, groups)
+
+
+def sweep_campaigns(campaigns, jobs: int) -> list[list[metrics.SweepRow]]:
+    """Each expanded campaign's sweep rows, from one pool that runs each distinct config once."""
+    configs = list(dict.fromkeys(cfg for runs in campaigns for cfg, _ in runs))
+    groups = engine.sinr_groups(configs)
+    # a worker beyond the group count would only be forked and left idle
+    jobs = min(jobs or os.cpu_count() or 1, len(groups))
+    log.info("expanding campaign: %d runs in %d SINR groups, %d worker(s)",
+             len(configs), len(groups), jobs)
+    results = {}
+    start = time.perf_counter()
+    for group, group_results in zip(groups, _run_groups(groups, jobs)):
+        results.update(zip(group, group_results))
+        elapsed = time.perf_counter() - start
+        eta = elapsed * (len(configs) - len(results)) / len(results)
+        log.info("progress: %d/%d runs, %.1f s elapsed, ETA %.1f s",
+                 len(results), len(configs), elapsed, eta)
+    # aggregate sorts its rows, so the order of the results does not matter
+    return [metrics.aggregate(results[cfg] for cfg, _ in runs) for runs in campaigns]
 
 
 def _cmd_sweep(args) -> int:
-    campaign = parse_campaign(_read_text(args.config) if args.config else "{}")
+    campaign = parse_campaign(Path(args.config).read_text() if args.config else "{}")
     if args.overrides:
         campaign = replace(campaign, base=apply_overrides(campaign.base, args.overrides))
     runs = expand_campaign(campaign)
     _check_out_dir(args.out, "--out")
-    groups = engine.sinr_groups(cfg for cfg, _ in runs)
-    # a worker beyond the group count would only be forked and left idle
-    jobs = min(args.jobs or os.cpu_count() or 1, len(groups))
-    log.info("expanding campaign: %d runs in %d SINR groups, %d worker(s)",
-             len(runs), len(groups), jobs)
-    results = []
-    start = time.perf_counter()
-    for group_results in _run_groups(groups, jobs):
-        results.extend(group_results)
-        elapsed = time.perf_counter() - start
-        eta = elapsed * (len(runs) - len(results)) / len(results)
-        log.info("progress: %d/%d runs, %.1f s elapsed, ETA %.1f s",
-                 len(results), len(runs), elapsed, eta)
-    # aggregate sorts its rows, so the order of the results does not matter
-    rows = metrics.aggregate(results)
+    (rows,) = sweep_campaigns([runs], args.jobs)
     metrics.write_sweep_csv(rows, args.out)
     log.info("wrote %s (%d sweep points)", args.out, len(rows))
     return 0
@@ -220,14 +221,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_command(args.func, args)
+
+
+def run_command(func, args) -> int:
+    """func(args) logging to stderr, where an error is one line and status 1."""
     if not log.handlers:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(message)s"))
         log.addHandler(handler)
         log.setLevel(logging.INFO)
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

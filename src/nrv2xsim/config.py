@@ -92,6 +92,7 @@ class SimConfig:
         try:
             phy.scs_khz(self.mu)
             phy.prb_count(self.bandwidth_mhz, self.mu)
+            phy.phase_shares(self.retx_scheme)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.l2sm_delta_db not in L2SM_DELTA_VALUES_DB:
@@ -101,10 +102,6 @@ class SimConfig:
         # the pathloss model needs a positive effective antenna height (h - 1 m)
         if self.ue_height_m <= 1.0:
             raise ConfigError(f"ue_height_m must exceed 1 m, got {self.ue_height_m}")
-        try:
-            phy.phase_shares(self.retx_scheme)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
 
 # field name -> annotation ("int", "float", "str" or "str | None")
@@ -171,7 +168,9 @@ def _load(text: str, kind: str):
     """Decode JSON, rejecting a key repeated within an object: json keeps the last."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ConfigError:  # a repeated key
+        raise
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond 4300 digits
         raise ConfigError(f"malformed {kind} document: {exc}") from None
 
 
@@ -201,7 +200,7 @@ def apply_overrides(cfg: SimConfig, pairs: list[str]) -> SimConfig:
             raise ConfigError(f"override must be key=value, got {pair!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw  # bare strings such as retx_scheme=equal
         doc[key] = value
     return config_from_dict(doc)
@@ -227,14 +226,16 @@ class CampaignSpec:
     axes: dict[str, tuple] = field(default_factory=dict)
 
     def __post_init__(self):
-        """Type each axis like its field; raise ConfigError on an unknown key, an
-        empty axis or a value listed twice (it would pool one sample twice)."""
+        """Type each axis like its field; raise ConfigError on an unknown key, a
+        non-list or empty axis or a value listed twice (it would pool one sample twice)."""
         unknown = sorted(set(self.axes) - set(_SWEEP_AXES))
         if unknown:
             raise ConfigError(f"unknown campaign key(s): {', '.join(unknown)} "
                               "(flat config keys belong under 'base')")
         axes = {}
         for key, values in self.axes.items():
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{key} must be a list")
             name = _SWEEP_AXES[key]
             values = tuple(_COERCERS[_FIELD_KINDS[name]](name, v) for v in values)
             if not values:
@@ -255,9 +256,6 @@ def parse_campaign(text: str) -> CampaignSpec:
         return CampaignSpec(base=config_from_dict(doc))
     base = config_from_dict(doc.get("base", {}))
     axes = {key: values for key, values in doc.items() if key != "base"}
-    for key, values in axes.items():
-        if key in _SWEEP_AXES and not isinstance(values, list):
-            raise ConfigError(f"{key} must be a list")
     return CampaignSpec(base=base, axes=axes)
 
 

@@ -50,14 +50,15 @@ from .config import SimConfig, config_fingerprint
 # table).  Runs that differ only in these share a drop's deployment and link
 # search, and the runs of one schedule signature its interference
 # (_drop_counts).
-POST_PASS_FIELDS = ("mu", "tf_hz", "retx_scheme", "l2sm_delta_db", "bler_table_path")
+POST_PASS_FIELDS = ("bandwidth_mhz", "mu", "tf_hz", "retx_scheme", "l2sm_delta_db",
+                    "bler_table_path")
 _POST_PASS_DEFAULTS = {name: getattr(SimConfig(), name) for name in POST_PASS_FIELDS}
 
 
 def _pass_config(cfg: SimConfig) -> SimConfig:
     """cfg with every post-pass field at its default: runs whose pass
     configs are equal, the seed included, can share one SINR pass.  Never
-    raises: mu 0 has a PRB entry at every bandwidth a config may hold."""
+    raises: the defaults' (10 MHz, mu 0) PRB entry is always defined."""
     return replace(cfg, **_POST_PASS_DEFAULTS)
 
 

@@ -187,6 +187,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = cli.main(["capacity", "--set", "ivd_m=" + "9" * 400])
     assert code == 1
     assert capsys.readouterr().err.startswith("config error: ivd_m must be finite")
+    # and so is one beyond json's 4300-digit limit, in --set, a config file
+    # or a campaign file
+    huge = "9" * 5000
+    code = cli.main(["capacity", "--set", "ivd_m=" + huge])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: ivd_m must be a number")
+    for verb, kind, text in (("capacity", "config", '{"ivd_m": %s}'),
+                             ("sweep", "campaign", '{"sweep_ivd_m": [%s]}')):
+        bad.write_text(text % huge)
+        code = cli.main([verb, "--config", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: malformed {kind} document")
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):
@@ -295,6 +307,39 @@ def test_sweep_logs_progress_per_group(tmp_path, capsys, caplog, jobs):
                           for result, _ in engine.execute_run([cfg])), alone
     )
     assert out.read_bytes() == alone.read_bytes()
+
+
+def test_pooled_campaigns_give_the_bytes_of_each_sweep(tmp_path, capsys, caplog, monkeypatch):
+    # three tiny campaigns of one pass config: the first two share their
+    # (10 MHz, mu 0, "none") run, and the third runs at 20 MHz, a field that
+    # acts only after the pass
+    base = {"highway_length_m": 1732, "num_gnb": 1, "ivd_m": 200}
+    campaigns = [{"base": base, "sweep_mu": [0, 1], "seeds": [1]},
+                 {"base": base, "sweep_retx": ["none", "equal"], "seeds": [1]},
+                 {"base": {**base, "bandwidth_mhz": 20}, "sweep_mu": [0, 2], "seeds": [1]}]
+    alone = []
+    for i, campaign in enumerate(campaigns):
+        cfg_path = tmp_path / f"campaign{i}.json"
+        cfg_path.write_text(json.dumps(campaign))
+        alone.append(tmp_path / f"alone{i}.csv")
+        code, _ = run_cli(["sweep", "--config", str(cfg_path), "--out", str(alone[-1]),
+                           "--jobs", "1"], capsys)
+        assert code == 0
+    groups = []
+    execute_run = engine.execute_run
+    monkeypatch.setattr(engine, "execute_run",
+                        lambda members: groups.append(len(members)) or execute_run(members))
+    caplog.set_level(logging.INFO, logger="nrv2xsim")
+    pooled = cli.sweep_campaigns(
+        [expand_campaign(parse_campaign(json.dumps(c))) for c in campaigns], 1)
+    # one SINR group of the five distinct runs: the shared run runs once
+    assert groups == [5]
+    assert "expanding campaign: 5 runs in 1 SINR groups, 1 worker(s)" in caplog.messages
+    assert any(m.startswith("progress: 5/5 runs") for m in caplog.messages)
+    for rows, path in zip(pooled, alone, strict=True):
+        out = tmp_path / "pooled.csv"
+        metrics.write_sweep_csv(rows, out)
+        assert out.read_bytes() == path.read_bytes()
 
 
 # a campaign of two SINR groups (one per spacing) and one of a single group
@@ -484,4 +529,26 @@ def test_run_campaigns_script_rejects_negative_jobs(tmp_path):
     assert proc.returncode == 2
     assert "must be an integer >= 0" in proc.stderr
     assert "==" not in proc.stderr
+    assert not outdir.exists()
+
+
+def test_run_campaigns_script_checks_every_file_before_running(tmp_path):
+    # a bad campaign file, even the last, fails the script before any run
+    # starts or any CSV is written
+    (tmp_path / "scripts").mkdir()
+    script = tmp_path / "scripts" / "run_campaigns.py"
+    script.write_text((ROOT / "scripts" / "run_campaigns.py").read_text())
+    (tmp_path / "campaigns").mkdir()
+    (tmp_path / "campaigns" / "a.json").write_text(json.dumps(ONE_GROUP))
+    (tmp_path / "campaigns" / "b.json").write_text('{"sweep_mu": [0, 9]}')
+    outdir = tmp_path / "results"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--jobs", "1", "--outdir", str(outdir)],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: mu out of FR1 sidelink range: 9")
+    assert "expanding campaign" not in proc.stderr
     assert not outdir.exists()

@@ -337,6 +337,14 @@ def test_campaign_parse_rejects_empty_sweep():
     # an empty axis would expand to no runs or, built in code, to the base alone
     with pytest.raises(ConfigError, match="^empty sweep list: sweep_mu$"):
         CampaignSpec(base=SimConfig(), axes={"sweep_mu": ()})
+    # nor is a scalar or a string axis, parsed or built in code: a string
+    # would sweep its letters
+    for axes in ({"seeds": 5}, {"sweep_retx": "equal"}):
+        (key,) = axes
+        with pytest.raises(ConfigError, match=f"^{key} must be a list$"):
+            parse_campaign(json.dumps(axes))
+        with pytest.raises(ConfigError, match=f"^{key} must be a list$"):
+            CampaignSpec(base=SimConfig(), axes=axes)
 
 
 def test_campaign_parse_rejects_stray_keys():
