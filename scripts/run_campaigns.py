@@ -15,7 +15,8 @@ def _sweep_all(args) -> int:
     campaigns = [expand_campaign(parse_campaign(path.read_text())) for path in paths]
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for path, rows in zip(paths, cli.sweep_campaigns(campaigns, args.jobs)):
+    for path, results in zip(paths, cli.sweep_campaigns(campaigns, args.jobs)):
+        rows = metrics.aggregate(results)
         out = outdir / f"{path.stem}.csv"
         metrics.write_sweep_csv(rows, out)
         cli.log.info("wrote %s (%d sweep points)", out, len(rows))

@@ -82,8 +82,8 @@ def _run_groups(groups, jobs: int):
         yield from pool.map(_sweep_worker, groups)
 
 
-def sweep_campaigns(campaigns, jobs: int) -> list[list[metrics.SweepRow]]:
-    """Each expanded campaign's sweep rows, from one pool that runs each distinct config once."""
+def sweep_campaigns(campaigns, jobs: int) -> list[list[metrics.RunResult]]:
+    """Each expanded campaign's RunResults, in order, from one pool that runs each config once."""
     configs = list(dict.fromkeys(cfg for runs in campaigns for cfg, _ in runs))
     groups = engine.sinr_groups(configs)
     # a worker beyond the group count would only be forked and left idle
@@ -98,8 +98,7 @@ def sweep_campaigns(campaigns, jobs: int) -> list[list[metrics.SweepRow]]:
         eta = elapsed * (len(configs) - len(results)) / len(results)
         log.info("progress: %d/%d runs, %.1f s elapsed, ETA %.1f s",
                  len(results), len(configs), elapsed, eta)
-    # aggregate sorts its rows, so the order of the results does not matter
-    return [metrics.aggregate(results[cfg] for cfg, _ in runs) for runs in campaigns]
+    return [[results[cfg] for cfg, _ in runs] for runs in campaigns]
 
 
 def _cmd_sweep(args) -> int:
@@ -108,7 +107,8 @@ def _cmd_sweep(args) -> int:
         campaign = replace(campaign, base=apply_overrides(campaign.base, args.overrides))
     runs = expand_campaign(campaign)
     _check_out_dir(args.out, "--out")
-    (rows,) = sweep_campaigns([runs], args.jobs)
+    (results,) = sweep_campaigns([runs], args.jobs)
+    rows = metrics.aggregate(results)
     metrics.write_sweep_csv(rows, args.out)
     log.info("wrote %s (%d sweep points)", args.out, len(rows))
     return 0

@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, fields, replace
 
 from . import l2sm, phy
@@ -112,13 +113,13 @@ def _as_int(name: str, value):
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
 def _as_float(name: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {reprlib.repr(value)}")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -132,13 +133,13 @@ def _as_float(name: str, value):
 
 def _as_str(name: str, value):
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {reprlib.repr(value)}")
     return value
 
 
 def _as_optional_str(name: str, value):
     if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string or null, got {value!r}")
+        raise ConfigError(f"{name} must be a string or null, got {reprlib.repr(value)}")
     return value
 
 
@@ -179,14 +180,12 @@ def parse_config(text: str) -> SimConfig:
     return config_from_dict(_load(text, "config"))
 
 
-def config_fingerprint(cfg: SimConfig) -> str:
-    """Short stable digest of every field except the seed, and of the BLER
-    table file's contents when ``bler_table_path`` is set."""
+def config_fingerprint(cfg: SimConfig, table: l2sm.BlerTable | None = None) -> str:
+    """Short stable digest of every field except the seed, and of the BLER table file's
+    bytes when ``bler_table_path`` is set: as table (a run's) records them, else as read now."""
     doc = {name: getattr(cfg, name) for name in _FIELD_KINDS if name != "seed"}
     if cfg.bler_table_path is not None:
-        doc["bler_table_sha256"] = hashlib.sha256(
-            l2sm.read_table_file(cfg.bler_table_path)
-        ).hexdigest()
+        doc["bler_table_sha256"] = (table or l2sm.active_table(cfg)).sha256
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

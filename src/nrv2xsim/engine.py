@@ -20,16 +20,16 @@ POST_PASS_FIELDS, and returns each run's RunResult with its drops.  Such
 runs share each drop's deployment, its grant orders and one link search
 over every transmitter any of them keeps.  Runs of one schedule signature
 also share the schedule and every link's signal and interference, and runs
-of one decision key their receptions.  The key is read from each run's
+of one decision key their success counts.  The key is read from each run's
 resource plan (noise power, phase MCS, combining, shift, BLER table):
 after deployment the engine reads the pass config and the plans, never a
 member config, so runs under two tables share one pass.  The pass keeps
 one linear SINR per (noise, phase), and the keys of a pass decide in one
 loop: one uniform draw per (decision, block of links) that every key
-reads, one dB SINR per (noise, combining), and one lookup per key, so
-every run's result is the one it gets alone.  One tiling, blocks
-of _TX_BLOCK transmitters, steps the link search, the SINR pass and the
-decisions alike.
+reads, one dB SINR per (noise, combining), and one lookup per key, summed
+per transmitter in the block, so every run's result is the one it gets
+alone.  One tiling, blocks of _TX_BLOCK transmitters, steps the link
+search, the SINR pass and the decisions alike.
 """
 
 from __future__ import annotations
@@ -159,6 +159,11 @@ class _LinkBatch:
         bounds = np.concatenate(([0], np.cumsum(self.counts)))
         return [(ts, slice(int(bounds[ts.start]), int(bounds[ts.stop])))
                 for ts in _tx_blocks(self.tx_ids.size)]
+
+    @cached_property
+    def heard(self) -> np.ndarray:
+        """Index of each transmitter with at least one link, ascending."""
+        return np.flatnonzero(self.counts)
 
     def rows(self, keep: np.ndarray) -> _LinkBatch:
         """The links of the transmitters where keep is True."""
@@ -312,32 +317,39 @@ def _decision_key(plan: phy.ResourcePlan) -> tuple:
 
 def _decide(plans: Sequence[phy.ResourcePlan], sinr: dict[float, np.ndarray],
             links: _LinkBatch, rng: np.random.Generator) -> dict:
-    """Reception of every link and decision, ``(decisions, links)``, of each
-    decision key of plans, from the pass's ``(phases, links)`` linear SINR
-    under each noise of plans (sinr[plan.noise_mw]).
+    """Successes ``(decisions, heard transmitters)`` int64 of each decision
+    key of plans, from the pass's ``(phases, links)`` linear SINR under each
+    noise of plans (sinr[plan.noise_mw]); heard transmitters: links.heard.
 
     One loop over (decision, block of links) serves every key, the blocks
     of transmitters the pass itself steps through.  The block's uniforms are
     drawn once from the post-pass stream and read by every key, its dB SINR
     is formed once per (noise, combining) into a fresh array, so no stored
     row changes, and each key adds only its lookup, in its own plan's table,
-    and its compare.  That is what each key's runs get alone: every step is
-    elementwise or a mean over the phases of one link, so a block holds the
-    bytes of the whole-array arithmetic; consecutive ``rng.random`` calls
-    yield the values of one call over their total size, so decision d of
-    every key reads the same uniforms, a combining key those of decision 0;
-    and nothing reads the stream after the decisions.
+    its compare and one sum per transmitter over its links: no reception
+    outlives its block.  That is what each key's runs get alone: every step
+    is elementwise or a mean over the phases of one link, so a block holds
+    the bytes of the whole-array arithmetic; consecutive ``rng.random``
+    calls yield the values of one call over their total size, so decision d
+    of every key reads the same uniforms, a combining key those of decision
+    0; and nothing reads the stream after the decisions.
     """
     deciders = {_decision_key(plan): plan for plan in plans}
     phases = len(plans[0].phase_mcs)
-    received = {key: np.empty((1 if plan.combining else phases, links.rx.size), dtype=bool)
-                for key, plan in deciders.items()}
-    for d in range(max(map(len, received.values()))):
-        for _, ls in links.blocks:
+    heard = links.heard
+    n = {key: np.empty((1 if plan.combining else phases, heard.size), dtype=np.int64)
+         for key, plan in deciders.items()}
+    # each block's links, its heard transmitters' columns of n, and their first links in it
+    first = np.cumsum(links.counts) - links.counts
+    spans = [slice(*np.searchsorted(heard, (ts.start, ts.stop))) for ts, _ in links.blocks]
+    blocks = [(ls, cols, first[heard[cols]] - ls.start)
+              for (_, ls), cols in zip(links.blocks, spans)]
+    for d in range(max(map(len, n.values()))):
+        for ls, cols, starts in blocks:
             uniforms = rng.random(ls.stop - ls.start)
             sinr_db = {}  # (noise, combining) -> the block's decision-d SINR in dB
             for key, plan in deciders.items():
-                if d >= len(received[key]):
+                if d >= len(n[key]):
                     continue
                 at = plan.noise_mw, plan.combining
                 if at not in sinr_db:
@@ -345,17 +357,18 @@ def _decide(plans: Sequence[phy.ResourcePlan], sinr: dict[float, np.ndarray],
                     ratio = stored[:, ls].mean(axis=0) if plan.combining else stored[d, ls]
                     sinr_db[at] = db = np.log10(ratio)
                     db *= 10.0
-                received[key][d, ls] = l2sm.reception_draw(l2sm.bler_lookup(
+                received = l2sm.reception_draw(l2sm.bler_lookup(
                     plan.table, plan.phase_mcs[d], sinr_db[at], plan.shift_db), uniforms)
-    return received
+                n[key][d, cols] = np.add.reduceat(received, starts, dtype=np.int64)
+    return n
 
 
 def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
                     rng: np.random.Generator, plans: Sequence[phy.ResourcePlan],
                     links: _LinkBatch) -> dict:
     """One SINR pass over links, those of sched's transmitters, decided for
-    every decision key of plans: the ``(decisions, links)`` receptions of
-    each key.
+    every decision key of plans: the ``(decisions, heard transmitters)``
+    successes of each key (_decide).
 
     cfg is the pass config; plans share its phase count, so they share the
     signal and interference of every link (_phase_powers).  The pass keeps
@@ -379,8 +392,8 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
             np.divide(signal, row, out=row)
         interference += last
         signal /= interference
-    # freed before the decisions: a light pass peaks there, with every key's
-    # receptions alive
+    # freed before the decisions, which hold only one block's temporaries
+    # per key beside the SINR rows
     del interference
     return _decide(plans, sinr, links, rng)
 
@@ -426,30 +439,15 @@ def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
         sched = schedule_slots(dep, orders, members[0], stream)
         if union is None:
             union = _build_links(dep, np.flatnonzero(sched.assigned), cfg)
-        for i, dc in zip(idx, _signature_counts(cfg, dep, sched, stream, members, union)):
-            counts[i] = dc
-        # freed before the next schedule is drawn, as the signature's other
-        # arrays are: held across it, retx_mix peak RSS read 0.5 MB higher
-        del sched
+        keep = sched.assigned[union.tx_ids]
+        links = union if keep.all() else union.rows(keep)
+        n = _evaluate_links(cfg, dep, sched, stream, members, links)
+        tx_ids, m = links.tx_ids[links.heard], links.counts[links.heard]
+        for i, plan in zip(idx, members):
+            counts[i] = _DropCounts(dep=dep, tx_ids=tx_ids, m=m, n=n[_decision_key(plan)])
+        # freed before the next schedule is drawn (held, retx_mix RSS read +0.5 MB)
+        del sched, links
     return counts
-
-
-def _signature_counts(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
-                      rng: np.random.Generator, plans: Sequence[phy.ResourcePlan],
-                      union: _LinkBatch) -> list[_DropCounts]:
-    """Counts of plans that share the schedule sched: one SINR pass over the
-    links of union that sched keeps, whose arrays die before the next
-    signature's, and one reduction per decision key."""
-    keep = sched.assigned[union.tx_ids]
-    links = union if keep.all() else union.rows(keep)
-    received = _evaluate_links(cfg, dep, sched, rng, plans, links)
-    heard = links.counts > 0
-    m = links.counts[heard]
-    start = np.cumsum(m) - m
-    tx_ids = links.tx_ids[heard]
-    n = {key: np.add.reduceat(r, start, axis=1, dtype=np.int64) for key, r in received.items()}
-    return [_DropCounts(dep=dep, tx_ids=tx_ids, m=m, n=n[_decision_key(plan)])
-            for plan in plans]
 
 
 def _finalize(cfg: SimConfig, plan: phy.ResourcePlan,
@@ -464,7 +462,7 @@ def _finalize(cfg: SimConfig, plan: phy.ResourcePlan,
 
     return metrics.RunResult(
         key=metrics.RunKey.from_config(cfg),
-        fingerprint=config_fingerprint(cfg),
+        fingerprint=config_fingerprint(cfg, plan.table),
         seed=cfg.seed,
         prr_runtime=runtime,
         prr_max=plan.prr_max,

@@ -10,9 +10,10 @@ applied at lookup time.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -84,10 +85,11 @@ class _CurveIndex:
 @dataclass(frozen=True, eq=False)
 class BlerTable:
     """Per-MCS (snr_db, bler) curves of exactly MCS 1..15, validated, each with
-    its lookup index."""
+    its lookup index; sha256 is that of the file bytes they were loaded from."""
 
     curves: dict[int, tuple[np.ndarray, np.ndarray]]
     _index: dict[int, _CurveIndex] = field(init=False, repr=False)
+    sha256: str | None = None
 
     def __post_init__(self):
         extra = sorted(set(self.curves) - set(range(MCS_MIN, MCS_MAX + 1)))
@@ -180,8 +182,8 @@ def dump_table(table: BlerTable, handle) -> None:
 
 
 def read_table_file(path) -> bytes:
-    """A table file's bytes: their digest stands for the curves in the run
-    fingerprint, and they key the loaded-table cache."""
+    """A table file's bytes: they key the loaded-table cache, and the loaded
+    table's sha256 of them stands for the curves in the run fingerprint."""
     with open(path, "rb") as handle:
         return handle.read()
 
@@ -190,7 +192,8 @@ def read_table_file(path) -> bytes:
 # curves.
 @lru_cache(maxsize=8)
 def _loaded_table(data: bytes) -> BlerTable:
-    return load_table(io.StringIO(data.decode("utf-8"), newline=""))
+    table = load_table(io.StringIO(data.decode("utf-8"), newline=""))
+    return replace(table, sha256=hashlib.sha256(data).hexdigest())
 
 
 def active_table(cfg) -> BlerTable:

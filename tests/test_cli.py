@@ -192,7 +192,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     huge = "9" * 5000
     code = cli.main(["capacity", "--set", "ivd_m=" + huge])
     assert code == 1
-    assert capsys.readouterr().err.startswith("config error: ivd_m must be a number")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ivd_m must be a number, got '99")
+    # the echoed value is clipped: the message stays one short line
+    assert "..." in err and len(err) < 200
     for verb, kind, text in (("capacity", "config", '{"ivd_m": %s}'),
                              ("sweep", "campaign", '{"sweep_ivd_m": [%s]}')):
         bad.write_text(text % huge)
@@ -336,10 +339,25 @@ def test_pooled_campaigns_give_the_bytes_of_each_sweep(tmp_path, capsys, caplog,
     assert groups == [5]
     assert "expanding campaign: 5 runs in 1 SINR groups, 1 worker(s)" in caplog.messages
     assert any(m.startswith("progress: 5/5 runs") for m in caplog.messages)
-    for rows, path in zip(pooled, alone, strict=True):
+    for results, path in zip(pooled, alone, strict=True):
         out = tmp_path / "pooled.csv"
-        metrics.write_sweep_csv(rows, out)
+        metrics.write_sweep_csv(metrics.aggregate(results), out)
         assert out.read_bytes() == path.read_bytes()
+
+
+def test_pooled_campaigns_return_each_run_alone():
+    # per campaign, one RunResult per expanded run in expansion order, each
+    # the result of its config run alone, the shared run's in both campaigns
+    base = {"highway_length_m": 1732, "num_gnb": 1, "ivd_m": 200}
+    campaigns = [expand_campaign(parse_campaign(json.dumps(c))) for c in (
+        {"base": base, "sweep_mu": [0, 1], "sweep_l2sm_delta_db": [3, 0], "seeds": [2, 1]},
+        {"base": base, "sweep_retx": ["equal", "none"], "seeds": [1]})]
+    pooled = cli.sweep_campaigns(campaigns, 1)
+    assert [len(results) for results in pooled] == [8, 2]
+    for runs, results in zip(campaigns, pooled, strict=True):
+        for (cfg, _), result in zip(runs, results, strict=True):
+            ((alone, _),) = engine.execute_run([cfg])
+            assert result == alone
 
 
 # a campaign of two SINR groups (one per spacing) and one of a single group

@@ -46,8 +46,8 @@ def _setup(cfg, seed=0):
 
 
 def _evaluate_pass(cfg, dep, sched, rng, plans):
-    """The links of sched's transmitters and their receptions under plans,
-    from one _evaluate_links pass."""
+    """The links of sched's transmitters and each decision key's successes
+    under plans, from one _evaluate_links pass."""
     pass_cfg = engine._pass_config(cfg)
     links = engine._build_links(dep, np.flatnonzero(sched.assigned), pass_cfg)
     return links, engine._evaluate_links(pass_cfg, dep, sched, rng, plans, links)
@@ -227,15 +227,16 @@ def _powers(cfg, dep, sched, links, phases, rng):
     return signal, interference
 
 
-def _evaluate(cfg, seed=0):
+def _evaluate(cfg, seed=0, shifts=()):
     """Every granted transmitter of one drop through the engine's link stage:
-    its links, their receptions under cfg's plan, and the linear SINR of its
-    pass."""
+    its links, the successes of its heard transmitters under cfg's plan and
+    of each plan of shifts, and the linear SINR of its pass."""
     dep, plan, sched, rng = _setup(cfg, seed)
     pass_rng = copy.deepcopy(rng)
-    links, received = _evaluate_pass(cfg, dep, sched, rng, [plan])
+    plans = [plan, *(phy.build_resource_plan(replace(cfg, l2sm_delta_db=d)) for d in shifts)]
+    links, n = _evaluate_pass(cfg, dep, sched, rng, plans)
     ratio = _linear_sinr(cfg, dep, plan, sched, links, pass_rng)
-    return dep, plan, links, received[engine._decision_key(plan)], ratio
+    return dep, plan, links, [n[engine._decision_key(p)] for p in plans], ratio
 
 
 def _hand_drop_sinr(interferers, noise_density_dbm_hz=-174.0):
@@ -360,9 +361,10 @@ def test_dense_drop_memory_per_link():
 def test_three_noise_pass_memory_per_link(monkeypatch):
     # one light-load pass of three numerologies keeps one linear SINR per
     # (noise, phase) and peaks near 77.5 bytes per link: 12 kept + 3 * 2 * 8,
-    # plus the receptions and the light drop's fixed arrays.  Signal and
-    # interference per phase read 61.5 here: with three noises the SINR
-    # rows cost 16 bytes per link more, the price of the dense drop's 8 less
+    # plus one block's decision temporaries and the light drop's fixed
+    # arrays.  Signal and interference per phase read 61.5 here: with three
+    # noises the SINR rows cost 16 bytes per link more, the price of the
+    # dense drop's 8 less
     noises = []
     evaluate = engine._evaluate_links
 
@@ -389,6 +391,28 @@ def test_multi_signature_drop_memory_per_link():
     counts, peak = _traced_drop(members, engine._drop_seed(1, 0))
     assert len({(dc.n.shape[0], dc.tx_ids.size) for dc in counts}) > 1
     assert peak <= 48 * max(int(dc.m.sum()) for dc in counts)
+
+
+def test_dense_group_memory_flat_in_tables(tmp_path):
+    # each BLER table adds decision keys to the pass but no per-link array:
+    # every key keeps only its per-transmitter counts.  With each key's
+    # (decisions, links) receptions kept until every key had decided, the
+    # 16 keys of four tables peaked 8.8 MB above the 4 keys of one
+    tables = [None]
+    for i in (1, 2, 3):
+        path = tmp_path / f"table{i}.csv"
+        curves = {mcs: (snr + 0.5 * i, bler)
+                  for mcs, (snr, bler) in l2sm.default_bler_table().curves.items()}
+        with open(path, "w") as f:
+            l2sm.dump_table(l2sm.BlerTable(curves=curves), f)
+        tables.append(str(path))
+
+    def traced_peak(paths):
+        members = [replace(DENSE_DROP, l2sm_delta_db=d, bler_table_path=t)
+                   for t in paths for d in config.L2SM_DELTA_VALUES_DB]
+        return _traced_drop(members, 0)[1]
+
+    assert traced_peak(tables) <= traced_peak(tables[:1]) + 2_000_000
 
 
 def test_dense_drop_links_are_filled_in_place():
@@ -473,10 +497,15 @@ def test_equal_retx_combining_math():
 
 def test_equal_retx_outcome_shapes_and_delta():
     cfg = replace(NOISE_LIMITED, retx_scheme="equal", l2sm_delta_db=3.0)
-    _, plan, links, received, ratio = _evaluate(cfg)
-    n_links = links.tx.size
-    assert ratio.shape == (2, n_links)
-    assert received.shape == (1, n_links)  # (decisions, links)
+    _, plan, links, (with_shift, without), ratio = _evaluate(cfg, shifts=(0.0,))
+    heard = links.counts > 0
+    assert ratio.shape == (2, links.rx.size)
+    # one combined decision per heard transmitter: (decisions, heard)
+    assert with_shift.shape == without.shape == (1, np.count_nonzero(heard))
+    # on the uniforms of one pass a shift only adds successes, up to the
+    # transmitter's receivers
+    assert np.all(without <= with_shift) and np.all(with_shift <= links.counts[heard])
+    assert without.sum() < with_shift.sum()
     # shift dominance carried through the lookup
     table = l2sm.default_bler_table()
     mcs = plan.phase_mcs[0]
@@ -519,11 +548,13 @@ def test_raising_delta_never_hurts_on_fixed_seed():
 
 def test_nonequal_outcome_keeps_phase_decisions():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:2", l2sm_delta_db=5.0)
-    _, _, links, received, ratio = _evaluate(cfg)
-    n_links = links.tx.size
-    assert ratio.shape == (2, n_links)
-    assert received.shape == (2, n_links)  # (decisions, links)
-    assert received[0].any() and received[1].any()
+    _, _, links, (n,), ratio = _evaluate(cfg)
+    heard = links.counts > 0
+    assert ratio.shape == (2, links.rx.size)
+    assert n.shape == (2, np.count_nonzero(heard))  # (decisions, heard)
+    assert np.all(n <= links.counts[heard])
+    # both phases receive
+    assert n[0].any() and n[1].any()
 
 
 def test_execute_run_deterministic():
@@ -713,11 +744,11 @@ def test_one_uniform_draw_per_decision_and_chunk(retx, decisions, monkeypatch):
     dep, _, sched, rng = _setup(cfg)
     plans = [phy.build_resource_plan(replace(cfg, retx_scheme=r, l2sm_delta_db=delta))
              for r in retx for delta in (3.0, 5.0, 7.0)]
-    links, received = _evaluate_pass(cfg, dep, sched, rng, plans)
+    links, n = _evaluate_pass(cfg, dep, sched, rng, plans)
     blocks = len(links.blocks)
     assert blocks > 1 and links.tx_ids.size % engine._TX_BLOCK  # the last is partial
-    assert len(received) == len(plans)
-    assert len(seen) == sum(r.shape[0] for r in received.values()) * blocks
+    assert len(n) == len(plans)
+    assert len(seen) == sum(counts.shape[0] for counts in n.values()) * blocks
     assert len({id(u) for u in seen}) == decisions * blocks
 
 
@@ -800,6 +831,18 @@ def test_execute_run_builds_one_plan(monkeypatch):
     monkeypatch.setattr(phy, "build_resource_plan", counting)
     _run(replace(NOISE_LIMITED, ivd_m=200.0, drops=3), 7)
     assert len(calls) == 1
+
+
+def test_execute_run_reads_the_table_file_once(monkeypatch):
+    # the plan loads the table and the fingerprint takes the digest of the
+    # bytes it loaded: a second read could name a file rewritten in between
+    reads = []
+    read = l2sm.read_table_file
+    monkeypatch.setattr(l2sm, "read_table_file", lambda path: reads.append(path) or read(path))
+    cfg = replace(NOISE_LIMITED, ivd_m=200.0, bler_table_path=SATURATING)
+    ((result, _),) = engine.execute_run([cfg])
+    assert reads == [SATURATING]
+    assert result.fingerprint == config.config_fingerprint(cfg)
 
 
 def test_equal_retx_beats_single_tx_when_noise_limited():
