@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import reprlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,11 +49,18 @@ def _check_out_dir(path: str, flag: str) -> None:
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     samples_path = args.out + ".samples.csv"
-    _check_out_dir(args.out, "--out")
+    outputs = {"--out": args.out}
     if args.dump_samples:
-        _check_out_dir(samples_path, "--dump-samples")
+        outputs["--dump-samples"] = samples_path
     if args.dump_deployment is not None:
-        _check_out_dir(args.dump_deployment, "--dump-deployment")
+        outputs["--dump-deployment"] = args.dump_deployment
+    # each output its own file: a second write would replace the first
+    named = {}
+    for flag, path in outputs.items():
+        _check_out_dir(path, flag)
+        first = named.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ValueError(f"{flag} names the same file as {first}: {path}")
     ((result, counts),) = engine.execute_run([cfg])
     metrics.write_run_csv(result, args.out)
     log.info("wrote %s (fingerprint %s, seed %d)", args.out, result.fingerprint, result.seed)
@@ -176,7 +184,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _jobs(text: str) -> int:
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0 (0: all cores), got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0 (0: all cores), got {reprlib.repr(text)}")
     return int(text)
 
 

@@ -75,13 +75,16 @@ class SimConfig:
                      "carrier_freq_ghz", "bandwidth_mhz", "tf_hz",
                      "min_pathloss_distance_m", "max_mcs_efficiency"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(
+                    f"{name} must be positive, got {reprlib.repr(getattr(self, name))}")
         for name in ("lanes_per_direction", "num_gnb", "packet_size_bytes", "drops"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise ConfigError(
+                    f"{name} must be at least 1, got {reprlib.repr(getattr(self, name))}")
         for name in ("comm_range_m", "shadowing_sigma_db", "seed"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+                raise ConfigError(
+                    f"{name} must be non-negative, got {reprlib.repr(getattr(self, name))}")
         # cell k is the segment [k, k + 1) * isd_m and the last cell takes the rest
         # of the highway (scenario): a cell longer than isd_m is no cell of the model
         if self.highway_length_m > self.num_gnb * self.isd_m:

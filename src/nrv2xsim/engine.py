@@ -141,10 +141,12 @@ def _tx_blocks(num_tx: int) -> list[slice]:
 
 @dataclass(frozen=True, eq=False)
 class _LinkBatch:
-    """In-range links, tx-major with rx ascending per transmitter."""
+    """In-range links, tx-major with rx ascending per transmitter.  Only
+    transmitters with at least one link are held: one with no receiver in
+    range gives no PRR sample."""
 
-    tx_ids: np.ndarray        # the transmitters searched, in order
-    counts: np.ndarray        # links per transmitter
+    tx_ids: np.ndarray        # the transmitters with a link, in the order searched
+    counts: np.ndarray        # links per transmitter, each at least 1
     rx: np.ndarray            # receiver per link, int32
     pathloss_db: np.ndarray   # per link
 
@@ -154,16 +156,13 @@ class _LinkBatch:
         return np.repeat(self.tx_ids, self.counts)
 
     @cached_property
-    def blocks(self) -> list[tuple[slice, slice]]:
-        """(transmitter slice, link slice) of each block of transmitters."""
+    def blocks(self) -> list[tuple[slice, slice, np.ndarray]]:
+        """(transmitter slice, link slice, each transmitter's first link
+        within the link slice) of each block of transmitters."""
         bounds = np.concatenate(([0], np.cumsum(self.counts)))
-        return [(ts, slice(int(bounds[ts.start]), int(bounds[ts.stop])))
+        return [(ts, slice(int(bounds[ts.start]), int(bounds[ts.stop])),
+                 bounds[ts] - bounds[ts.start])
                 for ts in _tx_blocks(self.tx_ids.size)]
-
-    @cached_property
-    def heard(self) -> np.ndarray:
-        """Index of each transmitter with at least one link, ascending."""
-        return np.flatnonzero(self.counts)
 
     def rows(self, keep: np.ndarray) -> _LinkBatch:
         """The links of the transmitters where keep is True."""
@@ -174,14 +173,16 @@ class _LinkBatch:
 
 def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
                  cfg: SimConfig) -> _LinkBatch:
-    """Every receiver within comm_range_m of each transmitter, and its pathloss.
+    """Every receiver within comm_range_m of each transmitter, and its
+    pathloss, over the transmitters of tx_ids with at least one such receiver.
 
     generate_deployment numbers vehicles lane-major with x ascending inside
     each lane, so a transmitter's candidates in one lane are one contiguous id
     range, found by np.searchsorted on that lane's x.  Inside those windows
     the exact ``dx*dx + dy*dy <= range**2`` mask decides, as over every vehicle.
     Every vehicle is a candidate and each pathloss is elementwise, so the links
-    of a subset of tx_ids are the rows of its transmitters.
+    of a subset of tx_ids are the rows of its transmitters.  A transmitter
+    left out owns no link, so leaving it out moves no link.
     """
     x, y = dep.x_m, dep.y_m
     reach = float(cfg.comm_range_m)
@@ -227,7 +228,9 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
     # candidate-sized buffer would keep the whole buffer alive
     rx.resize(at, refcheck=False)
     pathloss_db.resize(at, refcheck=False)
-    return _LinkBatch(tx_ids=tx_ids, counts=counts, rx=rx, pathloss_db=pathloss_db)
+    heard = counts > 0
+    return _LinkBatch(tx_ids=tx_ids[heard], counts=counts[heard], rx=rx,
+                      pathloss_db=pathloss_db)
 
 
 def _interferers(dep: scenario.Deployment, sched: SlotSchedule, tx_ids: np.ndarray,
@@ -244,7 +247,7 @@ def _interfered(links: _LinkBatch, occ: np.ndarray):
     links are interfered, and the interferer and link count of each
     interfered transmitter, from one cell's interferers occ."""
     hit = occ >= 0
-    for ts, ls in links.blocks:
+    for ts, ls, _ in links.blocks:
         block_hit = hit[ts]
         if not block_hit.any():
             continue
@@ -296,7 +299,7 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
     call over their total size.
     """
     eirp = cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
-    for _, ls in links.blocks:
+    for _, ls, _ in links.blocks:
         shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, ls.stop - ls.start)
         channel.rx_power_mw(eirp, links.pathloss_db[ls], shadow, out=signal_mw[ls])
     interference_mw[:] = 0.0
@@ -317,9 +320,9 @@ def _decision_key(plan: phy.ResourcePlan) -> tuple:
 
 def _decide(plans: Sequence[phy.ResourcePlan], sinr: dict[float, np.ndarray],
             links: _LinkBatch, rng: np.random.Generator) -> dict:
-    """Successes ``(decisions, heard transmitters)`` int64 of each decision
-    key of plans, from the pass's ``(phases, links)`` linear SINR under each
-    noise of plans (sinr[plan.noise_mw]); heard transmitters: links.heard.
+    """Successes ``(decisions, transmitters of links)`` int64 of each
+    decision key of plans, from the pass's ``(phases, links)`` linear SINR
+    under each noise of plans (sinr[plan.noise_mw]).
 
     One loop over (decision, block of links) serves every key, the blocks
     of transmitters the pass itself steps through.  The block's uniforms are
@@ -336,16 +339,10 @@ def _decide(plans: Sequence[phy.ResourcePlan], sinr: dict[float, np.ndarray],
     """
     deciders = {_decision_key(plan): plan for plan in plans}
     phases = len(plans[0].phase_mcs)
-    heard = links.heard
-    n = {key: np.empty((1 if plan.combining else phases, heard.size), dtype=np.int64)
+    n = {key: np.empty((1 if plan.combining else phases, links.tx_ids.size), dtype=np.int64)
          for key, plan in deciders.items()}
-    # each block's links, its heard transmitters' columns of n, and their first links in it
-    first = np.cumsum(links.counts) - links.counts
-    spans = [slice(*np.searchsorted(heard, (ts.start, ts.stop))) for ts, _ in links.blocks]
-    blocks = [(ls, cols, first[heard[cols]] - ls.start)
-              for (_, ls), cols in zip(links.blocks, spans)]
     for d in range(max(map(len, n.values()))):
-        for ls, cols, starts in blocks:
+        for ts, ls, starts in links.blocks:
             uniforms = rng.random(ls.stop - ls.start)
             sinr_db = {}  # (noise, combining) -> the block's decision-d SINR in dB
             for key, plan in deciders.items():
@@ -359,7 +356,7 @@ def _decide(plans: Sequence[phy.ResourcePlan], sinr: dict[float, np.ndarray],
                     db *= 10.0
                 received = l2sm.reception_draw(l2sm.bler_lookup(
                     plan.table, plan.phase_mcs[d], sinr_db[at], plan.shift_db), uniforms)
-                n[key][d, cols] = np.add.reduceat(received, starts, dtype=np.int64)
+                n[key][d, ts] = np.add.reduceat(received, starts, dtype=np.int64)
     return n
 
 
@@ -367,7 +364,7 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
                     rng: np.random.Generator, plans: Sequence[phy.ResourcePlan],
                     links: _LinkBatch) -> dict:
     """One SINR pass over links, those of sched's transmitters, decided for
-    every decision key of plans: the ``(decisions, heard transmitters)``
+    every decision key of plans: the ``(decisions, transmitters of links)``
     successes of each key (_decide).
 
     cfg is the pass config; plans share its phase count, so they share the
@@ -401,8 +398,8 @@ def _evaluate_links(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedul
 @dataclass(frozen=True, eq=False)
 class _DropCounts:
     dep: scenario.Deployment  # the deployment this drop simulated
-    tx_ids: np.ndarray        # transmitters with at least one in-range receiver
-    m: np.ndarray             # receivers per transmitter
+    tx_ids: np.ndarray        # transmitters with a link: those of the pass's _LinkBatch
+    m: np.ndarray             # receivers per transmitter, each at least 1
     n: np.ndarray             # (decisions, transmitters) successes
 
 
@@ -442,9 +439,9 @@ def _drop_counts(cfg: SimConfig, plans: Sequence[phy.ResourcePlan],
         keep = sched.assigned[union.tx_ids]
         links = union if keep.all() else union.rows(keep)
         n = _evaluate_links(cfg, dep, sched, stream, members, links)
-        tx_ids, m = links.tx_ids[links.heard], links.counts[links.heard]
         for i, plan in zip(idx, members):
-            counts[i] = _DropCounts(dep=dep, tx_ids=tx_ids, m=m, n=n[_decision_key(plan)])
+            counts[i] = _DropCounts(dep=dep, tx_ids=links.tx_ids, m=links.counts,
+                                    n=n[_decision_key(plan)])
         # freed before the next schedule is drawn (held, retx_mix RSS read +0.5 MB)
         del sched, links
     return counts

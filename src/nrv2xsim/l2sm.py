@@ -13,7 +13,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -145,8 +145,9 @@ def _validate_curve(mcs: int, snr: np.ndarray, bler: np.ndarray) -> None:
         raise ValueError(f"MCS {mcs}: snr_db steps and bler slopes must be finite")
 
 
-def load_table(handle) -> BlerTable:
-    """Load and validate a curve table from an open text file."""
+def _read_curves(handle) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The (snr_db, bler) rows of each MCS of a table file, checked only
+    for their format: BlerTable validates the curves."""
     reader = csv.reader(handle)
     header = next(reader, CSV_HEADER)  # an empty file is a table of no rows
     if tuple(h.strip() for h in header) != CSV_HEADER:
@@ -166,10 +167,13 @@ def load_table(handle) -> BlerTable:
         if not MCS_MIN <= mcs <= MCS_MAX:
             raise ValueError(f"line {lineno}: mcs out of range 1..15: {mcs}")
         points.setdefault(mcs, []).append((snr, bler))
-    return BlerTable(curves={
-        mcs: (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
-        for mcs, rows in points.items()
-    })
+    return {mcs: (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+            for mcs, rows in points.items()}
+
+
+def load_table(handle) -> BlerTable:
+    """Load and validate a curve table from an open text file."""
+    return BlerTable(curves=_read_curves(handle))
 
 
 def dump_table(table: BlerTable, handle) -> None:
@@ -192,8 +196,8 @@ def read_table_file(path) -> bytes:
 # curves.
 @lru_cache(maxsize=8)
 def _loaded_table(data: bytes) -> BlerTable:
-    table = load_table(io.StringIO(data.decode("utf-8"), newline=""))
-    return replace(table, sha256=hashlib.sha256(data).hexdigest())
+    curves = _read_curves(io.StringIO(data.decode("utf-8"), newline=""))
+    return BlerTable(curves=curves, sha256=hashlib.sha256(data).hexdigest())
 
 
 def active_table(cfg) -> BlerTable:

@@ -12,6 +12,7 @@ BLER table, so every input of the reception decisions comes from one plan.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,7 +40,8 @@ PRB_TABLE_MUS = (0, 1, 2)
 def scs_khz(mu: int) -> int:
     """Subcarrier spacing in kHz for numerology index mu; raises unless mu is 0..2."""
     if mu not in PRB_TABLE_MUS:
-        raise ValueError(f"mu out of FR1 sidelink range: {mu} (allowed: 0, 1, 2)")
+        raise ValueError(
+            f"mu out of FR1 sidelink range: {reprlib.repr(mu)} (allowed: 0, 1, 2)")
     return 15 * 2**mu
 
 
@@ -63,7 +65,8 @@ def prb_count(bandwidth_mhz: float, mu: int) -> int:
         return PRB_TABLE[(bandwidth_mhz, mu)]
     except KeyError:
         raise ValueError(
-            f"undefined PRB entry: bandwidth_mhz={bandwidth_mhz}, mu={mu}"
+            f"undefined PRB entry: bandwidth_mhz={reprlib.repr(bandwidth_mhz)}, "
+            f"mu={reprlib.repr(mu)}"
         ) from None
 
 
@@ -116,17 +119,21 @@ def phase_shares(scheme: str) -> tuple[float, ...]:
     if scheme == "equal":
         return (0.5, 0.5)
     if not scheme.startswith("nonequal:"):
-        raise ValueError(f"retx_scheme must be 'none', 'equal' or 'nonequal:<n>': {scheme!r}")
+        raise ValueError("retx_scheme must be 'none', 'equal' or 'nonequal:<n>': "
+                         f"{reprlib.repr(scheme)}")
     try:
         n = int(scheme.split(":", 1)[1])
     except ValueError:
-        raise ValueError(f"retx_scheme has malformed split index: {scheme!r}") from None
+        raise ValueError(
+            f"retx_scheme has malformed split index: {reprlib.repr(scheme)}") from None
     if not 1 <= n <= MAX_NONEQUAL_SPLIT:
-        raise ValueError(f"retx_scheme split index must be 1..{MAX_NONEQUAL_SPLIT}: {scheme!r}")
+        raise ValueError(f"retx_scheme split index must be 1..{MAX_NONEQUAL_SPLIT}: "
+                         f"{reprlib.repr(scheme)}")
     # one spelling per scheme: every spelling is its own config, with its
     # own fingerprint and sweep row
     if scheme != f"nonequal:{n}":
-        raise ValueError(f"retx_scheme must be spelled 'nonequal:{n}': {scheme!r}")
+        raise ValueError(
+            f"retx_scheme must be spelled 'nonequal:{n}': {reprlib.repr(scheme)}")
     return ((50 + 10 * n) / 100.0, (50 - 10 * n) / 100.0)
 
 

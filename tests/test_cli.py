@@ -196,6 +196,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("config error: ivd_m must be a number, got '99")
     # the echoed value is clipped: the message stays one short line
     assert "..." in err and len(err) < 200
+    # so is a value that a range or grammar check rejects
+    for override, message in (("mu=" + "9" * 4000, "mu out of FR1 sidelink range"),
+                              ("retx_scheme=" + "x" * 4000, "retx_scheme must be"),
+                              ("num_gnb=-" + "9" * 4000, "num_gnb must be at least 1")):
+        code = cli.main(["capacity", "--set", override])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert "..." in err and len(err) < 200
     for verb, kind, text in (("capacity", "config", '{"ivd_m": %s}'),
                              ("sweep", "campaign", '{"sweep_ivd_m": [%s]}')):
         bad.write_text(text % huge)
@@ -488,6 +497,11 @@ def test_sweep_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypa
     pytest.param("--out", "", "empty path for --out", id="--out-empty"),
     pytest.param("--dump-deployment", "", "empty path for --dump-deployment",
                  id="--dump-deployment-empty"),
+    pytest.param("--dump-deployment", "r.csv", "--dump-deployment names the same file as --out",
+                 id="--dump-deployment-out"),
+    pytest.param("--dump-deployment", "r.csv.samples.csv",
+                 "--dump-deployment names the same file as --dump-samples",
+                 id="--dump-deployment-samples"),
 ])
 def test_run_rejects_missing_out_dir_before_running(tmp_path, capsys, monkeypatch,
                                                      flag, path, message):

@@ -229,8 +229,8 @@ def _powers(cfg, dep, sched, links, phases, rng):
 
 def _evaluate(cfg, seed=0, shifts=()):
     """Every granted transmitter of one drop through the engine's link stage:
-    its links, the successes of its heard transmitters under cfg's plan and
-    of each plan of shifts, and the linear SINR of its pass."""
+    its links, the successes of its transmitters with a link under cfg's
+    plan and of each plan of shifts, and the linear SINR of its pass."""
     dep, plan, sched, rng = _setup(cfg, seed)
     pass_rng = copy.deepcopy(rng)
     plans = [plan, *(phy.build_resource_plan(replace(cfg, l2sm_delta_db=d)) for d in shifts)]
@@ -327,6 +327,32 @@ def test_phase_ratio_matches_whole_array_pass(cfg, transmitters):
         expected = _reference_phase_ratio(cfg, dep, sched, links, p, 1e-12, reference_rng)
         assert ratio.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_build_links_holds_only_transmitters_with_a_link():
+    # a transmitter with no receiver in range gives no PRR sample, so the
+    # batch leaves it out; each lane is evenly spaced at 100 m, and at a 15 m
+    # range under seed 2 the vehicles of one lane have no neighbour
+    cfg = SimConfig(ivd_m=100.0, comm_range_m=15.0)
+    dep = scenario.generate_deployment(cfg, np.random.default_rng(2))
+    tx_ids = np.arange(dep.num_vehicles)
+    dx = dep.x_m[:, None] - dep.x_m
+    dy = dep.y_m[:, None] - dep.y_m
+    receivers = ((dx * dx + dy * dy <= cfg.comm_range_m**2)
+                 & ~np.eye(tx_ids.size, dtype=bool)).sum(axis=1)
+    assert 0 < np.count_nonzero(receivers) < tx_ids.size
+    links = engine._build_links(dep, tx_ids, cfg)
+    assert links.tx_ids.tolist() == np.flatnonzero(receivers).tolist()
+    assert links.counts.tolist() == receivers[receivers > 0].tolist()
+    assert np.all(links.counts >= 1)
+    # every block's first links start at its link slice and rise strictly
+    for ts, ls, starts in links.blocks:
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0)
+        assert int(links.counts[ts].sum()) == ls.stop - ls.start
+    # no range, no link: an empty batch
+    empty = engine._build_links(dep, tx_ids, replace(cfg, comm_range_m=0.0))
+    assert empty.tx_ids.size == empty.counts.size == empty.rx.size == 0
+    assert empty.blocks == []
 
 
 # ~1.03M links in one drop
@@ -445,7 +471,7 @@ def test_dense_drop_phase_powers_write_in_place():
     dep, plan, sched, rng = _setup(DENSE_DROP, seed=0)
     cfg = engine._pass_config(DENSE_DROP)
     links = engine._build_links(dep, np.flatnonzero(sched.assigned), cfg)
-    largest = max(ls.stop - ls.start for _, ls in links.blocks)
+    largest = max(ls.stop - ls.start for _, ls, _ in links.blocks)
     assert largest > 30_000
     for p in range(len(plan.phase_mcs)):
         signal, interference = np.empty(links.rx.size), np.empty(links.rx.size)
@@ -498,13 +524,12 @@ def test_equal_retx_combining_math():
 def test_equal_retx_outcome_shapes_and_delta():
     cfg = replace(NOISE_LIMITED, retx_scheme="equal", l2sm_delta_db=3.0)
     _, plan, links, (with_shift, without), ratio = _evaluate(cfg, shifts=(0.0,))
-    heard = links.counts > 0
     assert ratio.shape == (2, links.rx.size)
-    # one combined decision per heard transmitter: (decisions, heard)
-    assert with_shift.shape == without.shape == (1, np.count_nonzero(heard))
+    # one combined decision per transmitter with a link: (decisions, transmitters)
+    assert with_shift.shape == without.shape == (1, links.tx_ids.size)
     # on the uniforms of one pass a shift only adds successes, up to the
     # transmitter's receivers
-    assert np.all(without <= with_shift) and np.all(with_shift <= links.counts[heard])
+    assert np.all(without <= with_shift) and np.all(with_shift <= links.counts)
     assert without.sum() < with_shift.sum()
     # shift dominance carried through the lookup
     table = l2sm.default_bler_table()
@@ -549,10 +574,9 @@ def test_raising_delta_never_hurts_on_fixed_seed():
 def test_nonequal_outcome_keeps_phase_decisions():
     cfg = replace(NOISE_LIMITED, retx_scheme="nonequal:2", l2sm_delta_db=5.0)
     _, _, links, (n,), ratio = _evaluate(cfg)
-    heard = links.counts > 0
     assert ratio.shape == (2, links.rx.size)
-    assert n.shape == (2, np.count_nonzero(heard))  # (decisions, heard)
-    assert np.all(n <= links.counts[heard])
+    assert n.shape == (2, links.tx_ids.size)  # (decisions, transmitters)
+    assert np.all(n <= links.counts)
     # both phases receive
     assert n[0].any() and n[1].any()
 

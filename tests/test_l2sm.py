@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -29,6 +30,22 @@ def test_dump_load_round_trip():
     for mcs in range(1, 16):
         np.testing.assert_array_equal(loaded.curves[mcs][0], table.curves[mcs][0])
         np.testing.assert_array_equal(loaded.curves[mcs][1], table.curves[mcs][1])
+
+
+def test_loaded_table_validates_each_curve_once(monkeypatch):
+    # a table file is parsed into one BlerTable that already holds its
+    # digest: a copy made to add the digest would validate and index every
+    # curve a second time
+    buf = io.StringIO()
+    l2sm.dump_table(l2sm.default_bler_table(), buf)
+    data = buf.getvalue().encode()
+    validated = []
+    validate = l2sm._validate_curve
+    monkeypatch.setattr(l2sm, "_validate_curve",
+                        lambda mcs, *curve: validated.append(mcs) or validate(mcs, *curve))
+    table = l2sm._loaded_table.__wrapped__(data)  # past the cache: one fresh load
+    assert sorted(validated) == list(range(1, 16))
+    assert table.sha256 == hashlib.sha256(data).hexdigest()
 
 
 def test_load_rejects_increasing_bler():
