@@ -250,6 +250,8 @@ def run_command(func, args) -> int:
         # downstream closed the pipe (e.g. piped into head); not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
+        # an overflow or an allocation too large for memory: a config whose
+        # arithmetic the model cannot carry
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,8 +28,9 @@ one linear SINR per (noise, phase), and the keys of a pass decide in one
 loop: one uniform draw per (decision, block of links) that every key
 reads, one dB SINR per (noise, combining), and one lookup per key, summed
 per transmitter in the block, so every run's result is the one it gets
-alone.  One tiling, blocks of _TX_BLOCK transmitters, steps the link
-search, the SINR pass and the decisions alike.
+alone.  One block size, _TX_BLOCK transmitters, steps the link search over
+every granted transmitter, and the SINR pass and the decisions over those
+with a link.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def schedule_slots(dep: scenario.Deployment, orders: Sequence[np.ndarray],
     return SlotSchedule(resource=resource, occupant=occupant)
 
 
-# Transmitters per block of a drop's one tiling.  Every per-link temporary of
+# Transmitters per block, in every blocked stage.  Every per-link temporary of
 # the link search, the SINR pass and the decisions spans one block's links,
 # so a dense drop's peak memory stays near its kept arrays while numpy calls
 # stay few.
@@ -451,23 +452,8 @@ def _finalize(cfg: SimConfig, plan: phy.ResourcePlan,
               counts: list[_DropCounts]) -> metrics.RunResult:
     m = np.concatenate([dc.m for dc in counts])
     n = np.concatenate([dc.n for dc in counts], axis=1)
-    prrs = [metrics.prr_runtime(m, n_d) for n_d in n]
-    runtime = sum(prrs) / len(prrs)
-    phase1, phase2 = prrs if len(prrs) == 2 else (None, None)
-
-    effective = metrics.effective_prr(plan.prr_max, runtime)
-
-    return metrics.RunResult(
-        key=metrics.RunKey.from_config(cfg),
-        fingerprint=config_fingerprint(cfg, plan.table),
-        seed=cfg.seed,
-        prr_runtime=runtime,
-        prr_max=plan.prr_max,
-        prr_effective=effective,
-        samples=int(m.size),
-        prr_phase1=phase1,
-        prr_phase2=phase2,
-    )
+    return metrics.RunResult.from_counts(cfg, config_fingerprint(cfg, plan.table),
+                                         plan.prr_max, m, n)
 
 
 def _drop_seed(seed: int, drop_index: int) -> np.random.SeedSequence:

@@ -171,11 +171,6 @@ def _read_curves(handle) -> dict[int, tuple[np.ndarray, np.ndarray]]:
             for mcs, rows in points.items()}
 
 
-def load_table(handle) -> BlerTable:
-    """Load and validate a curve table from an open text file."""
-    return BlerTable(curves=_read_curves(handle))
-
-
 def dump_table(table: BlerTable, handle) -> None:
     """Write a table in the loadable CSV format, sorted by (mcs, snr_db)."""
     handle.write("mcs,snr_db,bler\n")

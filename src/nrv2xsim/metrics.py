@@ -1,10 +1,10 @@
 """Packet reception ratio computation, cross-seed aggregation, CSV emission.
 
 PRR is a macro average: each transmission contributes its own n/m ratio,
-then ratios are averaged.  Transmissions with no in-range receiver are
-excluded; if every sample is empty the runtime PRR is NaN (the
-"no receiver" sentinel).  The effective PRR scales the runtime PRR by the
-overload ceiling.
+then ratios are averaged per decision, then over decisions.  The engine
+holds only transmissions with a receiver in range; a run without any has
+a NaN runtime PRR (the "no receiver" sentinel).  The effective PRR scales
+the runtime PRR by the overload ceiling.
 """
 
 from __future__ import annotations
@@ -56,6 +56,21 @@ class RunResult:
     prr_phase1: float | None = None   # set when a run has two decisions (nonequal)
     prr_phase2: float | None = None
 
+    @classmethod
+    def from_counts(cls, cfg: "SimConfig", fingerprint: str, prr_max: float,
+                    m: np.ndarray, n: np.ndarray) -> "RunResult":
+        """cfg's result from the counts of its transmissions: m[i] >= 1
+        receivers in range of transmission i, n[d, i] of them decoding it in
+        decision d."""
+        prrs = [float(np.mean(n_d / m)) if m.size else math.nan for n_d in n]
+        runtime = sum(prrs) / len(prrs)
+        phase1, phase2 = prrs if len(prrs) == 2 else (None, None)
+        # zero capacity forces 0, even over a NaN runtime PRR
+        effective = 0.0 if prr_max == 0 else prr_max * runtime
+        return cls(key=RunKey.from_config(cfg), fingerprint=fingerprint, seed=cfg.seed,
+                   prr_runtime=runtime, prr_max=prr_max, prr_effective=effective,
+                   samples=int(m.size), prr_phase1=phase1, prr_phase2=phase2)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -64,30 +79,6 @@ class SweepRow:
     prr_mean: float
     prr_ci95: float
     prr_max: float
-
-
-def prr_runtime(m, n) -> float:
-    """Mean of n/m over transmissions with m > 0; NaN if there are none.
-
-    ``m[i]`` receivers were in range of transmission i and ``n[i]`` of them
-    decoded it.
-    """
-    m, n = np.asarray(m), np.asarray(n)
-    bad = np.flatnonzero((n < 0) | (n > m))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"need 0 <= n <= m, got n={n[i]}, m={m[i]} at {i}")
-    heard = m > 0
-    if not heard.any():
-        return math.nan
-    return float(np.mean(n[heard] / m[heard]))
-
-
-def effective_prr(prr_max_value: float, prr_runtime_value: float) -> float:
-    """Runtime PRR scaled by the overload ceiling; zero capacity forces 0."""
-    if prr_max_value == 0:
-        return 0.0
-    return prr_max_value * prr_runtime_value
 
 
 def aggregate(results: Iterable[RunResult]) -> list[SweepRow]:

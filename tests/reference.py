@@ -138,18 +138,4 @@ def ref_run(cfg):
             for d in range(len(n)) for t, m_t, n_t in zip(tx_ids, m, n[d])]
     m = np.concatenate([m for _, m, _ in drops])
     n = np.concatenate([n for _, _, n in drops], axis=1)
-    prrs = [metrics.prr_runtime(m, n_d) for n_d in n]
-    runtime = sum(prrs) / len(prrs)
-    phase1, phase2 = prrs if len(prrs) == 2 else (None, None)
-    result = metrics.RunResult(
-        key=metrics.RunKey.from_config(cfg),
-        fingerprint=config_fingerprint(cfg),
-        seed=cfg.seed,
-        prr_runtime=runtime,
-        prr_max=plan.prr_max,
-        prr_effective=metrics.effective_prr(plan.prr_max, runtime),
-        samples=int(m.size),
-        prr_phase1=phase1,
-        prr_phase2=phase2,
-    )
-    return result, rows
+    return metrics.RunResult.from_counts(cfg, config_fingerprint(cfg), plan.prr_max, m, n), rows

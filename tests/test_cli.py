@@ -109,8 +109,7 @@ def test_tables_bler_dump_loads_back(capsys, tmp_path):
     path.write_text(out)
     from nrv2xsim import l2sm
 
-    with open(path, newline="") as handle:
-        table = l2sm.load_table(handle)
+    table = l2sm._loaded_table(path.read_bytes())
     assert sorted(table.curves) == list(range(1, 16))
 
 
@@ -211,6 +210,43 @@ def test_config_error_exit_code(tmp_path, capsys):
         code = cli.main([verb, "--config", str(bad)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"config error: malformed {kind} document")
+
+
+_NINES = "9" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    # phy.nprb_pssch, the last-cell check of SimConfig, phy.required_se
+    ["capacity", "--set", f"packet_size_bytes={_NINES}"],
+    ["capacity", "--set", f"num_gnb={_NINES}"],
+    ["capacity", "--set", f"lanes_per_direction={_NINES}"],
+    # a vehicle count beyond a C long, a squared range beyond the floats:
+    # each raises before it allocates
+    ["run", "--set", "ivd_m=1e-300"],
+    ["run", "--set", "comm_range_m=1e200"],
+], ids=["packet_size_bytes", "num_gnb", "lanes_per_direction", "ivd_m", "comm_range_m"])
+def test_overflow_is_an_error_line(tmp_path, capsys, argv):
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(tmp_path / "r.csv")]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a run too large for memory (such as ivd_m=1e-12) reports numpy's
+    # allocation failure, a MemoryError, without allocating it here
+    def too_large(members):
+        raise MemoryError("Unable to allocate 222. PiB for an array")
+
+    monkeypatch.setattr(engine, "execute_run", too_large)
+    code = cli.main(["run", "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: Unable to allocate 222. PiB for an array\n"
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):

@@ -26,7 +26,7 @@ def test_dump_load_round_trip():
     table = l2sm.default_bler_table()
     buf = io.StringIO()
     l2sm.dump_table(table, buf)
-    loaded = l2sm.load_table(io.StringIO(buf.getvalue()))
+    loaded = l2sm._loaded_table(buf.getvalue().encode())
     for mcs in range(1, 16):
         np.testing.assert_array_equal(loaded.curves[mcs][0], table.curves[mcs][0])
         np.testing.assert_array_equal(loaded.curves[mcs][1], table.curves[mcs][1])
@@ -53,20 +53,20 @@ def test_load_rejects_increasing_bler():
     for mcs in range(1, 16):
         rows += [f"{mcs},0.0,0.2", f"{mcs},1.0,0.5"]
     with pytest.raises(ValueError, match="non-increasing"):
-        l2sm.load_table(io.StringIO("\n".join(rows)))
+        l2sm._loaded_table("\n".join(rows).encode())
 
 
 def test_load_rejects_empty():
     with pytest.raises(ValueError, match="missing MCS 1..15"):
-        l2sm.load_table(io.StringIO(""))
+        l2sm._loaded_table(b"")
     with pytest.raises(ValueError, match="missing MCS 1..15"):
-        l2sm.load_table(io.StringIO("mcs,snr_db,bler\n"))
+        l2sm._loaded_table(b"mcs,snr_db,bler\n")
 
 
 def test_load_rejects_partial():
     rows = ["mcs,snr_db,bler", "1,0.0,0.5", "1,1.0,0.4"]
     with pytest.raises(ValueError, match="^missing MCS: 2, 3, 4, 5, 6, 7, 8, 9, 10"):
-        l2sm.load_table(io.StringIO("\n".join(rows)))
+        l2sm._loaded_table("\n".join(rows).encode())
     # a table built in code holds exactly MCS 1..15 too: bler_lookup has no
     # curve for any other index
     curve = (np.array([0.0, 1.0]), np.array([0.5, 0.4]))
@@ -80,7 +80,7 @@ def test_load_rejects_partial():
 
 def test_load_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
-        l2sm.load_table(io.StringIO("snr,bler\n"))
+        l2sm._loaded_table(b"snr,bler\n")
 
 
 def _table_csv(rows):
@@ -88,7 +88,7 @@ def _table_csv(rows):
     lines = ["mcs,snr_db,bler"]
     for mcs in range(1, 16):
         lines += [f"{mcs},{row}" for row in rows]
-    return "\n".join(lines)
+    return "\n".join(lines).encode()
 
 
 @pytest.mark.parametrize("rows", [
@@ -100,17 +100,17 @@ def _table_csv(rows):
 ])
 def test_load_rejects_non_finite(rows):
     with pytest.raises(ValueError, match="must be finite"):
-        l2sm.load_table(io.StringIO(_table_csv(rows)))
+        l2sm._loaded_table(_table_csv(rows))
 
 
 def test_load_rejects_infinite_slope():
     # two grid points one subnormal apart: the BLER step has no finite slope
     with pytest.raises(ValueError, match="slopes must be finite"):
-        l2sm.load_table(io.StringIO(_table_csv(["0.0,1.0", "5e-324,0.0"])))
+        l2sm._loaded_table(_table_csv(["0.0,1.0", "5e-324,0.0"]))
 
 
 def test_negative_zero_bler_reads_as_zero():
-    table = l2sm.load_table(io.StringIO(_table_csv(["0.0,1.0", "1.0,-0.0", "2.0,-0.0"])))
+    table = l2sm._loaded_table(_table_csv(["0.0,1.0", "1.0,-0.0", "2.0,-0.0"]))
     snr, bler = table.curves[4]
     assert not np.signbit(bler).any()
     x = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
@@ -209,7 +209,7 @@ def test_lookup_matches_interp_on_loaded_tables(curve, delta, seed):
     snr, bler, clustered = curve
     buf = io.StringIO()
     l2sm.dump_table(l2sm.BlerTable(curves={m: (snr, bler) for m in range(1, 16)}), buf)
-    table = l2sm.load_table(io.StringIO(buf.getvalue()))
+    table = l2sm._loaded_table(buf.getvalue().encode())
     if clustered:
         assert table._index[1].k >= 2
     x = _queries(table.curves[1][0], delta, np.random.default_rng(seed))
@@ -227,7 +227,7 @@ def test_lookup_index_built_once_per_table(monkeypatch):
     monkeypatch.setattr(l2sm, "_CurveIndex", Counting)
     buf = io.StringIO()
     l2sm.dump_table(l2sm.default_bler_table(), buf)
-    table = l2sm.load_table(io.StringIO(buf.getvalue()))
+    table = l2sm._loaded_table.__wrapped__(buf.getvalue().encode())  # past the cache
     assert len(built) == 15
     x = np.linspace(-20.0, 40.0, 1001)
     for _ in range(3):

@@ -20,37 +20,62 @@ def _result(cfg, seed, prr, prr_max=1.0, fingerprint=None):
     )
 
 
+def _from_counts(m, n, prr_max=1.0):
+    """The RunResult of the default config from m per transmission and one
+    row of n per decision."""
+    cfg = SimConfig()
+    return RunResult.from_counts(cfg, config_fingerprint(cfg), prr_max,
+                                 np.array(m, dtype=np.int64),
+                                 np.array(n, dtype=np.int64, ndmin=2))
+
+
+def test_from_counts_keeps_the_run():
+    cfg = SimConfig(ivd_m=40.0, seed=7)
+    result = RunResult.from_counts(cfg, "abc", 0.5, np.array([2]), np.array([[1]]))
+    assert (result.key, result.fingerprint, result.seed) == (RunKey.from_config(cfg), "abc", 7)
+    assert (result.prr_max, result.samples) == (0.5, 1)
+
+
 def test_prr_runtime_macro_average():
-    assert metrics.prr_runtime([10, 10], [5, 10]) == pytest.approx(0.75)
+    assert _from_counts([10, 10], [[5, 10]]).prr_runtime == pytest.approx(0.75)
     # macro, not micro: 1/1 and 0/9 average to 0.5, not 0.1
-    assert metrics.prr_runtime(np.array([1, 9]), np.array([1, 0])) == 0.5
+    assert _from_counts([1, 9], [[1, 0]]).prr_runtime == 0.5
 
 
 def test_prr_runtime_extremes():
-    assert metrics.prr_runtime([4], [4]) == 1.0
-    assert metrics.prr_runtime([4], [0]) == 0.0
+    assert _from_counts([4], [[4]]).prr_runtime == 1.0
+    assert _from_counts([4], [[0]]).prr_runtime == 0.0
 
 
-def test_prr_runtime_excludes_empty_and_sentinel():
-    assert metrics.prr_runtime([0, 2], [0, 1]) == pytest.approx(0.5)
-    assert math.isnan(metrics.prr_runtime([0], [0]))
-    assert math.isnan(metrics.prr_runtime([], []))
-    empty = np.empty(0, dtype=np.int64)
-    assert math.isnan(metrics.prr_runtime(empty, empty))
+def test_prr_runtime_nan_without_transmissions():
+    one = _from_counts([], [[]])
+    assert math.isnan(one.prr_runtime) and one.samples == 0
+    assert one.prr_phase1 is None and one.prr_phase2 is None
+    two = _from_counts([], [[], []])
+    assert math.isnan(two.prr_runtime)
+    assert math.isnan(two.prr_phase1) and math.isnan(two.prr_phase2)
 
 
-def test_prr_sample_validates():
-    with pytest.raises(ValueError, match="n=3, m=2"):
-        metrics.prr_runtime([2], [3])
-    with pytest.raises(ValueError):
-        metrics.prr_runtime([2, 2], [1, -1])
+def test_phases_split_two_decisions_and_average():
+    result = _from_counts([2, 4], [[2, 4], [1, 1]])
+    assert (result.prr_phase1, result.prr_phase2) == (1.0, 0.375)  # (1/2 + 1/4) / 2
+    assert result.prr_runtime == (1.0 + 0.375) / 2
+    assert result.samples == 2
+    # one decision, or more than two, reports no phases
+    for rows in ([[1, 2]], [[1, 2], [2, 4], [0, 0]]):
+        result = _from_counts([2, 4], rows)
+        assert result.prr_phase1 is None and result.prr_phase2 is None
+    assert result.prr_runtime == pytest.approx((0.5 + 1.0 + 0.0) / 3)
 
 
 def test_effective_prr():
-    assert metrics.effective_prr(1.0, 0.83) == pytest.approx(0.83)
-    assert metrics.effective_prr(700 / 1038, 1.0) == pytest.approx(700 / 1038)
-    assert metrics.effective_prr(0.0, 0.5) == 0.0
-    assert metrics.effective_prr(0.0, math.nan) == 0.0
+    result = _from_counts([100], [[83]], prr_max=700 / 1038)
+    assert result.prr_effective == result.prr_max * result.prr_runtime
+    assert _from_counts([4], [[4]], prr_max=700 / 1038).prr_effective == 700 / 1038
+    assert _from_counts([4], [[2]], prr_max=0.0).prr_effective == 0.0
+    # zero capacity forces 0, even where no transmission leaves the runtime NaN
+    assert _from_counts([], [[]], prr_max=0.0).prr_effective == 0.0
+    assert math.isnan(_from_counts([], [[]], prr_max=0.5).prr_effective)
 
 
 def test_aggregate_single_seed_zero_ci():
@@ -105,10 +130,9 @@ def test_aggregate_rejects_mixed_fingerprints():
 
 
 def test_effective_never_exceeds_ceiling():
-    cfg = SimConfig()
     for prr_max in (0.0, 0.3, 1.0):
-        for runtime in (0.0, 0.5, 1.0):
-            value = metrics.effective_prr(prr_max, runtime)
+        for received in (0, 2, 4):
+            value = _from_counts([4, 4], [[received, 4]], prr_max=prr_max).prr_effective
             assert value <= prr_max + 1e-12
             assert value <= 1.0
 
