@@ -1,5 +1,8 @@
 """Large-scale channel: WINNER-family pathloss, shadowing, link budget, noise.
 
+Every link joins two vehicles, so the pathloss takes one antenna height,
+ue_height_m: no gNB link is simulated and a gNB has no height.
+
 Fast fading is intentionally absent; it is already folded into the
 SINR-to-BLER curves of the link abstraction, so drawing it here would
 double count.
@@ -19,21 +22,21 @@ LN10_OVER_10 = math.log(10.0) / 10.0
 EFFECTIVE_HEIGHT_OFFSET_M = 1.0
 
 
-def breakpoint_distance_m(tx_height_m: float, rx_height_m: float,
-                          fc_ghz: float) -> float:
-    h_tx = tx_height_m - EFFECTIVE_HEIGHT_OFFSET_M
-    h_rx = rx_height_m - EFFECTIVE_HEIGHT_OFFSET_M
-    return 4.0 * h_tx * h_rx * fc_ghz * 1e9 / SPEED_OF_LIGHT_M_S
+def breakpoint_distance_m(height_m: float, fc_ghz: float) -> float:
+    h = height_m - EFFECTIVE_HEIGHT_OFFSET_M
+    return 4.0 * h * h * fc_ghz * 1e9 / SPEED_OF_LIGHT_M_S
 
 
-def pathloss_db(distance_m, tx_height_m: float, rx_height_m: float, fc_ghz: float,
-                min_distance_m: float, out: np.ndarray | None = None) -> np.ndarray:
-    """WINNER B1 line-of-sight pathloss in dB of an array of distances.
+def pathloss_db(distance_m, height_m: float, fc_ghz: float, min_distance_m: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """WINNER B1 line-of-sight pathloss in dB of an array of distances
+    between two antennas at height_m, the one vehicle height of the model.
 
     Below the breakpoint: 22.7 log10(d) + 41.0 + 20 log10(fc/5).
     At and beyond it:     40 log10(d) + 9.45 - 17.3 log10(h'_tx)
-                          - 17.3 log10(h'_rx) + 2.7 log10(fc/5).
-    Distances under min_distance_m are clamped up to it.  Both antennas
+                          - 17.3 log10(h'_rx) + 2.7 log10(fc/5),
+    with h'_tx = h'_rx = height_m - 1 m, subtracted as two terms.
+    Distances under min_distance_m are clamped up to it.  The antennas
     stand above 1 m, as SimConfig requires of ue_height_m.
 
     Written into out when given (it may be distance_m itself), else into a
@@ -42,12 +45,11 @@ def pathloss_db(distance_m, tx_height_m: float, rx_height_m: float, fc_ghz: floa
     breakpoint, each term added in the order above: the bytes of evaluating
     both branches everywhere and selecting.
     """
-    h_tx = tx_height_m - EFFECTIVE_HEIGHT_OFFSET_M
-    h_rx = rx_height_m - EFFECTIVE_HEIGHT_OFFSET_M
+    h = height_m - EFFECTIVE_HEIGHT_OFFSET_M
     d = np.asarray(distance_m, dtype=float)
     pl = np.maximum(d, min_distance_m, out=np.empty_like(d) if out is None else out)
     # a mask, not flat indices, so that a scalar or an array of any shape works
-    near = pl < breakpoint_distance_m(tx_height_m, rx_height_m, fc_ghz)
+    near = pl < breakpoint_distance_m(height_m, fc_ghz)
     freq_term = np.log10(fc_ghz / 5.0)
     np.log10(pl, out=pl)
     near_pl = pl[near]
@@ -56,8 +58,8 @@ def pathloss_db(distance_m, tx_height_m: float, rx_height_m: float, fc_ghz: floa
     near_pl += 20.0 * freq_term
     pl *= 40.0
     pl += 9.45
-    pl -= 17.3 * np.log10(h_tx)
-    pl -= 17.3 * np.log10(h_rx)
+    pl -= 17.3 * np.log10(h)
+    pl -= 17.3 * np.log10(h)
     pl += 2.7 * freq_term
     pl[near] = near_pl
     return pl

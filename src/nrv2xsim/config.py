@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import reprlib
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import l2sm, phy
@@ -81,6 +82,12 @@ class SimConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be at least 1, got {reprlib.repr(getattr(self, name))}")
+        # the counts the float arithmetic of the model reads (the cells'
+        # extent, the lane grid, the bits per packet)
+        for name in ("lanes_per_direction", "num_gnb", "packet_size_bytes"):
+            if getattr(self, name) > sys.float_info.max:
+                raise ConfigError(f"{name} must be at most {sys.float_info.max}, "
+                                  f"got {reprlib.repr(getattr(self, name))}")
         for name in ("comm_range_m", "shadowing_sigma_db", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(

@@ -222,8 +222,8 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
         ls = slice(at, at + int(np.count_nonzero(keep)))
         rx[ls] = cand[keep]
         dist = np.sqrt(d2[keep], out=pathloss_db[ls])
-        channel.pathloss_db(dist, cfg.ue_height_m, cfg.ue_height_m,
-                            cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m, out=dist)
+        channel.pathloss_db(dist, cfg.ue_height_m, cfg.carrier_freq_ghz,
+                            cfg.min_pathloss_distance_m, out=dist)
         at = ls.stop
     # trimmed in place, so each array owns exactly its links: a view of the
     # candidate-sized buffer would keep the whole buffer alive
@@ -232,52 +232,6 @@ def _build_links(dep: scenario.Deployment, tx_ids: np.ndarray,
     heard = counts > 0
     return _LinkBatch(tx_ids=tx_ids[heard], counts=counts[heard], rx=rx,
                       pathloss_db=pathloss_db)
-
-
-def _interferers(dep: scenario.Deployment, sched: SlotSchedule, tx_ids: np.ndarray,
-                 p: int) -> np.ndarray:
-    """(cells, transmitters): the vehicle of each other cell holding each
-    transmitter's phase-p grant, -1 where none does."""
-    occ = sched.occupant[p][:, sched.resource[p, tx_ids]]
-    occ[dep.serving[tx_ids], np.arange(tx_ids.size)] = -1
-    return occ
-
-
-def _interfered(links: _LinkBatch, occ: np.ndarray):
-    """Per block with an interfered transmitter: its link slice, which of its
-    links are interfered, and the interferer and link count of each
-    interfered transmitter, from one cell's interferers occ."""
-    hit = occ >= 0
-    for ts, ls, _ in links.blocks:
-        block_hit = hit[ts]
-        if not block_hit.any():
-            continue
-        # under load every transmitter of a block is usually interfered, and
-        # its links are then one slice
-        hit_links = (slice(None) if block_hit.all()
-                     else np.flatnonzero(np.repeat(block_hit, links.counts[ts])))
-        yield ls, hit_links, occ[ts][block_hit], links.counts[ts][block_hit]
-
-
-def _interferer_pathloss_block(cfg: SimConfig, dep: scenario.Deployment, src: np.ndarray,
-                               per_src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Pathloss from each interferer src to the next per_src receivers of dst,
-    in a fresh array."""
-    x, y = dep.x_m, dep.y_m
-    # receivers are stored as int32; converted once, both gathers index with
-    # intp, which a dense drop ran faster than two int32 gathers
-    dst = dst.astype(np.intp)
-    dx = np.repeat(x.take(src), per_src)
-    dx -= x.take(dst)
-    dy = np.repeat(y.take(src), per_src)
-    dy -= y.take(dst)
-    # the squared-sum distance of _build_links
-    dx *= dx
-    dy *= dy
-    dx += dy
-    dist = np.sqrt(dx, out=dx)
-    return channel.pathloss_db(dist, cfg.ue_height_m, cfg.ue_height_m,
-                               cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m, out=dist)
 
 
 def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
@@ -304,14 +258,40 @@ def _phase_powers(cfg: SimConfig, dep: scenario.Deployment, sched: SlotSchedule,
         shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, ls.stop - ls.start)
         channel.rx_power_mw(eirp, links.pathloss_db[ls], shadow, out=signal_mw[ls])
     interference_mw[:] = 0.0
-    for occ in _interferers(dep, sched, links.tx_ids, p):
-        for ls, hit_links, src, per_src in _interfered(links, occ):
-            pl = _interferer_pathloss_block(cfg, dep, src, per_src, links.rx[ls][hit_links])
-            shadow_i = channel.shadowing_db(rng, cfg.shadowing_sigma_db, pl.size)
-            power = channel.rx_power_mw(eirp, pl, shadow_i, out=pl)
-            interference_mw[ls][hit_links] += power
+    # (cells, transmitters): the vehicle of each other cell holding each
+    # transmitter's phase-p grant, -1 where none does
+    holders = sched.occupant[p][:, sched.resource[p, links.tx_ids]]
+    holders[dep.serving[links.tx_ids], np.arange(links.tx_ids.size)] = -1
+    for occ in holders:
+        hit = occ >= 0
+        for ts, ls, _ in links.blocks:
+            block_hit = hit[ts]
+            if not block_hit.any():
+                continue
+            # under load every transmitter of a block is usually interfered,
+            # and its links are then one slice
+            hit_links = (slice(None) if block_hit.all()
+                         else np.flatnonzero(np.repeat(block_hit, links.counts[ts])))
+            src, per_src = occ[ts][block_hit], links.counts[ts][block_hit]
+            # receivers are int32; converted once, both gathers index with
+            # intp, which a dense drop ran faster than two int32 gathers
+            dst = links.rx[ls][hit_links].astype(np.intp)
+            pl = np.repeat(dep.x_m.take(src), per_src)
+            pl -= dep.x_m.take(dst)
+            dy = np.repeat(dep.y_m.take(src), per_src)
+            dy -= dep.y_m.take(dst)
+            # the squared-sum distance of _build_links
+            pl *= pl
+            dy *= dy
+            pl += dy
+            del dst, dy
+            np.sqrt(pl, out=pl)
+            channel.pathloss_db(pl, cfg.ue_height_m, cfg.carrier_freq_ghz,
+                                cfg.min_pathloss_distance_m, out=pl)
+            shadow = channel.shadowing_db(rng, cfg.shadowing_sigma_db, pl.size)
+            interference_mw[ls][hit_links] += channel.rx_power_mw(eirp, pl, shadow, out=pl)
             # released before the next block builds its distances
-            del pl, shadow_i, power
+            del pl, shadow
 
 
 def _decision_key(plan: phy.ResourcePlan) -> tuple:
@@ -469,16 +449,18 @@ def execute_run(members: Sequence[SimConfig]
     member's result and drops equal those of its run alone: every drop
     shares one deployment among the members, one link search among them
     all, and one schedule and interference pass among the members of each
-    schedule signature."""
+    schedule signature.  A float overflow, division by zero or invalid
+    operation raises FloatingPointError; underflow keeps numpy's default."""
     cfg, *others = (_pass_config(m) for m in members)
     mixed = sorted(f.name for f in fields(SimConfig)
                    if any(getattr(o, f.name) != getattr(cfg, f.name) for o in others))
     if mixed:
         raise ValueError(f"runs of one SINR pass differ in {', '.join(mixed)}")
-    plans = [phy.build_resource_plan(m) for m in members]
-    drops = [_drop_counts(cfg, plans, _drop_seed(cfg.seed, i)) for i in range(cfg.drops)]
-    return [(_finalize(m, plan, counts), counts)
-            for m, plan, counts in zip(members, plans, map(list, zip(*drops)))]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        plans = [phy.build_resource_plan(m) for m in members]
+        drops = [_drop_counts(cfg, plans, _drop_seed(cfg.seed, i)) for i in range(cfg.drops)]
+        return [(_finalize(m, plan, counts), counts)
+                for m, plan, counts in zip(members, plans, map(list, zip(*drops)))]
 
 
 def run_sample_table(counts: list[_DropCounts]) -> list[tuple[int, int, int, int, int]]:

@@ -24,8 +24,8 @@ from nrv2xsim.scenario import generate_deployment
 
 
 def _pathloss(cfg, distance_m):
-    return pathloss_db(distance_m, cfg.ue_height_m, cfg.ue_height_m,
-                       cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m)
+    return pathloss_db(distance_m, cfg.ue_height_m, cfg.carrier_freq_ghz,
+                       cfg.min_pathloss_distance_m)
 
 
 def _rx_power_mw(cfg, pathloss, rng):

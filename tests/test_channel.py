@@ -6,11 +6,10 @@ import pytest
 from nrv2xsim import channel
 from nrv2xsim.config import SimConfig
 
-# the antenna heights, carrier and clamp of the default config: 1.5 m,
+# the antenna height, carrier and clamp of the default config: 1.5 m,
 # 5.9 GHz and 10 m
 DEFAULT = SimConfig()
-DEFAULT_LINK = {"tx_height_m": DEFAULT.ue_height_m, "rx_height_m": DEFAULT.ue_height_m,
-                "fc_ghz": DEFAULT.carrier_freq_ghz,
+DEFAULT_LINK = {"height_m": DEFAULT.ue_height_m, "fc_ghz": DEFAULT.carrier_freq_ghz,
                 "min_distance_m": DEFAULT.min_pathloss_distance_m}
 
 
@@ -46,8 +45,7 @@ def test_pathloss_monotone():
 
 
 def test_breakpoint_continuity():
-    d_bp = channel.breakpoint_distance_m(DEFAULT.ue_height_m, DEFAULT.ue_height_m,
-                                         DEFAULT.carrier_freq_ghz)
+    d_bp = channel.breakpoint_distance_m(DEFAULT.ue_height_m, DEFAULT.carrier_freq_ghz)
     gap = abs(
         _pathloss(np.array([d_bp * (1 - 1e-9)]))
         - _pathloss(np.array([d_bp * (1 + 1e-9)]))
@@ -55,34 +53,32 @@ def test_breakpoint_continuity():
     assert gap < 0.5
 
 
-def _pathloss_both_branches(distance_m, tx_height_m, rx_height_m, fc_ghz, min_distance_m):
+def _pathloss_both_branches(distance_m, height_m, fc_ghz, min_distance_m):
     """Both WINNER B1 branches at every distance, selected by np.where."""
-    h_tx = tx_height_m - channel.EFFECTIVE_HEIGHT_OFFSET_M
-    h_rx = rx_height_m - channel.EFFECTIVE_HEIGHT_OFFSET_M
+    h = height_m - channel.EFFECTIVE_HEIGHT_OFFSET_M
     d = np.maximum(np.asarray(distance_m, dtype=float), min_distance_m)
-    d_bp = channel.breakpoint_distance_m(tx_height_m, rx_height_m, fc_ghz)
+    d_bp = channel.breakpoint_distance_m(height_m, fc_ghz)
     freq_term = np.log10(fc_ghz / 5.0)
     log_d = np.log10(d)
     near = 22.7 * log_d + 41.0 + 20.0 * freq_term
     far = (40.0 * log_d + 9.45
-           - 17.3 * np.log10(h_tx) - 17.3 * np.log10(h_rx)
+           - 17.3 * np.log10(h) - 17.3 * np.log10(h)
            + 2.7 * freq_term)
     return np.where(d < d_bp, near, far)
 
 
 @pytest.mark.parametrize("params", [
     {},
-    {"tx_height_m": 2.5, "rx_height_m": 1.8},
+    {"height_m": 2.5},
     {"fc_ghz": 3.5},
-    {"tx_height_m": 1.6, "rx_height_m": 3.0, "fc_ghz": 28.0, "min_distance_m": 1.0},
+    {"height_m": 1.6, "fc_ghz": 28.0, "min_distance_m": 1.0},
 ], ids=["default", "heights", "frequency", "all"])
 def test_pathloss_bytes_match_both_branch_select(params):
     # the near branch evaluated only below the breakpoint gives the bytes of
     # both branches everywhere and np.where, in a fresh array, in a separate
     # out and in place over the distances
     params = {**DEFAULT_LINK, **params}
-    d_bp = channel.breakpoint_distance_m(params["tx_height_m"], params["rx_height_m"],
-                                         params["fc_ghz"])
+    d_bp = channel.breakpoint_distance_m(params["height_m"], params["fc_ghz"])
     clamp = params["min_distance_m"]
     assert clamp < d_bp  # both branches are reached
     special = [0.0, clamp / 2, np.nextafter(clamp, 0.0), clamp, np.nextafter(clamp, np.inf),

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -215,24 +216,43 @@ def test_config_error_exit_code(tmp_path, capsys):
 _NINES = "9" * 400
 
 
-@pytest.mark.parametrize("argv", [
-    # phy.nprb_pssch, the last-cell check of SimConfig, phy.required_se
-    ["capacity", "--set", f"packet_size_bytes={_NINES}"],
-    ["capacity", "--set", f"num_gnb={_NINES}"],
-    ["capacity", "--set", f"lanes_per_direction={_NINES}"],
+@pytest.mark.parametrize("argv, first", [
+    # a count the model's float arithmetic reads (phy.nprb_pssch, the
+    # last-cell check of SimConfig, phy.required_se): SimConfig names it
+    (["capacity", "--set", f"packet_size_bytes={_NINES}"], "config error: packet_size_bytes"),
+    (["capacity", "--set", f"num_gnb={_NINES}"], "config error: num_gnb"),
+    (["capacity", "--set", f"lanes_per_direction={_NINES}"], "config error: lanes_per_direction"),
     # a vehicle count beyond a C long, a squared range beyond the floats:
     # each raises before it allocates
-    ["run", "--set", "ivd_m=1e-300"],
-    ["run", "--set", "comm_range_m=1e200"],
-], ids=["packet_size_bytes", "num_gnb", "lanes_per_direction", "ivd_m", "comm_range_m"])
-def test_overflow_is_an_error_line(tmp_path, capsys, argv):
-    if argv[0] == "run":
+    (["run", "--set", "ivd_m=1e-300"], "error: "),
+    (["run", "--set", "comm_range_m=1e200"], "error: "),
+    # a float fault inside the run (engine.execute_run): the noise power,
+    # the lane offsets
+    (["run", "--set", "ivd_m=200", "--set", "noise_figure_db=1e308"], "error: overflow"),
+    (["run", "--set", "ivd_m=200", "--set", "lane_width_m=1e308"], "error: overflow"),
+    # raised in a pool worker, one per seed, and re-raised in the sweep
+    (["sweep", "--jobs", "2", "--set", "noise_figure_db=1e308"], "error: overflow"),
+], ids=["packet_size_bytes", "num_gnb", "lanes_per_direction", "ivd_m", "comm_range_m",
+        "noise_figure_db", "lane_width_m", "pooled_sweep"])
+def test_overflow_is_an_error_line(tmp_path, capsys, monkeypatch, argv, first):
+    # a fresh handler logs to this test's stderr, not to an earlier test's
+    monkeypatch.setattr(logging.getLogger("nrv2xsim"), "handlers", [])
+    if argv[0] == "sweep":
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text('{"base": {"ivd_m": 200}, "seeds": [1, 2]}')
+        argv = [*argv, "--config", str(campaign)]
+    if argv[0] != "capacity":
         argv = [*argv, "--out", str(tmp_path / "r.csv")]
-    code = cli.main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    # one error line, the last: a sweep may log its expansion first
+    lines = err.splitlines()
+    assert [line for line in lines if "error: " in line] == [lines[-1]]
+    assert lines[-1].startswith(first) and len(lines[-1]) < 200
+    assert "Traceback" not in err and "Warning" not in err and not caught
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -273,8 +273,8 @@ def test_sinr_db():
     cfg = SimConfig()
     plan = phy.build_resource_plan(cfg)
     signal = (cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db
-              - channel.pathloss_db(np.array([50.0]), cfg.ue_height_m, cfg.ue_height_m,
-                                    cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m)[0])
+              - channel.pathloss_db(np.array([50.0]), cfg.ue_height_m, cfg.carrier_freq_ghz,
+                                    cfg.min_pathloss_distance_m)[0])
     scs_hz = phy.scs_khz(cfg.mu) * 1e3
     noise_bw_db = 10 * math.log10(plan.nprb_pssch * 12 * scs_hz)
     density = signal - 40.0 - noise_bw_db - cfg.noise_figure_db
@@ -311,13 +311,13 @@ def _reference_phase_ratio(cfg, dep, sched, links, p, noise_mw, rng):
     SimConfig(ivd_m=40.0, retx_scheme="equal", comm_range_m=0.0),
     SimConfig(bandwidth_mhz=5.0, mu=1, max_mcs_efficiency=0.25, retx_scheme="equal"),
 ], ids=["none", "equal", "nonequal2", "nonequal4", "zero_range", "zero_capacity"])
-# every granted transmitter of the drop (None); the passes on either side of a
-# block boundary are pinned by the reference oracle's BLOCK_EDGE_GROUP
-@pytest.mark.parametrize("transmitters", [None])
-def test_phase_ratio_matches_whole_array_pass(cfg, transmitters):
-    # the same SINR bytes and the same end state of the stream, phase by phase
+def test_phase_ratio_matches_whole_array_pass(cfg):
+    # the same SINR bytes and the same end state of the stream, phase by
+    # phase, over every granted transmitter of the drop; the passes on either
+    # side of a block boundary are pinned by the reference oracle's
+    # BLOCK_EDGE_GROUP
     dep, plan, sched, rng = _setup(cfg, seed=3)
-    tx_ids = np.flatnonzero(sched.assigned)[:transmitters]
+    tx_ids = np.flatnonzero(sched.assigned)
     links = engine._build_links(dep, tx_ids, cfg)
     reference_rng = copy.deepcopy(rng)
     for p in range(len(plan.phase_mcs)):
@@ -493,8 +493,7 @@ def test_evaluate_links_isolated_cell_noise_limited():
     d = np.hypot(dep.x_m[links.rx] - dep.x_m[links.tx],
                  dep.y_m[links.rx] - dep.y_m[links.tx])
     pl = channel.pathloss_db(
-        d, cfg.ue_height_m, cfg.ue_height_m, cfg.carrier_freq_ghz,
-        cfg.min_pathloss_distance_m,
+        d, cfg.ue_height_m, cfg.carrier_freq_ghz, cfg.min_pathloss_distance_m,
     )
     expected = (cfg.tx_power_dbm + cfg.tx_gain_db + cfg.rx_gain_db - pl) - noise
     np.testing.assert_allclose(10.0 * np.log10(ratio[0]), expected, atol=1e-9)
@@ -739,8 +738,8 @@ def test_kept_sets_nest_and_phase0_interferers_agree(seed, grids):
     for (_, small), (_, large) in zip(scheds, scheds[1:]):
         assert not (small.assigned & ~large.assigned).any()
         tx_ids = np.flatnonzero(small.assigned)
-        assert np.array_equal(engine._interferers(dep, small, tx_ids, 0),
-                              engine._interferers(dep, large, tx_ids, 0))
+        assert np.array_equal(small.occupant[0][:, small.resource[0, tx_ids]],
+                              large.occupant[0][:, large.resource[0, tx_ids]])
     for cap, width, phases in grids:
         one, other = schedule(cap, width, phases), schedule(cap, width % 30 + 1, phases)
         for name in ("resource", "occupant", "dropped"):
