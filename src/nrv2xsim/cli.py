@@ -250,7 +250,7 @@ def run_command(func, args) -> int:
         # downstream closed the pipe (e.g. piped into head); not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+    except (OSError, ValueError, OverflowError, FloatingPointError, MemoryError) as exc:
         # an overflow, a float fault of the run (engine.execute_run) or an
         # allocation too large for memory: a config whose arithmetic the
         # model cannot carry

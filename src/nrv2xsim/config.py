@@ -82,11 +82,14 @@ class SimConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(
                     f"{name} must be at least 1, got {reprlib.repr(getattr(self, name))}")
-        # the counts the float arithmetic of the model reads (the cells'
-        # extent, the lane grid, the bits per packet)
-        for name in ("lanes_per_direction", "num_gnb", "packet_size_bytes"):
-            if getattr(self, name) > sys.float_info.max:
-                raise ConfigError(f"{name} must be at most {sys.float_info.max}, "
+        # the counts the float arithmetic of the model reads: the cells'
+        # extent, the lane grid, and a packet's bits (packet_size_bytes * 8
+        # over a float in phy.nprb_pssch)
+        for name, limit in (("lanes_per_direction", sys.float_info.max),
+                            ("num_gnb", sys.float_info.max),
+                            ("packet_size_bytes", sys.float_info.max / 8)):
+            if getattr(self, name) > limit:
+                raise ConfigError(f"{name} must be at most {limit}, "
                                   f"got {reprlib.repr(getattr(self, name))}")
         for name in ("comm_range_m", "shadowing_sigma_db", "seed"):
             if getattr(self, name) < 0:

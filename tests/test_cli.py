@@ -220,6 +220,8 @@ _NINES = "9" * 400
     # a count the model's float arithmetic reads (phy.nprb_pssch, the
     # last-cell check of SimConfig, phy.required_se): SimConfig names it
     (["capacity", "--set", f"packet_size_bytes={_NINES}"], "config error: packet_size_bytes"),
+    # within the floats, but its bits (8 per byte) are not
+    (["capacity", "--set", "packet_size_bytes=3" + "0" * 307], "config error: packet_size_bytes"),
     (["capacity", "--set", f"num_gnb={_NINES}"], "config error: num_gnb"),
     (["capacity", "--set", f"lanes_per_direction={_NINES}"], "config error: lanes_per_direction"),
     # a vehicle count beyond a C long, a squared range beyond the floats:
@@ -232,8 +234,8 @@ _NINES = "9" * 400
     (["run", "--set", "ivd_m=200", "--set", "lane_width_m=1e308"], "error: overflow"),
     # raised in a pool worker, one per seed, and re-raised in the sweep
     (["sweep", "--jobs", "2", "--set", "noise_figure_db=1e308"], "error: overflow"),
-], ids=["packet_size_bytes", "num_gnb", "lanes_per_direction", "ivd_m", "comm_range_m",
-        "noise_figure_db", "lane_width_m", "pooled_sweep"])
+], ids=["packet_size_bytes", "packet_size_bits", "num_gnb", "lanes_per_direction", "ivd_m",
+        "comm_range_m", "noise_figure_db", "lane_width_m", "pooled_sweep"])
 def test_overflow_is_an_error_line(tmp_path, capsys, monkeypatch, argv, first):
     # a fresh handler logs to this test's stderr, not to an earlier test's
     monkeypatch.setattr(logging.getLogger("nrv2xsim"), "handlers", [])
@@ -248,7 +250,9 @@ def test_overflow_is_an_error_line(tmp_path, capsys, monkeypatch, argv, first):
         code = cli.main(argv)
     err = capsys.readouterr().err
     assert code == 1
-    # one error line, the last: a sweep may log its expansion first
+    if argv[0] != "sweep":
+        assert err.startswith(first) and err.count("\n") == 1
+    # a sweep logs its expansion first: the error is its last line and its only one
     lines = err.splitlines()
     assert [line for line in lines if "error: " in line] == [lines[-1]]
     assert lines[-1].startswith(first) and len(lines[-1]) < 200
@@ -267,6 +271,17 @@ def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: Unable to allocate 222. PiB for an array\n"
+
+
+def test_division_by_zero_is_a_traceback(tmp_path, monkeypatch):
+    # a float fault of the run is a config the model cannot carry; a plain
+    # division by zero is a fault of the program and keeps its traceback
+    def divides(members):
+        return 1 / 0
+
+    monkeypatch.setattr(engine, "execute_run", divides)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["run", "--out", str(tmp_path / "r.csv")])
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):
